@@ -130,14 +130,11 @@ def derive_counts(state: LabeledGraph) -> tuple[np.ndarray, np.ndarray]:
     B = state.n_groups
     e = np.zeros((B, B), dtype=np.int64)
     k = np.zeros((state.n_nodes, B), dtype=np.int64)
-    loops = state.i == state.j
     r, s, m = state.r, state.s, state.m
     np.add.at(e, (r, s), m)
     np.add.at(e, (s, r), m)  # doubles the diagonal where r == s
     np.add.at(k, (state.i, r), m)
     np.add.at(k, (state.j, s), m)  # self-loops add both endpoint labels at i
-    if np.any(loops):
-        pass  # both add.at lines above already hit node i twice for loops
     return e, k
 
 

@@ -5,10 +5,16 @@ The mutable engine keeps sparse count aggregates (bundle counts, labeled
 degrees, group-pair totals, per-side mixture tables) and returns the exact
 change of the description length for every unit move, where a unit move
 relabels one half-edge pair of one word-document bundle.  Bulk operations
-(node relabelings, group merges and splits) are logged sequences of unit
-moves, so any proposal can be evaluated and reverted exactly.  The engine's
-running total is required to match a from-scratch evaluation of the joint,
-and the test suite enforces that.
+(node relabelings and group splits) are logged sequences of unit moves, so
+any proposal can be evaluated and reverted exactly.  The engine's running
+total is required to match a from-scratch evaluation of the joint, and the
+test suite enforces that.
+
+Group merges come from one place: the nonoverlapping agglomerator, which
+scores every same-side pair from closed-form group-table deltas.  A
+clustered fit starts from its greedy coarsening of the node singletons; each
+later round is one unit-move sweep followed by split proposals, and the fit
+stops at the first round that accepts no move.
 
 Document-anchored fits (every document pinned to its own group, the labeled
 states whose mixtures read directly as topic proportions) additionally get a
@@ -32,7 +38,9 @@ from .microcanonical import (
     SideStats,
     joint_logp,
     logp_degrees_given_mixtures,
+    logp_geometric,
     logp_overlap_partition,
+    top_level_density,
 )
 from .scores import ModelScore
 from .util import (
@@ -54,8 +62,6 @@ class InferenceConfig:
     n_restarts: int = 10
     temperature_start: float = 1.0
     temperature_end: float = 1e-3
-    convergence_window: int = 50
-    convergence_tol: float = 0.1
     max_levels: int = 1
 
     def __post_init__(self):
@@ -212,21 +218,14 @@ class MutableLabeledState:
             return len(self._e_r)
         return len(self.sides[side].e_r)
 
-    def _geom_term(self) -> float:
-        B = self.occupied()
-        E = self.E
-        if B == 0 or E == 0:
-            return 0.0
-        omega = 2.0 * E / (B * (B + 1))
-        return -(E * math.log(omega) - (E + B * (B + 1) / 2.0) * math.log1p(omega))
-
     def sigma(self) -> float:
+        B = self.occupied()
         return (
             self._log_omega
             - self._log_xi
             + self._side_terms[0]
             + self._side_terms[1]
-            + self._geom_term()
+            - logp_geometric(self.E, B, top_level_density(self.E, B))
         )
 
     def unit_move(self, d, w, old_pair, new_pair) -> float:
@@ -304,25 +303,6 @@ class MutableLabeledState:
             self._refresh_side(side)
         return self.sigma() - before, log
 
-    def relabel_half_edges(self, side, g_from, g_to):
-        """Move every half-edge labeled g_from to g_to (a merge when g_to is
-        occupied).  Returns (delta, undo log)."""
-        moves = []
-        for key in sorted(self.bundles.keys()):
-            cnt = self.bundles[key]
-            for pair in sorted(cnt.keys()):
-                m = cnt.get(pair, 0)
-                if m <= 0:
-                    continue
-                if side == 0 and pair[0] == g_from:
-                    target = (g_to, pair[1])
-                elif side == 1 and pair[1] == g_from:
-                    target = (pair[0], g_to)
-                else:
-                    continue
-                moves.append((key, pair, target, m))
-        return self._bulk_moves(moves)
-
     def relabel_node(self, side, idx, g_from, g_to, keys=None):
         """Move one node's g_from half-edges to g_to (mixture move).  `keys`
         may carry the node's bundle keys to skip the full scan."""
@@ -377,8 +357,10 @@ def init_state(graph, config: InferenceConfig, rng=None) -> MutableLabeledState:
     """Side-respecting initial labeling.
 
     per-doc-group mode pins document d to its own group and spreads word
-    half-edges over `n_word_groups` random labels; clustered mode seeds one
-    group per node on both sides, which the merge moves then coarsen.
+    half-edges over `n_word_groups` random labels.  clustered mode starts
+    from one group per node on both sides and applies the agglomerator's
+    greedy merges, giving a nonoverlapping state; nodes without edges stay
+    out of every group.
     """
     rng = np.random.default_rng(config.seed) if rng is None else rng
     D, V = graph.n_docs, graph.n_words
@@ -391,9 +373,16 @@ def init_state(graph, config: InferenceConfig, rng=None) -> MutableLabeledState:
             for r in np.nonzero(split)[0]:
                 items.append((int(d), int(w), int(d), D + int(r), int(split[r])))
     elif config.doc_clustering == "clustered":
-        group_side = [0] * D + [1] * V
-        for d, w, c in zip(graph.doc_idx, graph.word_idx, graph.counts):
-            items.append((int(d), int(w), int(d), D + int(w), int(c)))
+        counts = np.zeros((D, V), dtype=np.int64)
+        np.add.at(counts, (graph.doc_idx, graph.word_idx), graph.counts)
+        agg = NonoverlappingAgglomerator(counts, np.arange(D), np.arange(V))
+        agg.greedy_merge()
+        doc_group, word_group = agg.materialize()
+        n_doc_groups = int(doc_group.max(initial=-1)) + 1
+        group_side = [0] * n_doc_groups + [1] * (int(word_group.max(initial=-1)) + 1)
+        d_idx, w_idx = np.nonzero(counts)
+        items = zip(d_idx, w_idx, doc_group[d_idx], n_doc_groups + word_group[w_idx],
+                    counts[d_idx, w_idx])
     else:
         raise ValueError(f"unknown doc_clustering mode {config.doc_clustering!r}")
     return MutableLabeledState(D, V, items, group_side, overlap=config.overlap)
@@ -477,29 +466,6 @@ def mh_sweep(state: MutableLabeledState, rng, temperature=1.0,
     return {"proposed": n_props, "accepted": accepted}
 
 
-def best_merge_pass(state: MutableLabeledState, sides=(0, 1)) -> float:
-    """Scan same-side group pairs, applying the best strictly improving merge
-    per side until none helps; every evaluation is reverted via its log."""
-    total = 0.0
-    improved = True
-    while improved:
-        improved = False
-        for side in sides:
-            groups = state.doc_groups() if side == 0 else state.word_groups()
-            best = None
-            for ai in range(len(groups)):
-                for bi in range(ai + 1, len(groups)):
-                    delta, log = state.relabel_half_edges(side, groups[ai], groups[bi])
-                    if delta < -1e-9 and (best is None or delta < best[0]):
-                        best = (delta, groups[ai], groups[bi])
-                    state.undo(log)
-            if best is not None:
-                delta, _ = state.relabel_half_edges(side, best[1], best[2])
-                total += delta
-                improved = True
-    return total
-
-
 def split_pass(state: MutableLabeledState, rng, sides=(0, 1)) -> float:
     """Propose splitting each group by 2-means on member nodes' neighbor
     profiles; keep splits that strictly lower the description length."""
@@ -528,7 +494,7 @@ def split_pass(state: MutableLabeledState, rng, sides=(0, 1)) -> float:
                             for i in members], dtype=float)
             norms = mat.sum(axis=1, keepdims=True)
             mat = mat / np.maximum(norms, 1.0)
-            assign = _two_means(mat, rng)
+            assign = _kmeans(mat, 2, rng, iters=20)
             if assign.min() == assign.max():
                 continue
             fresh = state.add_group(side)
@@ -544,22 +510,6 @@ def split_pass(state: MutableLabeledState, rng, sides=(0, 1)) -> float:
             else:
                 state.undo(log)
     return total
-
-
-def _two_means(mat, rng, iters=20):
-    n = mat.shape[0]
-    centers = mat[rng.choice(n, size=2, replace=False)]
-    assign = np.zeros(n, dtype=np.int64)
-    for _ in range(iters):
-        dist = ((mat[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        new_assign = dist.argmin(axis=1)
-        if np.array_equal(new_assign, assign):
-            break
-        assign = new_assign
-        for c in (0, 1):
-            if np.any(assign == c):
-                centers[c] = mat[assign == c].mean(axis=0)
-    return assign
 
 
 # --- hierarchy search --------------------------------------------------------
@@ -648,17 +598,12 @@ def _fit_one_restart(graph, config: InferenceConfig, ridx: int, seq) -> FitResul
             info = mh_sweep(state, rng, temperature=float(temp))
             stats.update(info)
             trace.append(state.sigma())
-    descent_start = len(trace) - 1
     for _ in range(config.n_sweeps):
-        if not doc_anchored:
-            best_merge_pass(state)
         info = greedy_sweep(state, rng, doc_anchored=doc_anchored)
         stats.update(info)
-        if not doc_anchored:
-            split_pass(state, rng)
+        split_gain = 0.0 if doc_anchored else split_pass(state, rng)
         trace.append(state.sigma())
-        window = min(config.convergence_window, len(trace) - 1 - descent_start)
-        if window >= 1 and trace[-1 - window] - trace[-1] < config.convergence_tol:
+        if info["accepted"] == 0 and split_gain == 0.0:
             converged = True
             break
     from .microcanonical import compress_groups
@@ -676,12 +621,13 @@ def _fit_one_restart(graph, config: InferenceConfig, ridx: int, seq) -> FitResul
 def fit(graph, config: InferenceConfig) -> FitResult:
     """Best-of-restarts posterior maximization.
 
-    Greedy mode alternates merge scans, unit sweeps, and split proposals
-    until a full round yields no improvement; anneal mode runs tempered
-    sweeps first; mcmc mode samples at constant temperature before the final
-    descent.  The number of groups per side and the hierarchy depth come out
-    of the optimization.  If the sweep budget runs out first, the best state
-    so far is returned with `converged=False`.
+    Clustered fits start from the agglomerator's greedy merges of the node
+    singletons.  Greedy mode then runs rounds of one unit-move sweep followed
+    by split proposals, and stops at the first round that accepts no move;
+    anneal mode runs tempered sweeps first; mcmc mode samples at constant
+    temperature before the final descent.  The number of groups per side and
+    the hierarchy depth come out of the optimization.  If the sweep budget
+    runs out first, the best state so far is returned with `converged=False`.
 
     Restarts use independent seed streams and reduce by minimum description
     length (ties to the lowest restart index); TOPICBLOCKS_THREADS > 1 runs
@@ -911,13 +857,14 @@ class NonoverlappingAgglomerator:
     group's size, degree total, and degree histogram), so a merge candidate
     costs O(groups + distinct degrees) to evaluate.  Global terms that depend
     only on the group count are shared by every candidate pair of a side and
-    folded in when testing the best pair against zero.  The running total is
-    kept consistent with the full joint evaluation of the materialized state.
+    folded in when testing the best pair against zero.  Only deltas are
+    computed: each equals the change of `joint_logp` between the materialized
+    states before and after the merge.  Degree-0 nodes belong to no group and
+    are marked -1.
     """
 
     def __init__(self, counts: np.ndarray, doc_assign, word_assign):
         counts = np.asarray(counts, dtype=np.int64)
-        self.counts = counts
         self.doc_assign = np.asarray(doc_assign, dtype=np.int64).copy()
         self.word_assign = np.asarray(word_assign, dtype=np.int64).copy()
         k_d = counts.sum(axis=1)
@@ -926,8 +873,8 @@ class NonoverlappingAgglomerator:
             # degree-0 nodes cannot belong to a group; mark them unassigned
             self.doc_assign[k_d == 0] = -1
             self.word_assign[n_w == 0] = -1
-        self.Gd = int(self.doc_assign.max()) + 1
-        self.Gw = int(self.word_assign.max()) + 1
+        self.Gd = int(self.doc_assign.max(initial=-1)) + 1
+        self.Gw = int(self.word_assign.max(initial=-1)) + 1
         self.E = int(counts.sum())
         self.e_mat = np.zeros((self.Gd, self.Gw), dtype=np.int64)
         d_idx, w_idx = np.nonzero(counts)
@@ -966,47 +913,6 @@ class NonoverlappingAgglomerator:
         out += log_factorial(n_eff)                                 # -log P(b | n_b): / n_q!
         return out
 
-    def _side_local_total(self, side) -> float:
-        from .partition_counts import log_partitions
-        total = 0.0
-        for entry in self.tables[side].values():
-            total += log_partitions(entry["e"], entry["n"])
-            total -= sum(log_factorial(c) for c in entry["freq"].values())
-        return total
-
-    def _omega_term(self) -> float:
-        out = 0.0
-        for side in (0, 1):
-            for entry in self.tables[side].values():
-                out += log_factorial(entry["e"])
-        nz = self.e_mat[self.e_mat > 0]
-        out -= float(np.sum([log_factorial(int(v)) for v in nz]))
-        return out
-
-    def _xi_term(self) -> float:
-        k_d = self.counts.sum(axis=1)
-        n_w = self.counts.sum(axis=0)
-        nz = self.counts[self.counts > 0]
-        return (float(np.sum([log_factorial(int(v)) for v in k_d[k_d > 0]]))
-                + float(np.sum([log_factorial(int(v)) for v in n_w[n_w > 0]]))
-                - float(np.sum([log_factorial(int(v)) for v in nz])))
-
-    def _geom_term(self, n_groups_total) -> float:
-        B = n_groups_total
-        if B == 0 or self.E == 0:
-            return 0.0
-        omega = 2.0 * self.E / (B * (B + 1))
-        return -(self.E * math.log(omega)
-                 - (self.E + B * (B + 1) / 2.0) * math.log1p(omega))
-
-    def sigma(self) -> float:
-        B0, B1 = len(self.tables[0]), len(self.tables[1])
-        total = self._omega_term() - self._xi_term()
-        total += self._side_local_total(0) + self._side_local_total(1)
-        total += self.side_global_term(0) + self.side_global_term(1)
-        total += self._geom_term(B0 + B1)
-        return total
-
     # -- merging -------------------------------------------------------------
 
     def _local_merge_delta(self, side, a, b) -> float:
@@ -1035,6 +941,9 @@ class NonoverlappingAgglomerator:
         delta += sum(log_factorial(c) for c in tb["freq"].values())
         return float(delta)
 
+    def _geom_term(self, n_groups) -> float:
+        return -logp_geometric(self.E, n_groups, top_level_density(self.E, n_groups))
+
     def _global_merge_delta(self, side) -> float:
         B0, B1 = len(self.tables[0]), len(self.tables[1])
         before = self.side_global_term(side) + self._geom_term(B0 + B1)
@@ -1058,9 +967,10 @@ class NonoverlappingAgglomerator:
 
     def greedy_merge(self, sides=(1, 0), tol: float = 1e-9) -> float:
         """Alternate sides, applying the best strictly improving merge until
-        none remains.  Local pair deltas are cached and refreshed only for
-        pairs touching the last merge."""
-        sigma0 = self.sigma()
+        none remains; returns the sum of the applied deltas.  Local pair
+        deltas are cached and refreshed only for pairs touching the last
+        merge."""
+        total = 0.0
         caches = {side: {} for side in sides}
         for side in sides:
             groups = sorted(self.tables[side])
@@ -1080,8 +990,10 @@ class NonoverlappingAgglomerator:
                     continue
                 (a, b), local = min(cache.items(), key=lambda kv: kv[1])
                 if local + global_part < -tol:
+                    # cached pairs of this side predate merges on the other
+                    # side, so the applied delta is recomputed for the total
+                    total += self._local_merge_delta(side, a, b) + global_part
                     self._apply_merge(side, a, b)
-                    groups = sorted(self.tables[side])
                     caches[side] = {
                         pair: (self._local_merge_delta(side, *pair)
                                if a in pair else val)
@@ -1089,7 +1001,7 @@ class NonoverlappingAgglomerator:
                         if b not in pair
                     }
                     improved = True
-        return self.sigma() - sigma0
+        return total
 
     def materialize(self):
         """Compacted (doc_assign, word_assign) arrays of the current state."""

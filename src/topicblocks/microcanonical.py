@@ -139,12 +139,10 @@ def logp_degrees_flat(tables: CountTables, n_nodes: int | None = None) -> float:
     return -float(log_num_compositions(tables.e_r, np.full_like(tables.e_r, n)).sum())
 
 
-def logp_edge_matrix_geometric(tables: CountTables, omega_bar: float,
-                               n_groups: int | None = None) -> float:
-    """Independent geometric entries with mean omega_bar over the B(B+1)/2
-    unordered group pairs (within-group entries counted in halves)."""
-    B = tables.n_groups if n_groups is None else n_groups
-    E = tables.E
+def logp_geometric(E: int, B: int, omega_bar: float) -> float:
+    """Log-probability of E edges as independent geometric entries with mean
+    omega_bar over the B(B+1)/2 unordered group pairs (within-group entries
+    counted in halves)."""
     if E == 0:
         return -(B * (B + 1) / 2.0) * math.log1p(omega_bar)
     if omega_bar <= 0:
@@ -152,19 +150,20 @@ def logp_edge_matrix_geometric(tables: CountTables, omega_bar: float,
     return E * math.log(omega_bar) - (E + B * (B + 1) / 2.0) * math.log1p(omega_bar)
 
 
+def logp_edge_matrix_geometric(tables: CountTables, omega_bar: float,
+                               n_groups: int | None = None) -> float:
+    """`logp_geometric` of a state's edge total over its B groups."""
+    B = tables.n_groups if n_groups is None else n_groups
+    return logp_geometric(tables.E, B, omega_bar)
+
+
 def logp_marginal_flat(state: LabeledGraph, omega_bar: float) -> float:
     """Closed-form marginal of the labeled graph under noninformative mixture
     and rate priors; equals the sum of the three microcanonical pieces."""
     t = CountTables(state)
-    B, N, E = t.n_groups, t.n_nodes, t.E
-    if E == 0:
-        geom = -(B * (B + 1) / 2.0) * math.log1p(omega_bar)
-    elif omega_bar <= 0:
-        return -np.inf
-    else:
-        geom = E * math.log(omega_bar) - (E + B * (B + 1) / 2.0) * math.log1p(omega_bar)
+    out = logp_geometric(t.E, t.n_groups, omega_bar)
+    N = t.n_nodes
     diag = t.pair_r == t.pair_s
-    out = geom
     out += float(log_factorial(t.pair_e[~diag]).sum())
     out += float(log_double_factorial_even(t.pair_e[diag]).sum())
     loops = state.i == state.j
@@ -436,12 +435,7 @@ def logp_hierarchy(e_base: np.ndarray, assignments, group_side=None, E=None) -> 
         out += logp_level_partition(assignment, sides[li])
         e = aggregate_matrix(e, assignment, n_coarse)
     B_top = e.shape[0]
-    omega = top_level_density(total_e, B_top)
-    if total_e == 0:
-        out += -(B_top * (B_top + 1) / 2.0) * math.log1p(omega)
-    else:
-        out += total_e * math.log(omega) - (total_e + B_top * (B_top + 1) / 2.0) * math.log1p(omega)
-    return out
+    return out + logp_geometric(total_e, B_top, top_level_density(total_e, B_top))
 
 
 # --- full joint --------------------------------------------------------------

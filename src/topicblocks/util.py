@@ -86,11 +86,3 @@ def log_num_compositions_large(log_parts, total):
     t = np.arange(n, dtype=float)
     return float(np.log(x + t).sum() - log_factorial(n))
 
-
-def logsumexp_pair(a, b):
-    if a == -np.inf:
-        return b
-    if b == -np.inf:
-        return a
-    hi, lo = (a, b) if a >= b else (b, a)
-    return hi + math.log1p(math.exp(lo - hi))

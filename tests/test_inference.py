@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as hst
+from hypothesis.extra.numpy import arrays
 
 from topicblocks.evaluation import adjusted_rand_index
 from topicblocks.graph import BipartiteMultigraph, state_from_label_arrays
@@ -57,15 +60,6 @@ class TestEngineDeltaConsistency:
             exact = st.score().sigma_nats
             worst = max(worst, abs(st.sigma() - exact), abs(before + delta - exact))
         assert worst < 1e-6
-
-    def test_bulk_moves_and_undo(self):
-        rng = np.random.default_rng(8)
-        st = random_engine_state(rng, n_docs=4, n_words=4)
-        before = st.sigma()
-        delta, log = st.relabel_half_edges(1, 2 + 0, 2 + 1)
-        assert abs((before + delta) - st.score().sigma_nats) < 1e-6
-        st.undo(log)
-        assert abs(st.sigma() - before) < 1e-6
 
     def test_node_move(self):
         rng = np.random.default_rng(9)
@@ -153,6 +147,22 @@ class TestGreedyFit:
                               seed=2, n_restarts=1, n_sweeps=10)
         result = fit(graph, cfg)
         assert np.isfinite(result.sigma)
+
+    def test_stops_at_first_round_without_a_move(self):
+        graph = planted_biclique_graph()
+        cfg = InferenceConfig(mode="greedy", doc_clustering="clustered",
+                              seed=0, n_restarts=2, n_sweeps=200)
+        result = fit(graph, cfg)
+        assert result.converged
+        assert len(result.sigma_trace) <= 4
+
+    def test_clustered_start_leaves_isolated_nodes_out(self):
+        # document 2 and word 2 have no edges
+        graph = BipartiteMultigraph(3, 3, [0, 0, 1], [0, 1, 1], [2, 1, 3])
+        state = init_state(graph, InferenceConfig(doc_clustering="clustered"))
+        assert abs(state.sigma() - state.score().sigma_nats) < 1e-9
+        assert {d for d, _ in state.bundles} == {0, 1}
+        assert {w for _, w in state.bundles} == {0, 1}
 
     def test_empty_graph_trivial_model(self):
         graph = BipartiteMultigraph(2, 2, [], [], [])
@@ -270,32 +280,53 @@ class TestAnchoredFitter:
         assert np.array_equal(z.sum(axis=2), dense)
 
 
-class TestAgglomerator:
-    def test_sigma_matches_joint(self):
-        rng = np.random.default_rng(0)
-        counts = rng.integers(0, 5, size=(12, 9))
-        da = rng.integers(0, 3, size=12)
-        wa = rng.integers(0, 4, size=9)
-        ag = NonoverlappingAgglomerator(counts, da, wa)
-        da2, wa2 = ag.materialize()
-        d_idx, w_idx = np.nonzero(counts)
-        gd, gw = da2.max() + 1, wa2.max() + 1
-        gs = np.concatenate([np.zeros(gd, np.int64), np.ones(gw, np.int64)])
-        st = state_from_label_arrays(12, 9, d_idx, w_idx, da2[d_idx],
-                                     gd + wa2[w_idx], counts[d_idx, w_idx],
-                                     gd + gw, gs)
-        assert abs(ag.sigma() - joint_logp(st).sigma_nats) < 1e-8
+def materialized_sigma(counts, ag):
+    """joint_logp of the nonoverlapping state an agglomerator describes."""
+    da, wa = ag.materialize()
+    d_idx, w_idx = np.nonzero(counts)
+    gd, gw = da.max(initial=-1) + 1, wa.max(initial=-1) + 1
+    gs = np.concatenate([np.zeros(gd, np.int64), np.ones(gw, np.int64)])
+    st = state_from_label_arrays(*counts.shape, d_idx, w_idx, da[d_idx],
+                                 gd + wa[w_idx], counts[d_idx, w_idx],
+                                 gd + gw, gs)
+    return joint_logp(st).sigma_nats
 
-    def test_merge_delta_prediction(self):
-        rng = np.random.default_rng(1)
-        counts = rng.integers(0, 4, size=(10, 8))
-        ag = NonoverlappingAgglomerator(counts, rng.integers(0, 3, size=10),
-                                        rng.integers(0, 4, size=8))
-        a, b = sorted(ag.tables[1])[:2]
-        before = ag.sigma()
-        predicted = ag._local_merge_delta(1, a, b) + ag._global_merge_delta(1)
-        ag._apply_merge(1, a, b)
-        assert abs((ag.sigma() - before) - predicted) < 1e-8
+
+@hst.composite
+def merge_cases(draw):
+    """A small count matrix with arbitrary group assignments on both sides."""
+    n_docs = draw(hst.integers(1, 8))
+    n_words = draw(hst.integers(1, 8))
+    counts = draw(arrays(np.int64, (n_docs, n_words), elements=hst.integers(0, 4)))
+    doc_assign = draw(arrays(np.int64, n_docs, elements=hst.integers(0, 3)))
+    word_assign = draw(arrays(np.int64, n_words, elements=hst.integers(0, 3)))
+    return counts, doc_assign, word_assign
+
+
+class TestAgglomerator:
+    @given(merge_cases())
+    def test_sigma_matches_joint(self, case):
+        """The sigma change greedy_merge reports is the change of the joint."""
+        counts, doc_assign, word_assign = case
+        ag = NonoverlappingAgglomerator(counts, doc_assign, word_assign)
+        before = materialized_sigma(counts, ag)
+        total = ag.greedy_merge()
+        assert total <= 0.0
+        assert abs((materialized_sigma(counts, ag) - before) - total) < 1e-8
+
+    @given(merge_cases(), hst.data())
+    def test_merge_delta_prediction(self, case, data):
+        counts, doc_assign, word_assign = case
+        ag = NonoverlappingAgglomerator(counts, doc_assign, word_assign)
+        pairs = [(side, a, b) for side in (0, 1)
+                 for a, b in itertools.combinations(sorted(ag.tables[side]), 2)]
+        if not pairs:
+            return
+        side, a, b = data.draw(hst.sampled_from(pairs))
+        before = materialized_sigma(counts, ag)
+        predicted = ag._local_merge_delta(side, a, b) + ag._global_merge_delta(side)
+        ag._apply_merge(side, a, b)
+        assert abs((materialized_sigma(counts, ag) - before) - predicted) < 1e-8
 
     def test_recovers_planted_bicliques_from_singletons(self):
         counts = np.zeros((8, 8), dtype=np.int64)
