@@ -213,6 +213,8 @@ def cmd_score(args):
 
 def cmd_fit(args):
     if args.preset == "fig2-mode":
+        if args.K is None:
+            raise ValueError("fit --preset fig2-mode needs --K, the number of topics")
         corpus = _load_corpus_dir(args.corpus)
         dense = corpus.dense_counts(max_cells=10**8)
         z, sigma, trace = fit_doc_anchored(
@@ -508,7 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export", help="hierarchy tree and bundle tables")
     p.add_argument("--model", required=True)
-    p.add_argument("--format", default="json", choices=["json", "tree", "tsv"])
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_export)
 
@@ -534,7 +535,7 @@ def main(argv=None) -> int:
                   file=sys.stderr)
         else:
             print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

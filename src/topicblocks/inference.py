@@ -2,13 +2,16 @@
 Metropolis-Hastings sampling of half-edge label assignments.
 
 The mutable engine keeps sparse count aggregates (bundle counts, labeled
-degrees, group-pair totals, per-side mixture tables) and returns the exact
-change of the description length for every unit move, where a unit move
-relabels one half-edge pair of one word-document bundle.  Bulk operations
-(node relabelings and group splits) are logged sequences of unit moves, so
-any proposal can be evaluated and reverted exactly.  The engine's running
-total is required to match a from-scratch evaluation of the joint, and the
-test suite enforces that.
+degrees, group-pair totals, per-side mixture tables) and an index from each
+node to its bundles.  Every change goes through one path, a batch of mass
+moves inside bundles that refreshes each touched side's terms once and
+returns the exact change of the description length with an undo log.  A unit
+move relabels one half-edge pair of one word-document bundle; a node move
+relabels all of one node's half-edges in one group; a group split is a batch
+of node moves.  So any proposal can be evaluated and reverted exactly, and a
+batch that would break the overlap cap is refused before anything changes.
+The engine's running total is required to match a from-scratch evaluation
+of the joint, and the test suite enforces that.
 
 Group merges come from one place: the nonoverlapping agglomerator, which
 scores every same-side pair from closed-form group-table deltas.  A
@@ -108,10 +111,14 @@ class MutableLabeledState:
         self.node_mixture: dict[int, tuple] = {}
         self._log_xi = 0.0        # sum lg k! - sum lg m!
         self._log_omega = 0.0     # sum lg e_r! - sum lg e_rs!
-        self._e_r: Counter = Counter()
         self._side_terms = [0.0, 0.0]
         for (d, w, rd, rw, m) in bundle_items:
             self._bundle_add(int(d), int(w), int(rd), int(rw), int(m))
+        # moves relabel mass inside bundles, so the bundle keys never change
+        self.node_keys: dict[int, list] = {}   # node -> its bundle keys, sorted
+        for d, w in sorted(self.bundles):
+            self.node_keys.setdefault(d, []).append((d, w))
+            self.node_keys.setdefault(self.n_docs + w, []).append((d, w))
         for side in (0, 1):
             self._refresh_side(side)
 
@@ -175,15 +182,12 @@ class MutableLabeledState:
             del self.k[(node, group)]
         else:
             self.k[(node, group)] = new_k
-        old_er = self._e_r[group]
+        old_er = st.e_r.get(group, 0)
         new_er = old_er + dk
         self._log_omega += float(log_factorial(new_er) - log_factorial(old_er))
         if new_er == 0:
-            del self._e_r[group]
-            if group in st.e_r:
-                del st.e_r[group]
+            st.e_r.pop(group, None)
         else:
-            self._e_r[group] = new_er
             st.e_r[group] = new_er
         new_mix = tuple(sorted(g for g in set(old_mix) | {group} if self.k[(node, g)] > 0))
         if new_mix:
@@ -213,10 +217,8 @@ class MutableLabeledState:
 
     # -- description length ----------------------------------------------
 
-    def occupied(self, side=None) -> int:
-        if side is None:
-            return len(self._e_r)
-        return len(self.sides[side].e_r)
+    def occupied(self) -> int:
+        return len(self.sides[0].e_r) + len(self.sides[1].e_r)
 
     def sigma(self) -> float:
         B = self.occupied()
@@ -228,100 +230,90 @@ class MutableLabeledState:
             - logp_geometric(self.E, B, top_level_density(self.E, B))
         )
 
-    def unit_move(self, d, w, old_pair, new_pair) -> float:
-        """Relabel one half-edge pair of bundle (d, w); returns the exact
-        change in description length.  The inverse call undoes the move."""
-        return self.move_mass(d, w, old_pair, new_pair, 1)
-
-    def move_mass(self, d, w, old_pair, new_pair, mass: int, refresh: bool = True) -> float:
-        """Relabel `mass` half-edge pairs of bundle (d, w) at once; returns
-        the exact change in description length.
-
-        `refresh=False` defers the per-side term recomputation (and returns
-        0.0); bulk operations batch many mass moves and refresh once.
-        """
-        if old_pair == new_pair or mass == 0:
-            return 0.0
-        before = self.sigma() if refresh else 0.0
-        cnt = self.bundles[(d, w)]
-        if cnt[old_pair] < mass:
-            raise IntegrityError(f"bundle ({d}, {w}) holds no {mass} x {old_pair}")
-        rd, rw = old_pair
-        rd2, rw2 = new_pair
-        if self.group_side[rd2] != 0 or self.group_side[rw2] != 1:
-            raise IntegrityError("target labels must respect node sides")
-        old_c = cnt[old_pair]
-        new_c = cnt[new_pair]
-        self._log_xi -= (
-            log_factorial(old_c - mass) - log_factorial(old_c)
-            + log_factorial(new_c + mass) - log_factorial(new_c)
-        )
-        cnt[old_pair] = old_c - mass
-        if cnt[old_pair] == 0:
-            del cnt[old_pair]
-        cnt[new_pair] = new_c + mass
-        for pair, delta in ((old_pair, -mass), (new_pair, +mass)):
-            old_e = self.e_pair[pair]
-            self._log_omega -= log_factorial(old_e + delta) - log_factorial(old_e)
-            self.e_pair[pair] = old_e + delta
-            if self.e_pair[pair] == 0:
-                del self.e_pair[pair]
-        if rd != rd2:
-            self._degree_change(0, d, rd, -mass)
-            self._degree_change(0, d, rd2, +mass)
-            if refresh:
-                self._refresh_side(0)
-        if rw != rw2:
-            self._degree_change(1, w, rw, -mass)
-            self._degree_change(1, w, rw2, +mass)
-            if refresh:
-                self._refresh_side(1)
-        if not refresh:
-            return 0.0
-        return self.sigma() - before
-
     def add_group(self, side) -> int:
         self.group_side.append(side)
         return len(self.group_side) - 1
 
-    # -- bulk proposals with undo logs -------------------------------------
+    # -- the one mutation path ----------------------------------------------
+
+    def _breaks_cap(self, moves) -> bool:
+        """Whether `moves` would leave some node in more groups than the cap."""
+        shift: dict[int, Counter] = {}
+        for (d, w), pair, target, m in moves:
+            for side, idx in ((0, d), (1, w)):
+                change = shift.setdefault(self._node(side, idx), Counter())
+                change[pair[side]] -= m
+                change[target[side]] += m
+        return any(
+            sum(self.k[(node, g)] + change[g] > 0
+                for g in set(self.node_mixture.get(node, ())) | set(change))
+            > self.overlap
+            for node, change in shift.items()
+        )
 
     def _bulk_moves(self, moves):
-        """Apply (key, old pair, new pair, mass) moves with one side refresh;
-        returns (exact delta, undo log)."""
+        """Apply (bundle key, old pair, new pair, mass) moves, refreshing each
+        touched side once; returns (exact delta, undo log).
+
+        This is the only code that changes the state after construction.  A
+        batch that would put some node in more groups than the overlap cap is
+        refused whole: the state stays as it was and the result is
+        (+inf, []).
+        """
+        if self.overlap is not None and self._breaks_cap(moves):
+            return math.inf, []
         before = self.sigma()
         touched = set()
-        log = []
-        for key, pair, target, m in moves:
-            self.move_mass(key[0], key[1], pair, target, m, refresh=False)
-            log.append((key, pair, target, m))
-            if pair[0] != target[0]:
-                touched.add(0)
-            if pair[1] != target[1]:
-                touched.add(1)
-        for side in touched:
+        for (d, w), pair, target, m in moves:
+            if pair == target:
+                continue
+            cnt = self.bundles[(d, w)]
+            old_c, new_c = cnt[pair], cnt[target]
+            if old_c < m:
+                raise IntegrityError(f"bundle ({d}, {w}) holds no {m} x {pair}")
+            if self.group_side[target[0]] != 0 or self.group_side[target[1]] != 1:
+                raise IntegrityError("target labels must respect node sides")
+            self._log_xi -= (
+                log_factorial(old_c - m) - log_factorial(old_c)
+                + log_factorial(new_c + m) - log_factorial(new_c)
+            )
+            cnt[pair] = old_c - m
+            if cnt[pair] == 0:
+                del cnt[pair]
+            cnt[target] = new_c + m
+            for p, delta in ((pair, -m), (target, +m)):
+                old_e = self.e_pair[p]
+                self._log_omega -= log_factorial(old_e + delta) - log_factorial(old_e)
+                self.e_pair[p] = old_e + delta
+                if self.e_pair[p] == 0:
+                    del self.e_pair[p]
+            for side, idx in ((0, d), (1, w)):
+                if pair[side] != target[side]:
+                    self._degree_change(side, idx, pair[side], -m)
+                    self._degree_change(side, idx, target[side], +m)
+                    touched.add(side)
+        for side in sorted(touched):
             self._refresh_side(side)
-        return self.sigma() - before, log
+        return self.sigma() - before, list(moves)
 
-    def relabel_node(self, side, idx, g_from, g_to, keys=None):
-        """Move one node's g_from half-edges to g_to (mixture move).  `keys`
-        may carry the node's bundle keys to skip the full scan."""
-        if keys is None:
-            keys = [k for k in sorted(self.bundles.keys()) if k[side] == idx]
+    def unit_move(self, d, w, old_pair, new_pair) -> float:
+        """Relabel one half-edge pair of bundle (d, w); returns the exact
+        change in description length (+inf, changing nothing, if the move
+        breaks the overlap cap).  The inverse call undoes the move."""
+        return self._bulk_moves([((d, w), old_pair, new_pair, 1)])[0]
+
+    def relabel_node(self, side, idx, g_from, g_to):
+        """Move one node's g_from half-edges to g_to (mixture move)."""
         moves = []
-        for key in keys:
-            cnt = self.bundles[key]
-            for pair in sorted(cnt.keys()):
-                m = cnt.get(pair, 0)
-                if m <= 0 or pair[side] != g_from:
-                    continue
-                target = (g_to, pair[1]) if side == 0 else (pair[0], g_to)
-                moves.append((key, pair, target, m))
+        for key in self.node_keys.get(self._node(side, idx), ()):
+            for pair, m in sorted(self.bundles[key].items()):
+                if m > 0 and pair[side] == g_from:
+                    target = (g_to, pair[1]) if side == 0 else (pair[0], g_to)
+                    moves.append((key, pair, target, m))
         return self._bulk_moves(moves)
 
     def undo(self, log):
-        moves = [(key, target, pair, m) for key, pair, target, m in reversed(log)]
-        self._bulk_moves(moves)
+        self._bulk_moves([(key, target, pair, m) for key, pair, target, m in reversed(log)])
 
     # -- conversions ------------------------------------------------------
 
@@ -360,13 +352,17 @@ def init_state(graph, config: InferenceConfig, rng=None) -> MutableLabeledState:
     half-edges over `n_word_groups` random labels.  clustered mode starts
     from one group per node on both sides and applies the agglomerator's
     greedy merges, giving a nonoverlapping state; nodes without edges stay
-    out of every group.
+    out of every group.  A per-doc-group start with more word groups than
+    the overlap cap is rejected with a ValueError.
     """
     rng = np.random.default_rng(config.seed) if rng is None else rng
     D, V = graph.n_docs, graph.n_words
     items = []
     if config.doc_clustering == "per-doc-group":
         K = config.n_word_groups or 2
+        if config.overlap is not None and config.overlap < K:
+            raise ValueError(f"a per-doc-group start spreads word half-edges over {K} "
+                             f"groups, more than the overlap cap {config.overlap}")
         group_side = [0] * D + [1] * K
         for d, w, c in zip(graph.doc_idx, graph.word_idx, graph.counts):
             split = rng.multinomial(int(c), np.full(K, 1.0 / K))
@@ -413,6 +409,8 @@ def greedy_sweep(state: MutableLabeledState, rng, doc_anchored=False) -> dict:
                         continue
                     proposed += 1
                     delta = state.unit_move(d, w, pair, cand)
+                    if delta == math.inf:
+                        continue
                     if delta < -1e-12 and (best is None or delta < best[0]):
                         best = (delta, cand)
                     state.unit_move(d, w, cand, pair)
@@ -454,6 +452,8 @@ def mh_sweep(state: MutableLabeledState, rng, temperature=1.0,
         old_c = cnt[pair]
         new_c = cnt.get(new_pair, 0)
         delta = state.unit_move(key[0], key[1], pair, new_pair)
+        if delta == math.inf:
+            continue
         if temperature <= 0:
             ok = delta < 0
         else:
@@ -466,32 +466,25 @@ def mh_sweep(state: MutableLabeledState, rng, temperature=1.0,
     return {"proposed": n_props, "accepted": accepted}
 
 
-def split_pass(state: MutableLabeledState, rng, sides=(0, 1)) -> float:
+def split_pass(state: MutableLabeledState, rng) -> float:
     """Propose splitting each group by 2-means on member nodes' neighbor
     profiles; keep splits that strictly lower the description length."""
     total = 0.0
-    for side in sides:
+    for side in (0, 1):
+        offset = 0 if side == 0 else state.n_docs
         groups = list(state.doc_groups() if side == 0 else state.word_groups())
         for g in groups:
-            members = sorted({
-                (key[side]) for key in state.bundles
-                for pair in state.bundles[key]
-                if pair[side] == g and state.bundles[key][pair] > 0
-            })
+            members = sorted(node for node, mix in state.node_mixture.items() if g in mix)
             if len(members) < 2:
                 continue
-            profiles = {}
-            for key in sorted(state.bundles.keys()):
-                if key[side] not in members:
-                    continue
-                for pair, m in state.bundles[key].items():
-                    if pair[side] != g or m <= 0:
-                        continue
-                    other = pair[1 - side]
-                    profiles.setdefault(key[side], Counter())[other] += m
-            cols = sorted({c for p in profiles.values() for c in p})
-            mat = np.array([[profiles.get(i, Counter()).get(c, 0) for c in cols]
-                            for i in members], dtype=float)
+            profiles = [Counter() for _ in members]
+            for profile, node in zip(profiles, members):
+                for key in state.node_keys[node]:
+                    for pair, m in state.bundles[key].items():
+                        if pair[side] == g:
+                            profile[pair[1 - side]] += m
+            cols = sorted(set().union(*profiles))
+            mat = np.array([[p[c] for c in cols] for p in profiles], dtype=float)
             norms = mat.sum(axis=1, keepdims=True)
             mat = mat / np.maximum(norms, 1.0)
             assign = _kmeans(mat, 2, rng, iters=20)
@@ -500,9 +493,9 @@ def split_pass(state: MutableLabeledState, rng, sides=(0, 1)) -> float:
             fresh = state.add_group(side)
             delta = 0.0
             log = []
-            for i, a in zip(members, assign):
+            for node, a in zip(members, assign):
                 if a == 1:
-                    dd, ll = state.relabel_node(side, i, g, fresh)
+                    dd, ll = state.relabel_node(side, node - offset, g, fresh)
                     delta += dd
                     log.extend(ll)
             if delta < -1e-9:
@@ -813,36 +806,29 @@ def _kmeans(mat, n_clusters, rng, iters=60):
     return assign.astype(np.int64)
 
 
-def block_polish(state: MutableLabeledState, sides=(0, 1), max_sweeps: int = 4) -> float:
+def block_polish(state: MutableLabeledState, max_sweeps: int = 4) -> float:
     """Greedy node-relabeling sweeps: move each node's half-edges of one group
     entirely to the best same-side group, accepting exact improvements only.
     Polishes seeded clusterings at block granularity."""
-    by_node: dict[tuple, list] = {}
-    for key in sorted(state.bundles.keys()):
-        by_node.setdefault((0, key[0]), []).append(key)
-        by_node.setdefault((1, key[1]), []).append(key)
     total = 0.0
     for _ in range(max_sweeps):
         moved = False
-        for side in sides:
+        for side in (0, 1):
             groups = state.doc_groups() if side == 0 else state.word_groups()
             size = state.n_docs if side == 0 else state.n_words
             for idx in range(size):
                 node = idx if side == 0 else state.n_docs + idx
-                keys = by_node.get((side, idx), [])
-                if not keys:
-                    continue
                 for g_from in tuple(state.node_mixture.get(node, ())):
                     best = None
                     for g_to in groups:
                         if g_to == g_from:
                             continue
-                        delta, log = state.relabel_node(side, idx, g_from, g_to, keys=keys)
+                        delta, log = state.relabel_node(side, idx, g_from, g_to)
                         if delta < -1e-9 and (best is None or delta < best[0]):
                             best = (delta, g_to)
                         state.undo(log)
                     if best is not None:
-                        delta, _ = state.relabel_node(side, idx, g_from, best[1], keys=keys)
+                        delta, _ = state.relabel_node(side, idx, g_from, best[1])
                         total += delta
                         moved = True
         if not moved:
@@ -965,14 +951,14 @@ class NonoverlappingAgglomerator:
             self.e_mat[:, b] = 0
             self.word_assign[self.word_assign == b] = a
 
-    def greedy_merge(self, sides=(1, 0), tol: float = 1e-9) -> float:
-        """Alternate sides, applying the best strictly improving merge until
-        none remains; returns the sum of the applied deltas.  Local pair
-        deltas are cached and refreshed only for pairs touching the last
-        merge."""
+    def greedy_merge(self) -> float:
+        """Alternate sides, word side first, applying the best merge that
+        lowers the description length by more than 1e-9 nats until none
+        remains; returns the sum of the applied deltas.  Local pair deltas
+        are cached and refreshed only for pairs touching the last merge."""
         total = 0.0
-        caches = {side: {} for side in sides}
-        for side in sides:
+        caches = {side: {} for side in (1, 0)}
+        for side in (1, 0):
             groups = sorted(self.tables[side])
             for i in range(len(groups)):
                 for j in range(i + 1, len(groups)):
@@ -981,7 +967,7 @@ class NonoverlappingAgglomerator:
         improved = True
         while improved:
             improved = False
-            for side in sides:
+            for side in (1, 0):
                 if len(self.tables[side]) < 2:
                     continue
                 global_part = self._global_merge_delta(side)
@@ -989,7 +975,7 @@ class NonoverlappingAgglomerator:
                 if not cache:
                     continue
                 (a, b), local = min(cache.items(), key=lambda kv: kv[1])
-                if local + global_part < -tol:
+                if local + global_part < -1e-9:
                     # cached pairs of this side predate merges on the other
                     # side, so the applied delta is recomputed for the total
                     total += self._local_merge_delta(side, a, b) + global_part

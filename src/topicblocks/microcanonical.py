@@ -307,22 +307,18 @@ def logp_degrees_given_mixtures(stats_by_side: dict) -> float:
 def logp_partition_bipartite(state: LabeledGraph, max_overlap: int | None = None,
                              stats_by_side: dict | None = None) -> float:
     """Product of per-side overlapping partition priors.  A group whose
-    half-edges touch both sides makes the partition impossible: the result is
-    -inf and the offending group is recorded on the returned diagnostics."""
+    half-edges touch both sides makes the state inconsistent: IntegrityError
+    names the first offending bundle."""
     if state.side is not None:
         bad_r = state.group_side[state.r] != state.side[state.i]
         bad_s = state.group_side[state.s] != state.side[state.j]
         if np.any(bad_r) or np.any(bad_s):
             which = np.nonzero(bad_r | bad_s)[0][0]
-            logp_partition_bipartite.last_diagnostic = (
+            raise IntegrityError(
                 f"bundle {int(which)} labels a half-edge with a group from the other side"
             )
-            return float(-np.inf)
     stats = stats_by_side if stats_by_side is not None else side_statistics(state)
     return float(sum(logp_overlap_partition(st, max_overlap) for st in stats.values()))
-
-
-logp_partition_bipartite.last_diagnostic = ""
 
 
 # --- nested hierarchy --------------------------------------------------------

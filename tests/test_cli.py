@@ -47,6 +47,36 @@ class TestDispatch:
         err = capsys.readouterr().err
         assert json.loads(err)["error"] == "integrity"
 
+    def test_missing_corpus_exits_two(self, tmp_path, capsys):
+        assert run(["fit", "--corpus", tmp_path / "missing", "--out",
+                    tmp_path / "o"]) == 2
+        assert "missing" in capsys.readouterr().err
+
+    def test_non_integer_count_exits_two(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "edges.tsv").write_text("doc0\twa\t3\ndoc1\twb\tmany\n")
+        assert run(["stats", "--corpus", corpus, "--out", tmp_path / "o"]) == 2
+        assert "many" in capsys.readouterr().err
+
+    def test_fig2_preset_without_k_exits_two(self, tmp_path, capsys):
+        sample = tmp_path / "sample"
+        run(["synth", "--K", 2, "--D", 4, "--V", 6, "--m", 5, "--out", sample])
+        assert run(["fit", "--preset", "fig2-mode", "--corpus", sample,
+                    "--out", tmp_path / "o"]) == 2
+        assert "--K" in capsys.readouterr().err
+
+    def test_export_of_mixed_side_state_exits_three(self, tmp_path, capsys):
+        model = tmp_path / "model"
+        model.mkdir()
+        # the word half-edge carries group 0, a document group
+        (model / "state.json").write_text(json.dumps({
+            "n_docs": 1, "n_words": 1, "n_groups": 2, "group_side": [0, 1],
+            "bundles": [[0, 0, 0, 0, 1]],
+        }))
+        assert run(["export", "--model", model, "--out", tmp_path / "o"]) == 3
+        assert "side" in capsys.readouterr().err
+
 
 class TestIngestStats:
     def test_ingest_writes_corpus_and_manifest(self, docs_jsonl, tmp_path):
@@ -156,6 +186,19 @@ class TestFitPipeline:
                     "--level", 1, "--out", tmp_path / "sum.json"]) == 0
         listing = json.loads((tmp_path / "sum.json").read_text())
         assert any("top_words" in v for v in listing.values())
+
+    def test_overlap_one_fit(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        run(["synth", "--K", 2, "--D", 20, "--V", 30, "--m", 20, "--alpha", 0.05,
+             "--beta", 0.05, "--p-w", "uniform", "--seed", 21, "--out", corpus])
+        model = tmp_path / "model"
+        assert run(["fit", "--corpus", corpus, "--overlap", 1, "--restarts", 2,
+                    "--sweeps", 10, "--out", model]) == 0
+        state, hierarchy = load_model(model)
+        score = json.loads((model / "score.json").read_text())
+        rescored = joint_logp(state, hierarchy if hierarchy.assignments else None,
+                              max_overlap=1)
+        assert rescored.sigma_nats == pytest.approx(score["sigma_nats"], abs=1e-9)
 
     def test_fig2_preset(self, tmp_path):
         sample = tmp_path / "sample"

@@ -79,6 +79,105 @@ class TestEngineDeltaConsistency:
             st.unit_move(key[0], key[1], pair, (2, 0))
 
 
+class TestOverlapCap:
+    def test_move_past_the_cap_refused_and_state_unchanged(self):
+        # document 0 holds two units in doc group 0
+        st = MutableLabeledState(2, 2, [(0, 0, 0, 2, 2), (1, 1, 1, 3, 1)],
+                                 [0, 0, 1, 1], overlap=1)
+        before = st.sigma()
+        bundles = {k: dict(c) for k, c in st.bundles.items()}
+        # moving one of two units would put document 0 in groups 0 and 1
+        assert st.unit_move(0, 0, (0, 2), (1, 2)) == math.inf
+        assert {k: dict(c) for k, c in st.bundles.items()} == bundles
+        assert st.sigma() == before
+        assert st.node_mixture[0] == (0,)
+
+    def test_per_doc_group_start_above_the_cap_rejected(self):
+        cfg = InferenceConfig(doc_clustering="per-doc-group", n_word_groups=3,
+                              overlap=2)
+        with pytest.raises(ValueError, match="3 groups.*overlap cap 2"):
+            init_state(planted_biclique_graph(), cfg)
+
+    def test_fit_with_overlap_one_is_nonoverlapping(self):
+        graph = planted_biclique_graph()
+        cfg = InferenceConfig(mode="greedy", doc_clustering="clustered",
+                              overlap=1, seed=3, n_restarts=2, n_sweeps=30)
+        result = fit(graph, cfg)
+        st = result.state
+        groups = {}
+        for i, j, r, s in zip(st.i, st.j, st.r, st.s):
+            groups.setdefault(int(i), set()).add(int(r))
+            groups.setdefault(int(j), set()).add(int(s))
+        assert all(len(g) == 1 for g in groups.values())
+        oracle = joint_logp(st, result.hierarchy, max_overlap=1).sigma_nats
+        assert result.sigma == pytest.approx(oracle, abs=1e-9)
+
+
+def side_groups(state, side):
+    return [g for g, s in enumerate(state.group_side) if s == side]
+
+
+@hst.composite
+def engine_starts(draw):
+    """A small nonoverlapping engine, with or without an overlap cap."""
+    n_docs, n_words = draw(hst.integers(1, 4)), draw(hst.integers(1, 4))
+    n_dg, n_wg = draw(hst.integers(1, 3)), draw(hst.integers(1, 3))
+    counts = draw(arrays(np.int64, (n_docs, n_words), elements=hst.integers(0, 3)))
+    counts[0, 0] = max(counts[0, 0], 1)
+    doc_assign = draw(arrays(np.int64, n_docs, elements=hst.integers(0, n_dg - 1)))
+    word_assign = draw(arrays(np.int64, n_words, elements=hst.integers(0, n_wg - 1)))
+    items = [(d, w, int(doc_assign[d]), n_dg + int(word_assign[w]), int(counts[d, w]))
+             for d, w in zip(*np.nonzero(counts))]
+    overlap = draw(hst.sampled_from([None, 1, 2]))
+    return MutableLabeledState(n_docs, n_words, items, [0] * n_dg + [1] * n_wg,
+                               overlap=overlap)
+
+
+class TestEngineProperties:
+    @given(engine_starts(), hst.data())
+    def test_random_move_sequences_stay_exact(self, state, data):
+        """After every unit move, node move or undo, the running total equals
+        the oracle, no mixture exceeds the cap, a refused move changes
+        nothing, and an undo restores the sigma from before its move."""
+        done = []    # (sigma before, how to revert), most recent last
+        for _ in range(data.draw(hst.integers(1, 12))):
+            before = state.sigma()
+            op = data.draw(hst.sampled_from(["unit", "node", "undo"]))
+            if op == "undo":
+                if not done:
+                    continue
+                sigma_then, revert = done.pop()
+                revert()
+                assert abs(state.sigma() - sigma_then) < 1e-8
+            elif op == "unit":
+                key = data.draw(hst.sampled_from(sorted(state.bundles)))
+                pair = data.draw(hst.sampled_from(sorted(state.bundles[key])))
+                target = (data.draw(hst.sampled_from(side_groups(state, 0))),
+                          data.draw(hst.sampled_from(side_groups(state, 1))))
+                delta = state.unit_move(*key, pair, target)
+                if delta == math.inf:
+                    assert state.sigma() == before
+                    continue
+                assert abs(before + delta - state.sigma()) < 1e-8
+                done.append((before, lambda k=key, p=pair, t=target:
+                             state.unit_move(*k, t, p)))
+            else:
+                node = data.draw(hst.sampled_from(sorted(state.node_mixture)))
+                side = int(node >= state.n_docs)
+                idx = node - side * state.n_docs
+                g_from = data.draw(hst.sampled_from(state.node_mixture[node]))
+                g_to = data.draw(hst.sampled_from(side_groups(state, side)))
+                delta, log = state.relabel_node(side, idx, g_from, g_to)
+                if delta == math.inf:
+                    assert log == [] and state.sigma() == before
+                    continue
+                assert abs(before + delta - state.sigma()) < 1e-8
+                done.append((before, lambda log=log: state.undo(log)))
+            assert abs(state.sigma() - state.score().sigma_nats) < 1e-8
+            cap = state.overlap or math.inf
+            assert all(len(mix) <= cap for mix in state.node_mixture.values())
+
+
 def planted_biclique_graph(mult=3):
     d_idx, w_idx, cnt = [], [], []
     for d in range(4):

@@ -317,11 +317,11 @@ class TestBipartitePartition:
         expected = sum(logp_overlap_partition(s) for s in stats.values())
         assert abs(got - expected) < 1e-12
 
-    def test_mixed_side_group_minus_inf(self):
+    def test_mixed_side_group_raises(self):
         # word half-edge labeled with a document-side group
         st = state_from_label_arrays(1, 1, [0], [0], [0], [0], [1], 2, [0, 1])
-        assert logp_partition_bipartite(st) == -np.inf
-        assert "side" in logp_partition_bipartite.last_diagnostic
+        with pytest.raises(IntegrityError, match="side"):
+            logp_partition_bipartite(st)
 
     def test_sides_scored_independently(self):
         rng = np.random.default_rng(5)
