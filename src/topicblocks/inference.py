@@ -45,10 +45,12 @@ from .microcanonical import (
     logp_overlap_partition,
     top_level_density,
 )
+from .partition_counts import log_partitions
 from .scores import ModelScore
 from .util import (
     IntegrityError,
     log_factorial,
+    log_factorial_table,
     log_num_compositions,
     log_num_compositions_large,
 )
@@ -708,29 +710,52 @@ def _gibbs_anneal_anchored(z, d_idx, w_idx, n_dw, rng, sweeps=25,
                            t_start=2.0, t_end=0.4):
     """Tempered bundle resampling: each bundle's units are redrawn from the
     count-ratio conditional raised to 1/T along a cooling schedule.  Pure
-    initialization heuristic; the exact objective drives the later descent."""
+    initialization heuristic; the exact objective drives the later descent.
+
+    Sequential and scalar: the labels are held as one K-row per bundle,
+    aligned with (d_idx, w_idx), and the doc-topic, word-topic and topic
+    totals as lists of floats (exact integers), so a bundle costs K scalar
+    updates and one `rng.multinomial` call; z is written once at the end.
+    Each conditional is computed in a fixed order: counts minus the bundle's
+    row, (ndr + pseudo_doc) * (kwr + pseudo_word) / (nr + V * pseudo_word),
+    max(x, 1e-300) ** (1/T), a left-to-right sum, then the division.  So z
+    and the rng stream equal those of a numpy loop over (D, V, K) slices
+    doing the same steps, up to rounding in the last bit: numpy's array power
+    may be a SIMD routine that differs from the C library's `pow` by 1 ulp,
+    and above 7 topics numpy sums pairwise.  Such a difference changes a draw
+    only if a uniform lands within an ulp of a cumulative probability."""
     D, V, K = z.shape
-    ndr = z.sum(axis=1).astype(np.float64)
-    kwr = z.sum(axis=0).astype(np.float64)
-    nr = kwr.sum(axis=0)
-    order = np.arange(len(d_idx))
+    rows = z[d_idx, w_idx].tolist()
+    ndr = z.sum(axis=1).astype(np.float64).tolist()
+    kwr = z.sum(axis=0).astype(np.float64).tolist()
+    nr = z.sum(axis=(0, 1)).astype(np.float64).tolist()
+    docs, words, sizes = d_idx.tolist(), w_idx.tolist(), n_dw.tolist()
+    norm = V * pseudo_word
+    topics = range(K)
+    order = np.arange(len(rows))
     for temp in np.geomspace(t_start, t_end, sweeps):
         rng.shuffle(order)
-        inv = 1.0 / temp
-        for t in order:
-            d, w = d_idx[t], w_idx[t]
-            cur = z[d, w]
-            ndr[d] -= cur
-            kwr[w] -= cur
-            nr -= cur
-            p = (ndr[d] + pseudo_doc) * (kwr[w] + pseudo_word) / (nr + V * pseudo_word)
-            p = np.maximum(p, 1e-300) ** inv
-            p /= p.sum()
-            new = rng.multinomial(int(n_dw[t]), p)
-            z[d, w] = new
-            ndr[d] += new
-            kwr[w] += new
-            nr += new
+        inv = float(1.0 / temp)
+        for t in order.tolist():
+            cur, nd, kw = rows[t], ndr[docs[t]], kwr[words[t]]
+            p, total = [], 0.0
+            for r in topics:
+                c = cur[r]
+                nd[r] -= c
+                kw[r] -= c
+                nr[r] -= c
+                x = max((nd[r] + pseudo_doc) * (kw[r] + pseudo_word)
+                        / (nr[r] + norm), 1e-300) ** inv
+                p.append(x)
+                total += x
+            new = rng.multinomial(sizes[t], [x / total for x in p]).tolist()
+            rows[t] = new
+            for r in topics:
+                c = new[r]
+                nd[r] += c
+                kw[r] += c
+                nr[r] += c
+    z[d_idx, w_idx] = np.asarray(rows, dtype=z.dtype).reshape(len(rows), K)
     return z
 
 
@@ -773,10 +798,10 @@ def fit_doc_anchored(counts: np.ndarray, n_topics: int, seed: int = 0,
         for _ in range(max_rounds):
             improved = False
             for mode in ("word", "prop", "bundle", "unit"):
-                cand = _anchored_proposal(z, counts, d_idx, w_idx, n_dw, mode)
+                cand = _anchored_proposal(z, d_idx, w_idx, n_dw, mode)
                 if cand is None:
                     continue
-                accepted, sigma = _try_batch(z, cand, sigma, d_idx, w_idx)
+                accepted, sigma = _try_batch(z, cand, sigma, d_idx, w_idx, n_dw)
                 if accepted:
                     trace.append(sigma)
                     improved = True
@@ -847,6 +872,13 @@ class NonoverlappingAgglomerator:
     computed: each equals the change of `joint_logp` between the materialized
     states before and after the merge.  Degree-0 nodes belong to no group and
     are marked -1.
+
+    The log-factorials of the edge-matrix cells come from the process-wide
+    table of `util.log_factorial_table`, read with one fancy index per row
+    or column.  Its entries and summation order are those of
+    `log_factorial`'s scalar path summed by `np.sum`, so every delta, and
+    with it every merge choice, is bit-identical to evaluating the cells one
+    by one.
     """
 
     def __init__(self, counts: np.ndarray, doc_assign, word_assign):
@@ -862,6 +894,7 @@ class NonoverlappingAgglomerator:
         self.Gd = int(self.doc_assign.max(initial=-1)) + 1
         self.Gw = int(self.word_assign.max(initial=-1)) + 1
         self.E = int(counts.sum())
+        self._log_fact = log_factorial_table(self.E)  # no cell ever exceeds E
         self.e_mat = np.zeros((self.Gd, self.Gw), dtype=np.int64)
         d_idx, w_idx = np.nonzero(counts)
         np.add.at(self.e_mat, (self.doc_assign[d_idx], self.word_assign[w_idx]),
@@ -904,7 +937,6 @@ class NonoverlappingAgglomerator:
     def _local_merge_delta(self, side, a, b) -> float:
         """Candidate-pair part of the merge delta (everything except the
         global group-count terms shared by all pairs of this side)."""
-        from .partition_counts import log_partitions
         ta, tb = self.tables[side][a], self.tables[side][b]
         n_ab = ta["n"] + tb["n"]
         e_ab = ta["e"] + tb["e"]
@@ -914,11 +946,9 @@ class NonoverlappingAgglomerator:
         else:
             cols_a, cols_b = self.e_mat[:, a], self.e_mat[:, b]
         merged = cols_a + cols_b
-        delta -= float(
-            np.sum([log_factorial(int(v)) for v in merged[merged > 0]])
-            - np.sum([log_factorial(int(v)) for v in cols_a[cols_a > 0]])
-            - np.sum([log_factorial(int(v)) for v in cols_b[cols_b > 0]])
-        )
+        lf = self._log_fact
+        delta -= float(lf[merged[merged > 0]].sum() - lf[cols_a[cols_a > 0]].sum()
+                       - lf[cols_b[cols_b > 0]].sum())
         delta += log_partitions(e_ab, n_ab) - log_partitions(ta["e"], ta["n"]) \
             - log_partitions(tb["e"], tb["n"])
         freq = ta["freq"] + tb["freq"]
@@ -1022,7 +1052,6 @@ def refine_doc_clusters(labels_dense: np.ndarray, seed: int = 0,
     k_d = counts.sum(axis=1)
     theta_hat = z.sum(axis=1) / np.maximum(k_d, 1)[:, None]
     profiles = counts / np.maximum(k_d, 1)[:, None]
-    freq = counts.sum(axis=0).astype(float)
     rng = np.random.default_rng(seed)
 
     candidates = []
@@ -1102,7 +1131,7 @@ def _largest_remainder_round(n, p):
     return out
 
 
-def _anchored_proposal(z, counts, d_idx, w_idx, n_dw, mode):
+def _anchored_proposal(z, d_idx, w_idx, n_dw, mode):
     """Candidate label moves ranked by a count-ratio heuristic: the per-unit
     gain of placing mass under topic r given current tables.
 
@@ -1158,13 +1187,13 @@ def _anchored_proposal(z, counts, d_idx, w_idx, n_dw, mode):
             "mask": movable, "mode": mode, "split": split}
 
 
-def _apply_anchored(z, cand, d_idx, w_idx, counts_flat, subset):
+def _apply_anchored(z, cand, d_idx, w_idx, n_dw, subset):
     """Apply the candidate on a subset of bundles; returns an undo record."""
     sel = np.nonzero(cand["mask"] & subset)[0]
     before = z[d_idx[sel], w_idx[sel]].copy()
     if cand["mode"] in ("bundle", "word"):
         z[d_idx[sel], w_idx[sel]] = 0
-        z[d_idx[sel], w_idx[sel], cand["target"][sel]] = counts_flat[sel]
+        z[d_idx[sel], w_idx[sel], cand["target"][sel]] = n_dw[sel]
     elif cand["mode"] == "prop":
         z[d_idx[sel], w_idx[sel]] = cand["split"][sel]
     else:
@@ -1173,17 +1202,16 @@ def _apply_anchored(z, cand, d_idx, w_idx, counts_flat, subset):
     return sel, before
 
 
-def _try_batch(z, cand, sigma, d_idx, w_idx):
+def _try_batch(z, cand, sigma, d_idx, w_idx, n_dw):
     """Accept the proposal on the full bundle set, halving to the highest
     margin fraction on failure; z is left at the best accepted state."""
     order = np.argsort(-cand["margin"])
     fraction = 1.0
-    counts_flat = z[d_idx, w_idx].sum(axis=1)
     while fraction >= 1 / 64:
         take = order[: max(1, int(len(order) * fraction))]
         subset = np.zeros(len(d_idx), dtype=bool)
         subset[take] = True
-        sel, before = _apply_anchored(z, cand, d_idx, w_idx, counts_flat, subset)
+        sel, before = _apply_anchored(z, cand, d_idx, w_idx, n_dw, subset)
         new_sigma = score_doc_anchored(z).sigma_nats
         if new_sigma < sigma - 1e-9:
             return True, new_sigma

@@ -27,6 +27,27 @@ def log_factorial(n):
     return gammaln(np.asarray(n, dtype=float) + 1.0)
 
 
+_LOG_FACTORIAL_TABLE = np.zeros(1)
+_LOG_FACTORIAL_TABLE.flags.writeable = False
+
+
+def log_factorial_table(n_max: int) -> np.ndarray:
+    """Read-only table of log n! for 0 <= n <= n_max (at least), shared by
+    the whole process and grown by doubling when a caller needs more.
+
+    Entries are `math.lgamma(n + 1.0)`, so a lookup equals the scalar path of
+    `log_factorial` bit for bit (scipy's `gammaln` differs from it by 1 ulp
+    on about half of all n)."""
+    global _LOG_FACTORIAL_TABLE
+    size = len(_LOG_FACTORIAL_TABLE)
+    if n_max >= size:
+        size = max(n_max + 1, 2 * size)
+        table = np.array([math.lgamma(i + 1.0) for i in range(size)])
+        table.flags.writeable = False
+        _LOG_FACTORIAL_TABLE = table
+    return _LOG_FACTORIAL_TABLE
+
+
 def log_double_factorial_even(n):
     """log n!! for even n, using (2m)!! = 2^m m!."""
     n = np.asarray(n)

@@ -7,12 +7,14 @@ from hypothesis import given
 from hypothesis import strategies as hst
 from hypothesis.extra.numpy import arrays
 
+from topicblocks import presets
 from topicblocks.evaluation import adjusted_rand_index
 from topicblocks.graph import BipartiteMultigraph, state_from_label_arrays
 from topicblocks.inference import (
     InferenceConfig,
     MutableLabeledState,
     NonoverlappingAgglomerator,
+    _gibbs_anneal_anchored,
     block_polish,
     fit,
     fit_doc_anchored,
@@ -27,7 +29,8 @@ from topicblocks.inference import (
 )
 from topicblocks.lda import LabeledCounts, noninformative_hyper, sample_corpus
 from topicblocks.microcanonical import joint_logp
-from topicblocks.util import IntegrityError
+from topicblocks.partition_counts import log_partitions
+from topicblocks.util import IntegrityError, log_factorial
 
 
 def random_engine_state(rng, n_docs=3, n_words=3, doc_groups=2, word_groups=2):
@@ -378,6 +381,89 @@ class TestAnchoredFitter:
         z, _, _ = fit_doc_anchored(dense, 3, seed=1, n_restarts=1, gibbs_sweeps=5)
         assert np.array_equal(z.sum(axis=2), dense)
 
+    def test_small_bimodal_recovery_pinned(self):
+        """The whole anchored path (Gibbs start, batch descent, agglomerative
+        refinement, polish, hierarchy) reproduces recorded values."""
+        r = presets.bimodal_recovery(n_docs=40, doc_length=60, fit_restarts=2,
+                                     gibbs_sweeps=4)
+        assert abs(r["sigma_anchored"] - 3081.5052476598266) < 1e-9
+        assert abs(r["sigma_sbm"] - 1248.8709734826225) < 1e-9
+        assert r["mode_count"] == 1
+
+
+def _gibbs_reference(z, d_idx, w_idx, n_dw, rng, sweeps=25, pseudo_doc=1.0,
+                     pseudo_word=0.02, t_start=2.0, t_end=0.4):
+    """The tempered resampler written as a numpy loop over (D, V, K) slices."""
+    D, V, K = z.shape
+    ndr = z.sum(axis=1).astype(np.float64)
+    kwr = z.sum(axis=0).astype(np.float64)
+    nr = kwr.sum(axis=0)
+    order = np.arange(len(d_idx))
+    for temp in np.geomspace(t_start, t_end, sweeps):
+        rng.shuffle(order)
+        inv = 1.0 / temp
+        for t in order:
+            d, w = d_idx[t], w_idx[t]
+            cur = z[d, w]
+            ndr[d] -= cur
+            kwr[w] -= cur
+            nr -= cur
+            p = (ndr[d] + pseudo_doc) * (kwr[w] + pseudo_word) / (nr + V * pseudo_word)
+            p = np.maximum(p, 1e-300) ** inv
+            p /= p.sum()
+            new = rng.multinomial(int(n_dw[t]), p)
+            z[d, w] = new
+            ndr[d] += new
+            kwr[w] += new
+            nr += new
+    return z
+
+
+# the two schedules of fit_doc_anchored: word-pure and random starts
+GIBBS_SCHEDULES = (dict(t_start=1.0, t_end=0.3), dict(t_start=2.0, t_end=0.4))
+
+
+@hst.composite
+def gibbs_cases(draw):
+    n_docs = draw(hst.integers(1, 8))
+    n_words = draw(hst.integers(1, 8))
+    counts = draw(arrays(np.int64, (n_docs, n_words), elements=hst.integers(0, 5)))
+    n_topics = draw(hst.integers(1, 4))
+    schedule = dict(draw(hst.sampled_from(GIBBS_SCHEDULES)),
+                    sweeps=draw(hst.integers(1, 6)))
+    return counts, n_topics, schedule, draw(hst.integers(0, 2**32 - 1))
+
+
+def run_both_gibbs(counts, n_topics, schedule, seed):
+    """(labels, rng state) after the engine's and the reference resampler."""
+    d_idx, w_idx = np.nonzero(counts)
+    n_dw = counts[d_idx, w_idx]
+    start = np.zeros(counts.shape + (n_topics,), dtype=np.int64)
+    start[d_idx, w_idx] = np.random.default_rng(seed).multinomial(
+        n_dw, np.full(n_topics, 1.0 / n_topics))
+    out = []
+    for gibbs in (_gibbs_anneal_anchored, _gibbs_reference):
+        z, rng = start.copy(), np.random.default_rng(seed + 1)
+        gibbs(z, d_idx, w_idx, n_dw, rng, **schedule)
+        out.append((z, rng.bit_generator.state))
+    return out
+
+
+class TestGibbsInitializer:
+    @given(gibbs_cases())
+    def test_matches_numpy_reference(self, case):
+        (z, state), (z_ref, state_ref) = run_both_gibbs(*case)
+        assert np.array_equal(z, z_ref)
+        assert state == state_ref
+
+    @pytest.mark.parametrize("schedule", GIBBS_SCHEDULES)
+    def test_corpus_without_bundles(self, schedule):
+        counts = np.zeros((3, 4), dtype=np.int64)
+        (z, state), (z_ref, state_ref) = run_both_gibbs(
+            counts, 2, dict(schedule, sweeps=3), seed=7)
+        assert not z.any() and not z_ref.any()
+        assert state == state_ref
+
 
 def materialized_sigma(counts, ag):
     """joint_logp of the nonoverlapping state an agglomerator describes."""
@@ -402,7 +488,52 @@ def merge_cases(draw):
     return counts, doc_assign, word_assign
 
 
+def _local_merge_delta_reference(ag, side, a, b):
+    """Local merge delta with one log_factorial call per matrix cell."""
+    ta, tb = ag.tables[side][a], ag.tables[side][b]
+    n_ab = ta["n"] + tb["n"]
+    e_ab = ta["e"] + tb["e"]
+    delta = log_factorial(e_ab) - log_factorial(ta["e"]) - log_factorial(tb["e"])
+    if side == 0:
+        cols_a, cols_b = ag.e_mat[a, :], ag.e_mat[b, :]
+    else:
+        cols_a, cols_b = ag.e_mat[:, a], ag.e_mat[:, b]
+    merged = cols_a + cols_b
+    delta -= float(
+        np.sum([log_factorial(int(v)) for v in merged[merged > 0]])
+        - np.sum([log_factorial(int(v)) for v in cols_a[cols_a > 0]])
+        - np.sum([log_factorial(int(v)) for v in cols_b[cols_b > 0]])
+    )
+    delta += log_partitions(e_ab, n_ab) - log_partitions(ta["e"], ta["n"]) \
+        - log_partitions(tb["e"], tb["n"])
+    freq = ta["freq"] + tb["freq"]
+    delta -= sum(log_factorial(c) for c in freq.values())
+    delta += sum(log_factorial(c) for c in ta["freq"].values())
+    delta += sum(log_factorial(c) for c in tb["freq"].values())
+    return float(delta)
+
+
+class ReferenceAgglomerator(NonoverlappingAgglomerator):
+    _local_merge_delta = _local_merge_delta_reference
+
+
 class TestAgglomerator:
+    @given(merge_cases())
+    def test_local_deltas_match_reference(self, case):
+        ag = NonoverlappingAgglomerator(*case)
+        for side in (0, 1):
+            for a, b in itertools.combinations(sorted(ag.tables[side]), 2):
+                assert ag._local_merge_delta(side, a, b) == \
+                    _local_merge_delta_reference(ag, side, a, b)
+
+    @given(merge_cases())
+    def test_greedy_merge_matches_reference(self, case):
+        ag = NonoverlappingAgglomerator(*case)
+        ref = ReferenceAgglomerator(*case)
+        assert ag.greedy_merge() == ref.greedy_merge()
+        for got, want in zip(ag.materialize(), ref.materialize()):
+            assert np.array_equal(got, want)
+
     @given(merge_cases())
     def test_sigma_matches_joint(self, case):
         """The sigma change greedy_merge reports is the change of the joint."""
