@@ -4,29 +4,28 @@ Metropolis-Hastings sampling of half-edge label assignments.
 The mutable engine keeps sparse count aggregates (bundle counts, labeled
 degrees, group-pair totals, per-side mixture tables) and an index from each
 node to its bundles.  Every change goes through one path, a batch of mass
-moves inside bundles that refreshes each touched side's terms once and
-returns the exact change of the description length with an undo log.  A unit
-move relabels one half-edge pair of one word-document bundle; a node move
-relabels all of one node's half-edges in one group; a group split is a batch
-of node moves.  So any proposal can be evaluated and reverted exactly, and a
-batch that would break the overlap cap is refused before anything changes.
-The engine's running total is required to match a from-scratch evaluation
-of the joint, and the test suite enforces that.
+moves inside bundles that returns the exact change of the description length
+with an undo log: a unit move relabels one half-edge pair of one bundle, a
+node move all of one node's half-edges in one group, a split a batch of node
+moves.  A batch that would break the overlap cap is refused before anything
+changes, and the running total must match the from-scratch joint.
 
-Group merges come from one place: the nonoverlapping agglomerator, which
-scores every same-side pair from closed-form group-table deltas.  A
-clustered fit starts from its greedy coarsening of the node singletons; each
-later round is one unit-move sweep followed by split proposals, and the fit
-stops at the first round that accepts no move.
+Nonoverlapping states are searched at block level by the agglomerator, whose
+merges and node moves share one closed-form group-table delta.  A clustered
+fit starts from its greedy merges of the node singletons, then runs rounds of
+one unit-move sweep and split proposals until a round accepts no move.
+`refine_doc_clusters` coarsens anchored fits by its merges and polishes the
+best candidate by its node moves.
 
-Document-anchored fits (every document pinned to its own group, the labeled
-states whose mixtures read directly as topic proportions) additionally get a
-vectorized batch optimizer that proposes whole-bundle reassignments from
-count tables and accepts a batch only when the exactly rescored description
-length improves, so greedy traces stay monotone at corpus scale.
+Document-anchored fits (every document pinned to its own group, so mixtures
+read directly as topic proportions) get a vectorized batch optimizer that
+proposes whole-bundle reassignments from count tables and accepts a batch
+only when the exactly rescored description length drops, so greedy traces
+stay monotone at corpus scale.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from collections import Counter
@@ -831,155 +830,182 @@ def _kmeans(mat, n_clusters, rng, iters=60):
     return assign.astype(np.int64)
 
 
-def block_polish(state: MutableLabeledState, max_sweeps: int = 4) -> float:
-    """Greedy node-relabeling sweeps: move each node's half-edges of one group
-    entirely to the best same-side group, accepting exact improvements only.
-    Polishes seeded clusterings at block granularity."""
+def block_polish(agg: NonoverlappingAgglomerator, max_sweeps: int = 4) -> float:
+    """Greedy node-move sweeps on a nonoverlapping state: each node, sides 0
+    then 1 in index order, moves to the same-side group with the lowest exact
+    delta (the first of equal ones) if that is below -1e-9 nats.  A side's
+    targets are the groups occupied at the start of its pass, so a node may
+    move into a group emptied earlier in the pass.  Stops after `max_sweeps`
+    sweeps or a sweep without a move; returns the sum of the applied deltas."""
     total = 0.0
     for _ in range(max_sweeps):
         moved = False
-        for side in (0, 1):
-            groups = state.doc_groups() if side == 0 else state.word_groups()
-            size = state.n_docs if side == 0 else state.n_words
-            for idx in range(size):
-                node = idx if side == 0 else state.n_docs + idx
-                for g_from in tuple(state.node_mixture.get(node, ())):
-                    best = None
-                    for g_to in groups:
-                        if g_to == g_from:
-                            continue
-                        delta, log = state.relabel_node(side, idx, g_from, g_to)
-                        if delta < -1e-9 and (best is None or delta < best[0]):
-                            best = (delta, g_to)
-                        state.undo(log)
-                    if best is not None:
-                        delta, _ = state.relabel_node(side, idx, g_from, best[1])
-                        total += delta
-                        moved = True
+        for side, assign in ((0, agg.doc_assign), (1, agg.word_assign)):
+            groups = sorted(agg.tables[side])
+            for node in np.flatnonzero(assign >= 0).tolist():
+                src = int(assign[node])
+                part = agg._node_part(side, node)
+                best = min(((agg._move_delta(side, src, dst, part), dst)
+                            for dst in groups if dst != src), default=(0.0, src))
+                if best[0] < -1e-9:
+                    agg._apply_transfer(side, src, best[1], part, node)
+                    total += best[0]
+                    moved = True
         if not moved:
             break
     return total
 
 
+def _shifted(freq: Counter, extra: dict, sign: int) -> Counter:
+    """Degree histogram `freq` plus sign * `extra`, keys in the order of `Counter` addition."""
+    out = Counter(freq)
+    for k, c in extra.items():
+        out[k] += sign * c
+        if not out[k]:
+            del out[k]
+    return out
+
+
+_EMPTY_GROUP = {"n": 0, "e": 0, "freq": Counter(), "terms": (0.0, 0.0, 0)}
+
+
 class NonoverlappingAgglomerator:
-    """Exact greedy pair merging for nonoverlapping bipartite states.
+    """Exact greedy merges and node moves for nonoverlapping bipartite states.
 
-    Works entirely on group-level tables (the aggregated edge matrix, each
-    group's size, degree total, and degree histogram), so a merge candidate
-    costs O(groups + distinct degrees) to evaluate.  Global terms that depend
-    only on the group count are shared by every candidate pair of a side and
-    folded in when testing the best pair against zero.  Only deltas are
-    computed: each equals the change of `joint_logp` between the materialized
-    states before and after the merge.  Degree-0 nodes belong to no group and
-    are marked -1.
-
-    The log-factorials of the edge-matrix cells come from the process-wide
-    table of `util.log_factorial_table`, read with one fancy index per row
-    or column.  Its entries and summation order are those of
-    `log_factorial`'s scalar path summed by `np.sum`, so every delta, and
-    with it every merge choice, is bit-identical to evaluating the cells one
-    by one.
+    Works on group-level tables (the aggregated edge matrix, each group's
+    size, degree total, degree histogram, and cached own terms), so a
+    candidate costs O(groups + distinct degrees).  A merge (b into a) and a
+    node move (v from a to b) both move a part of one group into another, so
+    one delta and one apply serve both; global terms enter only when a move
+    changes a side's group count.  Each delta equals the change of
+    `joint_logp` between the materialized states.  Degree-0 nodes belong to
+    no group and are marked -1.  Log-factorials come from
+    `util.log_factorial_table` and an empty group's terms are exact zeros, so
+    merge deltas are bit-identical to scoring the merged group cell by cell.
     """
 
     def __init__(self, counts: np.ndarray, doc_assign, word_assign):
-        counts = np.asarray(counts, dtype=np.int64)
+        self.counts = np.asarray(counts, dtype=np.int64)
         self.doc_assign = np.asarray(doc_assign, dtype=np.int64).copy()
         self.word_assign = np.asarray(word_assign, dtype=np.int64).copy()
-        k_d = counts.sum(axis=1)
-        n_w = counts.sum(axis=0)
-        if np.any(k_d[self.doc_assign >= 0] == 0) or np.any(n_w[self.word_assign >= 0] == 0):
-            # degree-0 nodes cannot belong to a group; mark them unassigned
-            self.doc_assign[k_d == 0] = -1
-            self.word_assign[n_w == 0] = -1
+        self.degrees = (self.counts.sum(axis=1), self.counts.sum(axis=0))
+        for assign, degrees in zip((self.doc_assign, self.word_assign), self.degrees):
+            assign[degrees == 0] = -1  # degree-0 nodes cannot belong to a group
         self.Gd = int(self.doc_assign.max(initial=-1)) + 1
         self.Gw = int(self.word_assign.max(initial=-1)) + 1
-        self.E = int(counts.sum())
+        self.E = int(self.counts.sum())
         self._log_fact = log_factorial_table(self.E)  # no cell ever exceeds E
         self.e_mat = np.zeros((self.Gd, self.Gw), dtype=np.int64)
-        d_idx, w_idx = np.nonzero(counts)
+        d_idx, w_idx = np.nonzero(self.counts)
         np.add.at(self.e_mat, (self.doc_assign[d_idx], self.word_assign[w_idx]),
-                  counts[d_idx, w_idx])
+                  self.counts[d_idx, w_idx])
         self.tables = {}
-        for side, assign, degrees in ((0, self.doc_assign, k_d), (1, self.word_assign, n_w)):
-            groups = {}
-            for node, g in enumerate(assign):
-                if g < 0:
-                    continue
-                entry = groups.setdefault(int(g), {"n": 0, "e": 0, "freq": Counter()})
-                entry["n"] += 1
-                entry["e"] += int(degrees[node])
-                entry["freq"][int(degrees[node])] += 1
-            self.tables[side] = groups
+        for side, assign in ((0, self.doc_assign), (1, self.word_assign)):
+            members = {}
+            for g, k in zip(assign.tolist(), self.degrees[side].tolist()):
+                if g >= 0:
+                    members.setdefault(g, []).append(k)
+            self.tables[side] = {g: self._entry(len(ks), sum(ks), Counter(ks))
+                                 for g, ks in members.items()}
 
-    # -- per-term pieces ---------------------------------------------------
-    #
-    # For a side whose mixtures are all singletons, the per-group part of the
-    # description length reduces to log p(e_r, n_r) - sum_k log n_k! (the
-    # degree-assignment n_r! cancels against the partition prior's mixture
-    # factorial), plus global terms that depend only on (N, B).
+    # With singleton mixtures, a group's own terms are log e_r!, log p(e_r,
+    # n_r) and -sum_k log n_k! (the degree-assignment n_r! cancels against
+    # the partition prior's mixture factorial); its edge-matrix cells add
+    # -sum_s log e_rs!; the rest depends only on (N, B).
 
-    def side_global_term(self, side, n_groups=None) -> float:
-        """Side partition terms that depend only on (N, B): size histogram
-        prior, size assignment, and the mixture-frequency histogram prior."""
+    def _entry(self, n, e, freq) -> dict:
+        lf = self._log_fact
+        return {"n": n, "e": e, "freq": freq,
+                "terms": (lf[e], log_partitions(e, n), sum(lf[c] for c in freq.values()))}
+
+    def _global_terms(self, side, change=0) -> float:
+        """Terms that depend only on (N, B), once `side` gains `change`
+        groups: the side's size histogram prior, size assignment and
+        mixture-frequency histogram prior, and the edge-count prior."""
+        n_eff = sum(e["n"] for e in self.tables[side].values())
+        B = len(self.tables[side]) + change
+        B_all = len(self.tables[0]) + len(self.tables[1]) + change
+        out = 0.0
+        if n_eff:
+            out = float(log_num_compositions(int(n_eff), int(B)))      # -log P(n)
+            # all mixtures have size one: P(q | n) = 1
+            out += log_num_compositions_large(float(np.log(B)), n_eff)  # -log P(n_b | n_q)
+            out += log_factorial(n_eff)                                 # -log P(b | n_b): / n_q!
+        return out - logp_geometric(self.E, B_all, top_level_density(self.E, B_all))
+
+    # -- moves: a part (n, e, freq, row) is a node count, a degree total, a
+    # degree histogram, and the edge counts toward the other side's groups --
+
+    def _row(self, side, g):
+        return self.e_mat[g, :] if side == 0 else self.e_mat[:, g]
+
+    def _cells(self, row):
+        """Sum of log e_rs! over the row's cells."""
+        return self._log_fact[row[row > 0]].sum()
+
+    def _node_part(self, side, node):
+        k = int(self.degrees[side][node])
+        edges = self.counts[node, :] if side == 0 else self.counts[:, node]
+        other = self.word_assign if side == 0 else self.doc_assign
+        nbrs = np.flatnonzero(edges)
+        row = np.bincount(other[nbrs], weights=edges[nbrs], minlength=self.e_mat.shape[1 - side])
+        return 1, k, {k: 1}, row.astype(np.int64)
+
+    def _after_transfer(self, side, src, dst, part):
+        """Table entries of groups dst and src once `part` moves from src to dst."""
+        n, e, freq, _ = part
+        d, s = self.tables[side].get(dst, _EMPTY_GROUP), self.tables[side][src]
+        return (self._entry(d["n"] + n, d["e"] + e, _shifted(d["freq"], freq, 1)),
+                self._entry(s["n"] - n, s["e"] - e, _shifted(s["freq"], freq, -1))
+                if s["n"] > n else _EMPTY_GROUP)
+
+    def _transfer_delta(self, side, src, dst, part) -> float:
+        """Change of the terms of groups src and dst when `part` moves from
+        src to dst, global terms excluded.  Each term is summed as new dst +
+        new src - old dst - old src, so for a merge, whose new src is empty,
+        the sums equal those of scoring the merged group alone."""
+        after = self._after_transfer(side, src, dst, part)
+        new = [t["terms"] for t in after]
+        old = [self.tables[side].get(g, _EMPTY_GROUP)["terms"] for g in (dst, src)]
+        row_d, row_s = self._row(side, dst), self._row(side, src)
+        cells_s = self._cells(row_s - part[3]) if after[1]["n"] else 0.0
+        delta = new[0][0] + new[1][0] - old[0][0] - old[1][0]
+        delta -= float(self._cells(row_d + part[3]) + cells_s
+                       - self._cells(row_d) - self._cells(row_s))
+        delta += new[0][1] + new[1][1] - old[0][1] - old[1][1]
+        return float(delta - new[0][2] - new[1][2] + old[0][2] + old[1][2])
+
+    def _move_delta(self, side, src, dst, part) -> float:
+        """Full change when `part` moves from src to dst, with the global
+        terms when src empties or dst was empty."""
+        change = (dst not in self.tables[side]) - (self.tables[side][src]["n"] == part[0])
+        global_part = self._global_terms(side, change) - self._global_terms(side) if change else 0.0
+        return self._transfer_delta(side, src, dst, part) + global_part
+
+    def _apply_transfer(self, side, src, dst, part, nodes):
+        """Move `part`, the side's `nodes` (an index or a mask), from src to dst."""
         groups = self.tables[side]
-        n_eff = sum(e["n"] for e in groups.values())
-        B = len(groups) if n_groups is None else n_groups
-        if n_eff == 0:
-            return 0.0
-        out = float(log_num_compositions(int(n_eff), int(B)))      # -log P(n)
-        # all mixtures have size one: P(q | n) = 1
-        out += log_num_compositions_large(float(np.log(B)), n_eff)  # -log P(n_b | n_q)
-        out += log_factorial(n_eff)                                 # -log P(b | n_b): / n_q!
-        return out
+        groups[dst], groups[src] = self._after_transfer(side, src, dst, part)
+        if not groups[src]["n"]:
+            del groups[src]
+        self._row(side, dst)[:] += part[3]
+        self._row(side, src)[:] -= part[3]
+        (self.doc_assign if side == 0 else self.word_assign)[nodes] = dst
 
     # -- merging -------------------------------------------------------------
 
+    def _merge_part(self, side, b):
+        t = self.tables[side][b]
+        return t["n"], t["e"], t["freq"], self._row(side, b).copy()
+
     def _local_merge_delta(self, side, a, b) -> float:
-        """Candidate-pair part of the merge delta (everything except the
-        global group-count terms shared by all pairs of this side)."""
-        ta, tb = self.tables[side][a], self.tables[side][b]
-        n_ab = ta["n"] + tb["n"]
-        e_ab = ta["e"] + tb["e"]
-        delta = log_factorial(e_ab) - log_factorial(ta["e"]) - log_factorial(tb["e"])
-        if side == 0:
-            cols_a, cols_b = self.e_mat[a, :], self.e_mat[b, :]
-        else:
-            cols_a, cols_b = self.e_mat[:, a], self.e_mat[:, b]
-        merged = cols_a + cols_b
-        lf = self._log_fact
-        delta -= float(lf[merged[merged > 0]].sum() - lf[cols_a[cols_a > 0]].sum()
-                       - lf[cols_b[cols_b > 0]].sum())
-        delta += log_partitions(e_ab, n_ab) - log_partitions(ta["e"], ta["n"]) \
-            - log_partitions(tb["e"], tb["n"])
-        freq = ta["freq"] + tb["freq"]
-        delta -= sum(log_factorial(c) for c in freq.values())
-        delta += sum(log_factorial(c) for c in ta["freq"].values())
-        delta += sum(log_factorial(c) for c in tb["freq"].values())
-        return float(delta)
-
-    def _geom_term(self, n_groups) -> float:
-        return -logp_geometric(self.E, n_groups, top_level_density(self.E, n_groups))
-
-    def _global_merge_delta(self, side) -> float:
-        B0, B1 = len(self.tables[0]), len(self.tables[1])
-        before = self.side_global_term(side) + self._geom_term(B0 + B1)
-        after_side = self.side_global_term(side, n_groups=(B0 if side == 0 else B1) - 1)
-        return after_side + self._geom_term(B0 + B1 - 1) - before
+        """Merge delta of b into a without the global group-count terms
+        shared by all pairs of this side."""
+        return self._transfer_delta(side, b, a, self._merge_part(side, b))
 
     def _apply_merge(self, side, a, b):
-        ta, tb = self.tables[side][a], self.tables[side][b]
-        ta["n"] += tb["n"]
-        ta["e"] += tb["e"]
-        ta["freq"] = ta["freq"] + tb["freq"]
-        del self.tables[side][b]
-        if side == 0:
-            self.e_mat[a, :] += self.e_mat[b, :]
-            self.e_mat[b, :] = 0
-            self.doc_assign[self.doc_assign == b] = a
-        else:
-            self.e_mat[:, a] += self.e_mat[:, b]
-            self.e_mat[:, b] = 0
-            self.word_assign[self.word_assign == b] = a
+        assign = self.doc_assign if side == 0 else self.word_assign
+        self._apply_transfer(side, b, a, self._merge_part(side, b), assign == b)
 
     def greedy_merge(self) -> float:
         """Alternate sides, word side first, applying the best merge that
@@ -987,23 +1013,17 @@ class NonoverlappingAgglomerator:
         remains; returns the sum of the applied deltas.  Local pair deltas
         are cached and refreshed only for pairs touching the last merge."""
         total = 0.0
-        caches = {side: {} for side in (1, 0)}
-        for side in (1, 0):
-            groups = sorted(self.tables[side])
-            for i in range(len(groups)):
-                for j in range(i + 1, len(groups)):
-                    caches[side][(groups[i], groups[j])] = self._local_merge_delta(
-                        side, groups[i], groups[j])
+        caches = {side: {(a, b): self._local_merge_delta(side, a, b)
+                         for a, b in itertools.combinations(sorted(self.tables[side]), 2)}
+                  for side in (1, 0)}
         improved = True
         while improved:
             improved = False
             for side in (1, 0):
-                if len(self.tables[side]) < 2:
-                    continue
-                global_part = self._global_merge_delta(side)
                 cache = caches[side]
-                if not cache:
+                if not cache:  # fewer than two groups
                     continue
+                global_part = self._global_terms(side, -1) - self._global_terms(side)
                 (a, b), local = min(cache.items(), key=lambda kv: kv[1])
                 if local + global_part < -1e-9:
                     # cached pairs of this side predate merges on the other
@@ -1037,12 +1057,16 @@ def refine_doc_clusters(labels_dense: np.ndarray, seed: int = 0,
     Document groups are seeded by k-means over the fitted topic mixtures and
     over raw word-usage profiles; given each document seed, word groups (and
     further document merges) come from exact greedy agglomeration starting at
-    word singletons.  Every candidate (including the anchored state itself
-    and the construction that labels both half-edges by the token topic) is
-    scored exactly; the best is polished by node moves and the leaders get
-    nested levels grown on top before the lowest description length wins.
-    The coarsening never alters word-side topic labels of the anchored fit,
-    so its topic mixtures are preserved.
+    word singletons, and seeds that agglomerate to the same state give one
+    candidate.  Every candidate (including the anchored state itself and the
+    construction that labels both half-edges by the token topic) is scored
+    exactly.  The best agglomerated candidate is polished by node moves on
+    its agglomerator's group tables (`block_polish`); the topic-pair
+    construction is overlapping, so it is not polished.  The three leaders
+    among the candidates with a clustered state get nested levels grown on
+    top before the lowest description length wins.  The coarsening never
+    alters word-side topic labels of the anchored fit, so its topic mixtures
+    are preserved.
     """
     z = np.asarray(labels_dense)
     D, V, K = z.shape
@@ -1054,67 +1078,50 @@ def refine_doc_clusters(labels_dense: np.ndarray, seed: int = 0,
     profiles = counts / np.maximum(k_d, 1)[:, None]
     rng = np.random.default_rng(seed)
 
-    candidates = []
-    anchored = score_doc_anchored(z)
-    candidates.append((anchored, None, None))
+    def clustered(da, wa, suffix=""):
+        """Exact score and labeled state of the assignment (da, wa)."""
+        Gd, Gw = int(da.max()) + 1, int(wa.max()) + 1
+        st = state_from_label_arrays(D, V, d_idx, w_idx, da[d_idx], Gd + wa[w_idx],
+                                     n_dw, Gd + Gw, [0] * Gd + [1] * Gw)
+        return joint_logp(st, model_id="hsbm",
+                          parametrization=f"clustered[{Gd}x{Gw}]{suffix}"), st
 
     lab = LabeledCounts.from_dense(z)
-    topic_pair_state = labels_to_state(lab, "doc-clustering")
-    topic_pair = fixed_label_score(lab, "doc-clustering")
-    candidates.append((topic_pair, "topic-pair", topic_pair_state))
-
+    candidates = [(score_doc_anchored(z), None, None),
+                  (fixed_label_score(lab, "doc-clustering"), "topic-pair",
+                   labels_to_state(lab, "doc-clustering"))]
     seen = set()
     for feat in (theta_hat, profiles):
         for G in doc_grid:
             for _ in range(kmeans_restarts):
-                doc_assign = _kmeans(feat, G, rng)
-                key = doc_assign.tobytes()
+                agg = NonoverlappingAgglomerator(counts, _kmeans(feat, G, rng),
+                                                 np.arange(V))
+                agg.greedy_merge()
+                da, wa = agg.materialize()
+                key = (da.tobytes(), wa.tobytes())
                 if key in seen:
                     continue
                 seen.add(key)
-                # exact greedy agglomeration of word singletons (and further
-                # document merges) under this document seed
-                agg = NonoverlappingAgglomerator(counts, doc_assign, np.arange(V))
-                agg.greedy_merge()
-                da, wa = agg.materialize()
-                Gd = int(da.max()) + 1
-                Gw_eff = int(wa.max()) + 1
-                gs = np.concatenate([
-                    np.zeros(Gd, np.int64), np.ones(Gw_eff, np.int64)
-                ])
-                st = state_from_label_arrays(
-                    D, V, d_idx, w_idx, da[d_idx],
-                    Gd + wa[w_idx], n_dw, Gd + Gw_eff, gs,
-                )
                 try:
-                    sc = joint_logp(st, model_id="hsbm",
-                                    parametrization=f"clustered[{Gd}x{Gw_eff}]")
+                    sc, st = clustered(da, wa)
                 except IntegrityError:
                     continue
-                candidates.append((sc, (da.copy(), wa.copy()), st))
+                candidates.append((sc, (da, wa), st))
     candidates.sort(key=lambda c: c[0].sigma_nats)
     best = candidates[0][:2]
     with_state = [c for c in candidates if c[2] is not None]
-    for rank, (sc, meta, st) in enumerate(with_state[:3]):
-        polished = st
-        tag = sc.parametrization
-        if rank == 0 and polish_sweeps:
-            engine = MutableLabeledState(
-                D, st.n_nodes - D,
-                zip(st.i.tolist(), (st.j - D).tolist(), st.r.tolist(),
-                    st.s.tolist(), st.m.tolist()),
-                list(st.group_side),
-            )
-            block_polish(engine, max_sweeps=polish_sweeps)
-            polished = engine.to_labeled_graph()
-            tag += "+polish"
-            sc_p = joint_logp(polished, model_id="hsbm", parametrization=tag)
-            if sc_p.sigma_nats < best[0].sigma_nats:
-                best = (sc_p, meta)
+    to_polish = next((c[1] for c in with_state if isinstance(c[1], tuple)), None)
+    for sc, meta, st in with_state[:3]:
+        if meta is to_polish and polish_sweeps:
+            agg = NonoverlappingAgglomerator(counts, *meta)
+            block_polish(agg, max_sweeps=polish_sweeps)
+            sc, st = clustered(*agg.materialize(), suffix="+polish")
+            if sc.sigma_nats < best[0].sigma_nats:
+                best = (sc, meta)
         if grow_levels > 1:
-            _, grown = grow_hierarchy(polished, grow_levels)
+            _, grown = grow_hierarchy(st, grow_levels)
             grown = ModelScore(grown.sigma_nats, grown.breakdown,
-                               "hsbm", tag + "+levels")
+                               "hsbm", sc.parametrization + "+levels")
             if grown.sigma_nats < best[0].sigma_nats:
                 best = (grown, meta)
     return best

@@ -181,12 +181,6 @@ class LdaSample:
     def n_words(self):
         return self.labels.n_words
 
-    def realized_words(self) -> np.ndarray:
-        """Generator-vocabulary ids of the words that actually occur."""
-        n_w = np.zeros(self.n_words, dtype=np.int64)
-        np.add.at(n_w, self.labels.w, self.labels.counts)
-        return np.nonzero(n_w)[0]
-
 
 def sample_corpus(n_topics: int, n_docs: int, n_words: int, doc_lengths,
                   hyper: DirichletHyper, seed: int,

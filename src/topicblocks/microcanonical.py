@@ -87,9 +87,6 @@ class CountTables:
         e[self.pair_s, self.pair_r] = self.pair_e
         return e
 
-    def occupied_groups(self) -> np.ndarray:
-        return np.nonzero(self.e_r > 0)[0]
-
 
 def compress_groups(state: LabeledGraph) -> LabeledGraph:
     """Relabel to occupied groups only (ascending old index order)."""

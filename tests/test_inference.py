@@ -554,7 +554,8 @@ class TestAgglomerator:
             return
         side, a, b = data.draw(hst.sampled_from(pairs))
         before = materialized_sigma(counts, ag)
-        predicted = ag._local_merge_delta(side, a, b) + ag._global_merge_delta(side)
+        predicted = (ag._local_merge_delta(side, a, b)
+                     + ag._global_terms(side, -1) - ag._global_terms(side))
         ag._apply_merge(side, a, b)
         assert abs((materialized_sigma(counts, ag) - before) - predicted) < 1e-8
 
@@ -604,12 +605,143 @@ class TestRefineDocClusters:
         assert score.sigma_nats <= sigma_anchored + 1e-9
 
 
+def _block_polish_reference(state: MutableLabeledState, max_sweeps: int = 4) -> float:
+    """Node-move polish on the mutable engine: every candidate move is
+    applied, scored from the engine's running total, and undone."""
+    total = 0.0
+    for _ in range(max_sweeps):
+        moved = False
+        for side in (0, 1):
+            groups = state.doc_groups() if side == 0 else state.word_groups()
+            size = state.n_docs if side == 0 else state.n_words
+            for idx in range(size):
+                node = idx if side == 0 else state.n_docs + idx
+                for g_from in tuple(state.node_mixture.get(node, ())):
+                    best = None
+                    for g_to in groups:
+                        if g_to == g_from:
+                            continue
+                        delta, log = state.relabel_node(side, idx, g_from, g_to)
+                        if delta < -1e-9 and (best is None or delta < best[0]):
+                            best = (delta, g_to)
+                        state.undo(log)
+                    if best is not None:
+                        delta, _ = state.relabel_node(side, idx, g_from, best[1])
+                        total += delta
+                        moved = True
+        if not moved:
+            break
+    return total
+
+
+def engine_from_agglomerator(counts, ag):
+    """The mutable engine holding the agglomerator's current state, with the
+    same group ids (word group g becomes engine group Gd + g)."""
+    d_idx, w_idx = np.nonzero(counts)
+    items = zip(d_idx.tolist(), w_idx.tolist(), ag.doc_assign[d_idx].tolist(),
+                (ag.Gd + ag.word_assign[w_idx]).tolist(), counts[d_idx, w_idx].tolist())
+    return MutableLabeledState(*counts.shape, items, [0] * ag.Gd + [1] * ag.Gw)
+
+
+def engine_assignments(state):
+    """(doc, word) group arrays of a nonoverlapping engine, -1 for no group."""
+    labels = [-1] * (state.n_docs + state.n_words)
+    for node, mix in state.node_mixture.items():
+        (labels[node],) = mix
+    return np.array(labels[:state.n_docs]), np.array(labels[state.n_docs:])
+
+
+def canonical(labels):
+    """Labels renumbered by first appearance (-1 kept): equal iff the two
+    partitions agree up to relabelling."""
+    first = {}
+    return [-1 if g < 0 else first.setdefault(g, len(first)) for g in labels]
+
+
+def node_moves(ag):
+    """Every (side, node, source, target) move to another group of the id
+    range, occupied or not."""
+    return [(side, node, int(src), dst)
+            for side, assign, width in ((0, ag.doc_assign, ag.Gd), (1, ag.word_assign, ag.Gw))
+            for node, src in enumerate(assign) if src >= 0
+            for dst in range(width) if dst != src]
+
+
+def assert_tables_fresh(counts, ag):
+    """The agglomerator's tables equal those built from its assignments."""
+    fresh = NonoverlappingAgglomerator(counts, ag.doc_assign, ag.word_assign)
+    for side in (0, 1):
+        got, want = ag.tables[side], fresh.tables[side]
+        assert {g: (t["n"], t["e"], dict(t["freq"])) for g, t in got.items()} == \
+            {g: (t["n"], t["e"], dict(t["freq"])) for g, t in want.items()}
+        for g in got:
+            assert got[g]["terms"] == pytest.approx(want[g]["terms"], abs=1e-9)
+    assert np.array_equal(ag.e_mat[:fresh.Gd, :fresh.Gw], fresh.e_mat)
+    assert ag.e_mat.sum() == fresh.e_mat.sum()
+
+
+class TestNodeMoves:
+    @given(merge_cases(), hst.data())
+    def test_move_delta_matches_joint(self, case, data):
+        """A node move's delta is the change of the joint, also when the
+        source empties or the target was empty, and the apply leaves the
+        tables a fresh build would give."""
+        counts, doc_assign, word_assign = case
+        ag = NonoverlappingAgglomerator(counts, doc_assign, word_assign)
+        moves = node_moves(ag)
+        if not moves:
+            return
+        side, node, src, dst = data.draw(hst.sampled_from(moves))
+        before = materialized_sigma(counts, ag)
+        part = ag._node_part(side, node)
+        predicted = ag._move_delta(side, src, dst, part)
+        ag._apply_transfer(side, src, dst, part, node)
+        assert abs((materialized_sigma(counts, ag) - before) - predicted) < 1e-8
+        assert_tables_fresh(counts, ag)
+
+    def test_every_move_of_a_small_state(self):
+        """All moves of a state with a singleton group and an empty group id."""
+        counts = np.array([[2, 1, 0, 3], [0, 4, 1, 1], [1, 0, 2, 0]])
+        doc_assign, word_assign = np.array([0, 0, 3]), np.array([0, 2, 2, 1])
+        ag0 = NonoverlappingAgglomerator(counts, doc_assign, word_assign)
+        before = materialized_sigma(counts, ag0)
+        kinds = set()
+        for side, node, src, dst in node_moves(ag0):
+            ag = NonoverlappingAgglomerator(counts, doc_assign, word_assign)
+            kinds.add((ag.tables[side][src]["n"] == 1, dst not in ag.tables[side]))
+            part = ag._node_part(side, node)
+            predicted = ag._move_delta(side, src, dst, part)
+            ag._apply_transfer(side, src, dst, part, node)
+            assert abs((materialized_sigma(counts, ag) - before) - predicted) < 1e-8
+            assert_tables_fresh(counts, ag)
+        assert kinds == {(False, False), (False, True), (True, False), (True, True)}
+
+
 class TestBlockPolish:
     def test_polish_never_increases_and_stays_exact(self):
         rng = np.random.default_rng(3)
-        st = random_engine_state(rng, n_docs=5, n_words=5, doc_groups=3,
-                                 word_groups=3)
-        before = st.sigma()
-        block_polish(st, max_sweeps=2)
-        assert st.sigma() <= before + 1e-9
-        assert abs(st.sigma() - st.score().sigma_nats) < 1e-6
+        counts = rng.integers(0, 3, size=(5, 5))
+        ag = NonoverlappingAgglomerator(counts, rng.integers(0, 3, size=5),
+                                        rng.integers(0, 3, size=5))
+        before = materialized_sigma(counts, ag)
+        total = block_polish(ag, max_sweeps=2)
+        assert total <= 0.0
+        assert abs((materialized_sigma(counts, ag) - before) - total) < 1e-8
+
+    @given(merge_cases(), hst.integers(1, 3))
+    def test_matches_engine_reference(self, case, max_sweeps):
+        """Polish on the group tables ends in the partition the mutable
+        engine's apply-and-undo polish reaches, with the same sigma."""
+        counts, doc_assign, word_assign = case
+        ag = NonoverlappingAgglomerator(counts, doc_assign, word_assign)
+        engine = engine_from_agglomerator(counts, ag)
+        before = materialized_sigma(counts, ag)
+        total = block_polish(ag, max_sweeps=max_sweeps)
+        ref_total = _block_polish_reference(engine, max_sweeps=max_sweeps)
+        ref_doc, ref_word = engine_assignments(engine)
+        assert canonical(ag.doc_assign) == canonical(ref_doc)
+        assert canonical(ag.word_assign) == canonical(ref_word)
+        sigma = materialized_sigma(counts, ag)
+        assert abs(sigma - engine.score().sigma_nats) < 1e-8
+        assert abs(total - ref_total) < 1e-8
+        assert abs((sigma - before) - total) < 1e-8
