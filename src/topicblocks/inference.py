@@ -1057,16 +1057,21 @@ def refine_doc_clusters(labels_dense: np.ndarray, seed: int = 0,
     Document groups are seeded by k-means over the fitted topic mixtures and
     over raw word-usage profiles; given each document seed, word groups (and
     further document merges) come from exact greedy agglomeration starting at
-    word singletons, and seeds that agglomerate to the same state give one
-    candidate.  Every candidate (including the anchored state itself and the
-    construction that labels both half-edges by the token topic) is scored
-    exactly.  The best agglomerated candidate is polished by node moves on
-    its agglomerator's group tables (`block_polish`); the topic-pair
-    construction is overlapping, so it is not polished.  The three leaders
-    among the candidates with a clustered state get nested levels grown on
-    top before the lowest description length wins.  The coarsening never
-    alters word-side topic labels of the anchored fit, so its topic mixtures
-    are preserved.
+    word singletons; a repeated k-means seed is skipped, and seeds that
+    agglomerate to the same state give one candidate.  Every candidate
+    (including the anchored state itself and the construction that labels both
+    half-edges by the token topic) is scored exactly.  The best agglomerated
+    candidate is polished by node moves on its agglomerator's group tables
+    (`block_polish`); the topic-pair construction is overlapping, so it is not
+    polished.  The three leaders among the candidates with a clustered state
+    get nested levels grown on top before the lowest description length wins.
+    The coarsening never alters word-side topic labels of the anchored fit, so
+    its topic mixtures are preserved.
+
+    Returns (score, meta).  For a clustered winner, meta is the compacted
+    (doc, word) group assignment of the scored state, the polished one when
+    polish (or levels grown on it) wins; otherwise it is "topic-pair", or
+    None for the anchored state.
     """
     z = np.asarray(labels_dense)
     D, V, K = z.shape
@@ -1090,12 +1095,15 @@ def refine_doc_clusters(labels_dense: np.ndarray, seed: int = 0,
     candidates = [(score_doc_anchored(z), None, None),
                   (fixed_label_score(lab, "doc-clustering"), "topic-pair",
                    labels_to_state(lab, "doc-clustering"))]
-    seen = set()
+    seen, seen_seeds = set(), set()
     for feat in (theta_hat, profiles):
         for G in doc_grid:
             for _ in range(kmeans_restarts):
-                agg = NonoverlappingAgglomerator(counts, _kmeans(feat, G, rng),
-                                                 np.arange(V))
+                seed_assign = _kmeans(feat, G, rng)
+                if seed_assign.tobytes() in seen_seeds:
+                    continue  # it agglomerates to a state already seen
+                seen_seeds.add(seed_assign.tobytes())
+                agg = NonoverlappingAgglomerator(counts, seed_assign, np.arange(V))
                 agg.greedy_merge()
                 da, wa = agg.materialize()
                 key = (da.tobytes(), wa.tobytes())
@@ -1115,7 +1123,8 @@ def refine_doc_clusters(labels_dense: np.ndarray, seed: int = 0,
         if meta is to_polish and polish_sweeps:
             agg = NonoverlappingAgglomerator(counts, *meta)
             block_polish(agg, max_sweeps=polish_sweeps)
-            sc, st = clustered(*agg.materialize(), suffix="+polish")
+            meta = agg.materialize()
+            sc, st = clustered(*meta, suffix="+polish")
             if sc.sigma_nats < best[0].sigma_nats:
                 best = (sc, meta)
         if grow_levels > 1:

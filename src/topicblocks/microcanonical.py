@@ -16,6 +16,15 @@ pieces, each a uniform distribution over a counted set:
 For word-document graphs the partition factors split by side, so document
 and word nodes are never grouped together.  Everything below is evaluated in
 log space from sparse count aggregates; nothing touches individual tokens.
+
+The aggregates are built by numpy grouping, not per-element loops:
+`CountTables` sorts each key set once and sums with `reduceat`/`bincount`
+(exact integers), and `side_statistics` groups the (node, group)-sorted
+labeled degrees into node runs and integer keys.  Its dicts are filled in
+order of first occurrence by node, the order a node-by-node visit gives, so
+every float sum over them runs in a fixed order and scores are reproducible
+to the bit.  Integer log-factorials come from `util.log_factorial_table`,
+which equals the scalar `log_factorial` bit for bit.
 """
 from __future__ import annotations
 
@@ -33,6 +42,7 @@ from .util import (
     log_binom,
     log_double_factorial_even,
     log_factorial,
+    log_factorial_table,
     log_num_compositions,
     log_num_compositions_large,
 )
@@ -41,13 +51,38 @@ from .util import (
 # --- sparse count aggregates ----------------------------------------------
 
 
+def _sorted_sums(key: np.ndarray, weight: np.ndarray):
+    """Distinct keys in ascending order and the exact integer sum of the
+    weights of each, from one sort."""
+    order = np.argsort(key)
+    key, weight = key[order], weight[order]
+    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]]) if len(key) else key
+    return key[starts], np.add.reduceat(weight, starts)
+
+
+def _first_occurrence_counts(key: np.ndarray):
+    """Distinct keys with their counts, in order of first occurrence."""
+    uniq, first, counts = np.unique(key, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    return uniq[order], counts[order]
+
+
+def _counter(items) -> Counter:
+    """A Counter of the (key, count) `items` in their order, built without
+    `Counter.__init__`, whose Python-level update dominates when one is
+    built per (mixture, group)."""
+    out = Counter.__new__(Counter)
+    dict.update(out, items)
+    return out
+
+
 class CountTables:
     """Sparse (e, k) aggregates of a labeled state.
 
     Edge-count entries are stored for unordered group pairs r <= s with the
     diagonal holding twice the number of within-group edges, so that group
     totals e_r sum to 2E.  Labeled degrees keep only nonzero (node, group)
-    pairs.
+    pairs, sorted by (node, group).
     """
 
     def __init__(self, state: LabeledGraph):
@@ -56,30 +91,16 @@ class CountTables:
         B = state.n_groups
         lo = np.minimum(state.r, state.s)
         hi = np.maximum(state.r, state.s)
-        weight = np.where(lo == hi, 2 * state.m, state.m)
-        key = lo * B + hi
-        uniq, inv = np.unique(key, return_inverse=True)
-        vals = np.zeros(len(uniq), dtype=np.int64)
-        np.add.at(vals, inv, weight)
-        self.pair_r = (uniq // B).astype(np.int64)
-        self.pair_s = (uniq % B).astype(np.int64)
-        self.pair_e = vals
-        self.e_r = np.zeros(B, dtype=np.int64)
-        np.add.at(self.e_r, self.pair_r, self.pair_e)
-        off = self.pair_r != self.pair_s
-        np.add.at(self.e_r, self.pair_s[off], self.pair_e[off])
+        uniq, self.pair_e = _sorted_sums(lo * B + hi, np.where(lo == hi, 2 * state.m, state.m))
+        self.pair_r = uniq // B
+        self.pair_s = uniq % B
         self.E = int(state.m.sum())
 
-        nk = np.concatenate([state.i, state.j])
-        gk = np.concatenate([state.r, state.s])
-        mk = np.concatenate([state.m, state.m])
-        kkey = nk * B + gk
-        kuniq, kinv = np.unique(kkey, return_inverse=True)
-        kvals = np.zeros(len(kuniq), dtype=np.int64)
-        np.add.at(kvals, kinv, mk)
-        self.k_node = (kuniq // B).astype(np.int64)
-        self.k_group = (kuniq % B).astype(np.int64)
-        self.k_val = kvals
+        kuniq, self.k_val = _sorted_sums(np.concatenate([state.i * B + state.r, state.j * B + state.s]),
+                                         np.concatenate([state.m, state.m]))
+        self.k_node = kuniq // B
+        self.k_group = kuniq % B
+        self.e_r = np.bincount(self.k_group, weights=self.k_val, minlength=B).astype(np.int64)
 
     def dense_e(self) -> np.ndarray:
         e = np.zeros((self.n_groups, self.n_groups), dtype=np.int64)
@@ -90,8 +111,9 @@ class CountTables:
 
 def compress_groups(state: LabeledGraph) -> LabeledGraph:
     """Relabel to occupied groups only (ascending old index order)."""
-    occupied = np.unique(np.concatenate([state.r, state.s])) if len(state.r) else np.zeros(0, np.int64)
-    remap = -np.ones(state.n_groups, dtype=np.int64)
+    B = state.n_groups
+    occupied = np.flatnonzero(np.bincount(state.r, minlength=B) + np.bincount(state.s, minlength=B))
+    remap = -np.ones(B, dtype=np.int64)
     remap[occupied] = np.arange(len(occupied))
     return LabeledGraph(
         state.n_nodes, state.i, state.j, remap[state.r], remap[state.s], state.m,
@@ -197,53 +219,72 @@ def side_statistics(state: LabeledGraph, tables: CountTables | None = None):
     Nodes with no half-edges carry an empty mixture and do not enter the
     partition support.  Groups are re-expressed per side but keep their
     global indices.
+
+    Built by array grouping over the tables' (node, group)-sorted labeled
+    degrees: node runs give each node's mixture tuple, mixtures get ids in
+    order of first occurrence by node, and every sum or frequency comes from
+    `bincount`/`np.unique` on integer keys.  Each dict is filled once per
+    distinct key, in order of first occurrence by node (by labeled degree
+    within a node; e_r by ascending group), so `size_hist`,
+    `mixture_count`, `e_mix` and every `deg_freq` Counter iterate as if the
+    nodes had been visited one by one, and the sums over them are
+    reproducible to the bit.
     """
     t = tables if tables is not None else CountTables(state)
-    sides = {}
+    nodes, groups, vals = t.k_node, t.k_group, t.k_val
+    n, B = len(nodes), state.n_groups
+    starts = np.flatnonzero(np.r_[True, nodes[1:] != nodes[:-1]]) if n else nodes
+    sizes = np.diff(np.r_[starts, n])
+    node_side = np.zeros(len(starts), np.int64) if state.side is None else state.side[nodes[starts]]
 
-    def stats_for(side_id):
-        if state.side is None:
-            return sides.setdefault(0, SideStats(n_groups=state.n_groups))
-        if side_id not in sides:
-            n_side_groups = int((state.group_side == side_id).sum())
-            sides[side_id] = SideStats(n_groups=n_side_groups)
-        return sides[side_id]
+    if state.side is None:
+        sides = {0: SideStats(n_groups=B)} if n else {}
+    else:  # both sides, in order of their first node
+        sides = {sd: SideStats(n_groups=int((state.group_side == sd).sum()))
+                 for sd in dict.fromkeys(node_side.tolist() + [0, 1])}
 
-    order = np.argsort(t.k_node, kind="stable")
-    nodes = t.k_node[order]
-    groups = t.k_group[order]
-    vals = t.k_val[order]
-    idx = 0
-    n = len(nodes)
-    while idx < n:
-        stop = idx
-        node = nodes[idx]
-        while stop < n and nodes[stop] == node:
-            stop += 1
-        gs = groups[idx:stop]
-        ks = vals[idx:stop]
-        mixture = tuple(int(g) for g in gs)  # sorted by construction of the key
-        side_id = 0 if state.side is None else int(state.side[node])
-        st = stats_for(side_id)
-        st.n_eff += 1
-        st.size_hist[len(mixture)] += 1
-        st.mixture_count[mixture] += 1
-        for g, kv in zip(mixture, ks):
-            st.e_mix[(mixture, g)] = st.e_mix.get((mixture, g), 0) + int(kv)
-            st.deg_freq.setdefault((mixture, g), Counter())[int(kv)] += 1
-            st.members_with[g] += 1
-        idx = stop
-    for st in sides.values():
-        for mixture in st.mixture_count:
-            for g in mixture:
-                st.m_r[g] += 1
-    for r, er in zip(range(t.n_groups), t.e_r):
-        if er > 0:
-            side_id = 0 if state.group_side is None else int(state.group_side[r])
-            stats_for(side_id).e_r[r] = int(er)
-    if state.side is not None:
-        for side_id in (0, 1):
-            stats_for(side_id)
+    group_list = groups.tolist()
+    ids = {}  # (side, mixture) -> id, numbered by first occurrence
+    node_mix = np.array([ids.setdefault((sd, tuple(group_list[a:a + q])), len(ids))
+                         for sd, a, q in zip(node_side.tolist(), starts.tolist(), sizes.tolist())],
+                        dtype=np.int64)
+    mixtures = list(ids)
+    mix_side = np.array([sd for sd, _ in mixtures], dtype=np.int64)
+    mix_len = np.array([len(mix) for _, mix in mixtures], dtype=np.int64)
+    # pair id of each labeled degree: its mixture's offset plus its position in the node's run
+    offset = np.cumsum(mix_len) - mix_len
+    entry_pair = np.repeat(offset[node_mix] - starts, sizes) + np.arange(n)
+    n_pairs = int(mix_len.sum())
+
+    e_sums = np.bincount(entry_pair, weights=vals, minlength=n_pairs).astype(np.int64).tolist()
+    k_span = int(vals.max(initial=0)) + 1
+    freq_key, freq_count = _first_occurrence_counts(entry_pair * k_span + vals)
+    by_pair = np.argsort(freq_key // k_span, kind="stable")
+    freq_k = (freq_key[by_pair] % k_span).tolist()
+    freq_count = freq_count[by_pair].tolist()
+    bounds = np.searchsorted(freq_key[by_pair] // k_span, np.arange(n_pairs + 1)).tolist()
+
+    pair_keys = [(mix, g) for _, mix in mixtures for g in mix]
+    pair_side = np.repeat(mix_side, mix_len)
+    for sd, key, esum, lo, hi in zip(pair_side.tolist(), pair_keys, e_sums, bounds, bounds[1:]):
+        sides[sd].e_mix[key] = esum
+        sides[sd].deg_freq[key] = _counter(zip(freq_k[lo:hi], freq_count[lo:hi]))
+    for (sd, mix), nb in zip(mixtures, np.bincount(node_mix, minlength=len(mixtures)).tolist()):
+        sides[sd].n_eff += nb
+        sides[sd].mixture_count[mix] = nb
+    tallies = (
+        ("size_hist", node_side, sizes),
+        ("members_with", np.repeat(node_side, sizes), groups),
+        ("m_r", pair_side, np.array([g for _, g in pair_keys], dtype=np.int64)),
+    )
+    for name, key_side, key in tallies:
+        span = int(max(B, key.max(initial=0))) + 1
+        uniq, counts = _first_occurrence_counts(key_side * span + key)
+        for u, c in zip(uniq.tolist(), counts.tolist()):
+            getattr(sides[u // span], name)[u % span] = c
+    group_side = np.zeros(B, np.int64) if state.side is None else state.group_side
+    for r in np.flatnonzero(t.e_r).tolist():
+        sides[int(group_side[r])].e_r[r] = int(t.e_r[r])
     return sides
 
 
@@ -257,14 +298,15 @@ def logp_overlap_partition(stats: SideStats, max_overlap: int | None = None) -> 
     Q = B if max_overlap is None else min(max_overlap, B)
     if any(q > Q for q in stats.size_hist):
         raise ValueError(f"node mixture exceeds the overlap bound {Q}")
+    lf = log_factorial_table(stats.n_eff)  # every count here is at most n_eff
     out = -float(log_num_compositions(stats.n_eff, Q))
-    out += float(sum(log_factorial(nq) for nq in stats.size_hist.values()))
-    out -= float(log_factorial(stats.n_eff))
+    out += float(sum(lf[nq] for nq in stats.size_hist.values()))
+    out -= float(lf[stats.n_eff])
     for q, n_q in stats.size_hist.items():
         out -= log_num_compositions_large(float(log_binom(B, q)), n_q)
-        out -= float(log_factorial(n_q))
+        out -= float(lf[n_q])
     for mixture, nb in stats.mixture_count.items():
-        out += float(log_factorial(nb))
+        out += float(lf[nb])
     return out
 
 
@@ -279,6 +321,7 @@ def logp_degrees_given_mixtures(stats_by_side: dict) -> float:
     """
     out = 0.0
     for st in stats_by_side.values():
+        lf = log_factorial_table(st.n_eff)  # mixture and degree-frequency counts are at most n_eff
         for r, er in st.e_r.items():
             mr = st.m_r.get(r, 0)
             sr = st.members_with.get(r, 0)
@@ -295,9 +338,8 @@ def logp_degrees_given_mixtures(stats_by_side: dict) -> float:
                     f"degree sum {esum} cannot split into {nb} positive parts"
                 )
             out -= lp
-            freq = st.deg_freq[(mixture, g)]
-            out += float(sum(log_factorial(c) for c in freq.values()))
-            out -= float(log_factorial(nb))
+            out += float(sum(lf[c] for c in st.deg_freq[(mixture, g)].values()))
+            out -= float(lf[nb])
     return out
 
 

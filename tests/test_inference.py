@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -27,8 +28,13 @@ from topicblocks.inference import (
     refine_doc_clusters,
     score_doc_anchored,
 )
-from topicblocks.lda import LabeledCounts, noninformative_hyper, sample_corpus
-from topicblocks.microcanonical import joint_logp
+from topicblocks.lda import (
+    LabeledCounts,
+    noninformative_hyper,
+    sample_corpus,
+    sample_mixture_corpus,
+)
+from topicblocks.microcanonical import joint_logp, side_statistics
 from topicblocks.partition_counts import log_partitions
 from topicblocks.util import IntegrityError, log_factorial
 
@@ -136,14 +142,29 @@ def engine_starts(draw):
                                overlap=overlap)
 
 
+def assert_sides_match_oracle(state: MutableLabeledState):
+    """The engine's incremental side tables equal `side_statistics` of its
+    labeled graph, compared as dicts (so a stale zero entry fails too)."""
+    oracle = side_statistics(state.to_labeled_graph())
+    for side in (0, 1):
+        got, want = state.sides[side], oracle[side]
+        assert got.n_eff == want.n_eff
+        for name in ("size_hist", "mixture_count", "e_mix", "members_with", "m_r", "e_r"):
+            assert dict(getattr(got, name)) == dict(getattr(want, name)), name
+        assert {key: dict(freq) for key, freq in got.deg_freq.items()} == \
+            {key: dict(freq) for key, freq in want.deg_freq.items()}
+
+
 class TestEngineProperties:
     @given(engine_starts(), hst.data())
     def test_random_move_sequences_stay_exact(self, state, data):
         """After every unit move, node move or undo, the running total equals
-        the oracle, no mixture exceeds the cap, a refused move changes
-        nothing, and an undo restores the sigma from before its move."""
+        the oracle, the side tables equal the oracle's, no mixture exceeds
+        the cap, a refused move changes nothing, and an undo restores the
+        sigma from before its move."""
         done = []    # (sigma before, how to revert), most recent last
         for _ in range(data.draw(hst.integers(1, 12))):
+            assert_sides_match_oracle(state)
             before = state.sigma()
             op = data.draw(hst.sampled_from(["unit", "node", "undo"]))
             if op == "undo":
@@ -179,6 +200,7 @@ class TestEngineProperties:
             assert abs(state.sigma() - state.score().sigma_nats) < 1e-8
             cap = state.overlap or math.inf
             assert all(len(mix) <= cap for mix in state.node_mixture.values())
+        assert_sides_match_oracle(state)
 
 
 def planted_biclique_graph(mult=3):
@@ -603,6 +625,31 @@ class TestRefineDocClusters:
         score, meta = refine_doc_clusters(z, seed=0, doc_grid=(1, 2, 3),
                                           grow_levels=2, polish_sweeps=1)
         assert score.sigma_nats <= sigma_anchored + 1e-9
+
+    @pytest.mark.parametrize("grow_levels", [1, 3])
+    def test_meta_is_the_scored_state(self, grow_levels):
+        """When the polished candidate wins (flat, or with levels grown on
+        it), the returned assignment is the polished state: its group counts
+        match the tag and its score reproduces sigma."""
+        D, V = 40, 30
+        s = sample_mixture_corpus(np.asarray(presets.BIMODAL_ALPHA_VECTORS), D, V, 80,
+                                  np.full(V, 0.01), seed=3)
+        dense = np.zeros((D, V), dtype=np.int64)
+        np.add.at(dense, (s.labels.d, s.labels.w), s.labels.counts)
+        z, _, _ = fit_doc_anchored(dense, 3, seed=3, n_restarts=1, gibbs_sweeps=5)
+        score, (da, wa) = refine_doc_clusters(z, seed=3, doc_grid=(1, 2, 3, 4),
+                                              grow_levels=grow_levels)
+        assert "+polish" in score.parametrization
+        Gd, Gw = map(int, re.match(r"clustered\[(\d+)x(\d+)\]", score.parametrization).groups())
+        assert (da.max() + 1, wa.max() + 1) == (Gd, Gw)
+        d_idx, w_idx = np.nonzero(dense)
+        st = state_from_label_arrays(D, V, d_idx, w_idx, da[d_idx], Gd + wa[w_idx],
+                                     dense[d_idx, w_idx], Gd + Gw, [0] * Gd + [1] * Gw)
+        if score.parametrization.endswith("+levels"):
+            sigma = grow_hierarchy(st, grow_levels)[1].sigma_nats
+        else:
+            sigma = joint_logp(st).sigma_nats
+        assert abs(sigma - score.sigma_nats) < 1e-9
 
 
 def _block_polish_reference(state: MutableLabeledState, max_sweeps: int = 4) -> float:

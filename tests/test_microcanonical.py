@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as hst
 
 from topicblocks.graph import LabeledGraph, derive_counts, state_from_label_arrays
 from topicblocks.microcanonical import (
@@ -434,3 +436,205 @@ class TestJoint:
                                      [2, 3], 4, [0, 0, 1, 1])
         score = joint_logp(st)
         assert score.sigma_nats == pytest.approx(-(-score.sigma_nats))
+
+
+# --- loop references for the array-built aggregates -----------------------
+
+
+class CountTablesReference(CountTables):
+    """The per-element build of `CountTables` (np.unique and np.add.at)."""
+
+    def __init__(self, state):
+        self.n_nodes = state.n_nodes
+        self.n_groups = state.n_groups
+        B = state.n_groups
+        lo = np.minimum(state.r, state.s)
+        hi = np.maximum(state.r, state.s)
+        weight = np.where(lo == hi, 2 * state.m, state.m)
+        key = lo * B + hi
+        uniq, inv = np.unique(key, return_inverse=True)
+        vals = np.zeros(len(uniq), dtype=np.int64)
+        np.add.at(vals, inv, weight)
+        self.pair_r = (uniq // B).astype(np.int64)
+        self.pair_s = (uniq % B).astype(np.int64)
+        self.pair_e = vals
+        self.e_r = np.zeros(B, dtype=np.int64)
+        np.add.at(self.e_r, self.pair_r, self.pair_e)
+        off = self.pair_r != self.pair_s
+        np.add.at(self.e_r, self.pair_s[off], self.pair_e[off])
+        self.E = int(state.m.sum())
+        nk = np.concatenate([state.i, state.j])
+        gk = np.concatenate([state.r, state.s])
+        mk = np.concatenate([state.m, state.m])
+        kuniq, kinv = np.unique(nk * B + gk, return_inverse=True)
+        kvals = np.zeros(len(kuniq), dtype=np.int64)
+        np.add.at(kvals, kinv, mk)
+        self.k_node = (kuniq // B).astype(np.int64)
+        self.k_group = (kuniq % B).astype(np.int64)
+        self.k_val = kvals
+
+
+def compress_groups_reference(state):
+    occupied = np.unique(np.concatenate([state.r, state.s])) if len(state.r) else np.zeros(0, np.int64)
+    remap = -np.ones(state.n_groups, dtype=np.int64)
+    remap[occupied] = np.arange(len(occupied))
+    return LabeledGraph(
+        state.n_nodes, state.i, state.j, remap[state.r], remap[state.s], state.m,
+        len(occupied), side=state.side,
+        group_side=None if state.group_side is None else state.group_side[occupied],
+    )
+
+
+def side_statistics_reference(state, tables=None):
+    """Visits the nodes one by one, filling every dict as it goes."""
+    t = tables if tables is not None else CountTablesReference(state)
+    sides = {}
+
+    def stats_for(side_id):
+        if state.side is None:
+            return sides.setdefault(0, SideStats(n_groups=state.n_groups))
+        if side_id not in sides:
+            sides[side_id] = SideStats(n_groups=int((state.group_side == side_id).sum()))
+        return sides[side_id]
+
+    order = np.argsort(t.k_node, kind="stable")
+    nodes, groups, vals = t.k_node[order], t.k_group[order], t.k_val[order]
+    idx, n = 0, len(nodes)
+    while idx < n:
+        stop = idx
+        node = nodes[idx]
+        while stop < n and nodes[stop] == node:
+            stop += 1
+        mixture = tuple(int(g) for g in groups[idx:stop])
+        st = stats_for(0 if state.side is None else int(state.side[node]))
+        st.n_eff += 1
+        st.size_hist[len(mixture)] += 1
+        st.mixture_count[mixture] += 1
+        for g, kv in zip(mixture, vals[idx:stop]):
+            st.e_mix[(mixture, g)] = st.e_mix.get((mixture, g), 0) + int(kv)
+            st.deg_freq.setdefault((mixture, g), Counter())[int(kv)] += 1
+            st.members_with[g] += 1
+        idx = stop
+    for st in sides.values():
+        for mixture in st.mixture_count:
+            for g in mixture:
+                st.m_r[g] += 1
+    for r, er in zip(range(t.n_groups), t.e_r):
+        if er > 0:
+            stats_for(0 if state.group_side is None else int(state.group_side[r])).e_r[r] = int(er)
+    if state.side is not None:
+        for side_id in (0, 1):
+            stats_for(side_id)
+    return sides
+
+
+def joint_breakdown_reference(state):
+    """`joint_logp`'s flat breakdown, from the reference aggregates."""
+    state = compress_groups_reference(state)
+    t = CountTablesReference(state)
+    stats = side_statistics_reference(state, t)
+    return {
+        "adjacency": -logp_graph_given_ke(state, t),
+        "degrees": -logp_degrees_given_mixtures(stats),
+        "partition": -logp_partition_bipartite(state, stats_by_side=stats),
+        "edge_matrix": -logp_hierarchy(t.dense_e(), [], state.group_side, E=t.E),
+    }
+
+
+@hst.composite
+def general_states(draw):
+    """Unsided multigraphs: loops, isolated nodes, repeated bundles, unused
+    group ids, or no edges at all."""
+    n, b = draw(hst.integers(1, 6)), draw(hst.integers(1, 4))
+    rows = draw(hst.lists(hst.tuples(hst.integers(0, n - 1), hst.integers(0, n - 1),
+                                     hst.integers(0, b - 1), hst.integers(0, b - 1),
+                                     hst.integers(1, 4)), max_size=10))
+    bundles = []
+    for i, j, r, s, m in rows:
+        if i > j:
+            i, j, r, s = j, i, s, r
+        if i == j:
+            r, s = min(r, s), max(r, s)
+        bundles.append((i, j, r, s, m))
+    cols = [np.array(c, dtype=np.int64) for c in zip(*bundles)] or [np.zeros(0, np.int64)] * 5
+    return LabeledGraph(n, *cols, b)
+
+
+def both_sides(size):
+    return hst.lists(hst.integers(0, 1), min_size=2, max_size=size).filter(
+        lambda sides: 0 in sides and 1 in sides)
+
+
+@hst.composite
+def bipartite_states(draw):
+    """Two-sided states with interleaved node sides and group sides,
+    isolated nodes, repeated bundles, unused groups, or no edges at all."""
+    side, group_side = draw(both_sides(9)), draw(both_sides(6))
+    nodes, groups = ([[v for v, sd in enumerate(arr) if sd == want] for want in (0, 1)]
+                     for arr in (side, group_side))
+    rows = draw(hst.lists(hst.tuples(hst.sampled_from(nodes[0]), hst.sampled_from(nodes[1]),
+                                     hst.sampled_from(groups[0]), hst.sampled_from(groups[1]),
+                                     hst.integers(1, 4)), max_size=12))
+    bundles = [(a, b, ra, rb, m) if a < b else (b, a, rb, ra, m) for a, b, ra, rb, m in rows]
+    cols = [np.array(c, dtype=np.int64) for c in zip(*bundles)] or [np.zeros(0, np.int64)] * 5
+    return LabeledGraph(len(side), *cols, len(group_side), side=side, group_side=group_side)
+
+
+def assert_same_graph(a, b):
+    assert (a.n_nodes, a.n_groups) == (b.n_nodes, b.n_groups)
+    for name in ("i", "j", "r", "s", "m", "side", "group_side"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None) == (y is None)
+        if x is not None:
+            assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+
+def assert_same_tables(got, want):
+    assert (got.n_nodes, got.n_groups, got.E) == (want.n_nodes, want.n_groups, want.E)
+    for name in ("pair_r", "pair_s", "pair_e", "e_r", "k_node", "k_group", "k_val"):
+        x, y = getattr(got, name), getattr(want, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+
+def assert_same_stats(got, want):
+    """Equal side stats, with the same side order and the same insertion
+    order in every dict that a score iterates."""
+    assert list(got) == list(want)
+    for sd in want:
+        g, w = got[sd], want[sd]
+        assert (g.n_groups, g.n_eff) == (w.n_groups, w.n_eff)
+        for name in ("size_hist", "mixture_count", "e_mix", "e_r"):
+            assert list(getattr(g, name).items()) == list(getattr(w, name).items()), name
+        assert [(k, list(v.items())) for k, v in g.deg_freq.items()] == \
+            [(k, list(v.items())) for k, v in w.deg_freq.items()]
+        assert all(type(v) is Counter for v in g.deg_freq.values())
+        for name in ("members_with", "m_r"):
+            assert dict(getattr(g, name)) == dict(getattr(w, name)), name
+
+
+class TestArrayAggregates:
+    """The array builds equal the loop references exactly, including the
+    dict insertion order that fixes the order of every float sum."""
+
+    def check(self, state):
+        assert_same_graph(compress_groups(state), compress_groups_reference(state))
+        for st in (state, compress_groups_reference(state)):
+            tables = CountTables(st)
+            assert_same_tables(tables, CountTablesReference(st))
+            assert_same_stats(side_statistics(st, tables), side_statistics_reference(st))
+        assert joint_logp(state).breakdown == joint_breakdown_reference(state)
+
+    @given(general_states())
+    def test_unsided_states(self, state):
+        self.check(state)
+
+    @given(bipartite_states())
+    def test_bipartite_states(self, state):
+        self.check(state)
+
+    def test_empty_graphs(self):
+        empty = np.zeros(0, np.int64)
+        self.check(LabeledGraph(3, empty, empty, empty, empty, empty, 2))
+        self.check(state_from_label_arrays(2, 3, empty, empty, empty, empty, empty, 3, [0, 1, 1]))
+        assert side_statistics(LabeledGraph(1, empty, empty, empty, empty, empty, 0)) == {}
+        assert joint_logp(LabeledGraph(1, empty, empty, empty, empty, empty, 0)).sigma_nats == 0.0
