@@ -663,20 +663,17 @@ def labels_to_state(labels: LabeledCounts, variant: str) -> LabeledGraph:
     groups.  Words never observed are dropped from the node set.
     """
     D, K = labels.n_docs, labels.n_topics
-    realized = np.unique(labels.w)
-    remap = -np.ones(labels.n_words, dtype=np.int64)
-    remap[realized] = np.arange(len(realized))
-    w = remap[labels.w]
+    labels = labels.over_realized_words()
     if variant == "per-doc-group":
         group_side = np.concatenate([np.zeros(D, np.int64), np.ones(K, np.int64)])
         return state_from_label_arrays(
-            D, len(realized), labels.d, w, labels.d, D + labels.r, labels.counts,
+            D, labels.n_words, labels.d, labels.w, labels.d, D + labels.r, labels.counts,
             D + K, group_side,
         )
     if variant == "doc-clustering":
         group_side = np.concatenate([np.zeros(K, np.int64), np.ones(K, np.int64)])
         return state_from_label_arrays(
-            D, len(realized), labels.d, w, labels.r, K + labels.r, labels.counts,
+            D, labels.n_words, labels.d, labels.w, labels.r, K + labels.r, labels.counts,
             2 * K, group_side,
         )
     raise ValueError(f"unknown variant {variant!r}")

@@ -100,6 +100,19 @@ class LdaParams:
             raise ValueError("phi rows must sum to one")
 
 
+def _sum_by_key(key: np.ndarray, counts: np.ndarray, shape) -> np.ndarray:
+    """int64 totals of `counts` per flat key into an array of `shape`.
+
+    `bincount` sums in float64, which is exact while every total stays below
+    2**53 tokens.
+    """
+    size = int(np.prod(shape))
+    out = np.bincount(key, weights=counts, minlength=size)
+    if len(out) > size:
+        raise IndexError("label index out of range")
+    return out.astype(np.int64).reshape(shape)
+
+
 class LabeledCounts:
     """Sparse labeled counts n_dw^r as parallel (d, w, r, count) arrays."""
 
@@ -119,24 +132,27 @@ class LabeledCounts:
         return int(self.counts.sum())
 
     def doc_lengths(self) -> np.ndarray:
-        k = np.zeros(self.n_docs, dtype=np.int64)
-        np.add.at(k, self.d, self.counts)
-        return k
+        return _sum_by_key(self.d, self.counts, self.n_docs)
 
     def doc_topic_counts(self) -> np.ndarray:
-        out = np.zeros((self.n_docs, self.n_topics), dtype=np.int64)
-        np.add.at(out, (self.d, self.r), self.counts)
-        return out
+        return _sum_by_key(self.d * self.n_topics + self.r, self.counts,
+                           (self.n_docs, self.n_topics))
 
     def word_topic_counts(self) -> np.ndarray:
-        out = np.zeros((self.n_words, self.n_topics), dtype=np.int64)
-        np.add.at(out, (self.w, self.r), self.counts)
-        return out
+        return _sum_by_key(self.w * self.n_topics + self.r, self.counts,
+                           (self.n_words, self.n_topics))
 
     def topic_totals(self) -> np.ndarray:
-        out = np.zeros(self.n_topics, dtype=np.int64)
-        np.add.at(out, self.r, self.counts)
-        return out
+        return _sum_by_key(self.r, self.counts, self.n_topics)
+
+    def over_realized_words(self) -> "LabeledCounts":
+        """The same entries over the realized vocabulary: words with no entry
+        are dropped and the rest renumbered in increasing order."""
+        realized = np.flatnonzero(np.bincount(self.w, minlength=self.n_words))
+        remap = -np.ones(self.n_words, dtype=np.int64)
+        remap[realized] = np.arange(len(realized))
+        return LabeledCounts(self.n_docs, len(realized), self.n_topics,
+                             self.d, remap[self.w], self.r, self.counts)
 
     def word_doc_counts(self):
         """Collapse topic labels: unique (d, w) pairs with their totals."""

@@ -34,13 +34,9 @@ from .lda import (
 def _lda_noninformative_score(labels: LabeledCounts):
     """Noninformative collapsed score over the realized vocabulary (what an
     analyst without the generator would condition on)."""
-    realized = np.unique(labels.w)
-    remap = -np.ones(labels.n_words, dtype=np.int64)
-    remap[realized] = np.arange(len(realized))
-    lab = LabeledCounts(labels.n_docs, len(realized), labels.n_topics,
-                        labels.d, remap[labels.w], labels.r, labels.counts)
+    lab = labels.over_realized_words()
     return lda_description_length(
-        lab, noninformative_hyper(labels.n_topics, len(realized)),
+        lab, noninformative_hyper(labels.n_topics, lab.n_words),
         model_id="lda", parametrization="noninformative",
     )
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as hst
 from scipy.special import gammaln
 
 from topicblocks.lda import (
@@ -193,3 +195,54 @@ class TestDescriptionLength:
         b = lda_description_length(s.labels, noninformative_hyper(2, 6))
         assert np.isfinite(a.sigma_nats) and np.isfinite(b.sigma_nats)
         assert a.sigma_nats != b.sigma_nats
+
+
+@hst.composite
+def labeled_counts(draw):
+    """Small sparse label sets; empty ones, unused words and unused topics
+    all occur."""
+    n_docs, n_words, n_topics = (draw(hst.integers(1, n)) for n in (5, 8, 4))
+    n = draw(hst.integers(0, 12))
+    ints = lambda hi: draw(hst.lists(hst.integers(0, hi - 1), min_size=n, max_size=n))
+    return LabeledCounts(n_docs, n_words, n_topics, ints(n_docs), ints(n_words),
+                         ints(n_topics), ints(40))
+
+
+def add_at(shape, index, counts):
+    out = np.zeros(shape, dtype=np.int64)
+    np.add.at(out, index, counts)
+    return out
+
+
+class TestLabeledCountsAggregates:
+    """The bincount aggregates against np.add.at and np.unique builds."""
+
+    @given(labeled_counts())
+    def test_counts_match_add_at(self, lab):
+        D, V, K = lab.n_docs, lab.n_words, lab.n_topics
+        for got, want in [
+            (lab.doc_lengths(), add_at(D, lab.d, lab.counts)),
+            (lab.doc_topic_counts(), add_at((D, K), (lab.d, lab.r), lab.counts)),
+            (lab.word_topic_counts(), add_at((V, K), (lab.w, lab.r), lab.counts)),
+            (lab.topic_totals(), add_at(K, lab.r, lab.counts)),
+        ]:
+            assert got.dtype == want.dtype == np.int64
+            assert np.array_equal(got, want)
+
+    @given(labeled_counts())
+    def test_realized_words_match_unique(self, lab):
+        realized = np.unique(lab.w)
+        remap = -np.ones(lab.n_words, dtype=np.int64)
+        remap[realized] = np.arange(len(realized))
+        got = lab.over_realized_words()
+        assert got.n_words == len(realized)
+        assert (got.n_docs, got.n_topics) == (lab.n_docs, lab.n_topics)
+        for name, want in [("d", lab.d), ("w", remap[lab.w]), ("r", lab.r),
+                           ("counts", lab.counts)]:
+            assert getattr(got, name).dtype == want.dtype == np.int64
+            assert np.array_equal(getattr(got, name), want), name
+
+    def test_out_of_range_label_is_refused(self):
+        lab = LabeledCounts(2, 2, 1, [0, 2], [0, 1], [0, 0], [1, 1])
+        with pytest.raises(IndexError):
+            lab.doc_lengths()

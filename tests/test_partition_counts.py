@@ -1,8 +1,11 @@
 import math
 
 import numpy as np
+from hypothesis import given
+from hypothesis import strategies as hst
 
 from topicblocks.partition_counts import (
+    _LogQTable,
     count_partitions,
     log_partitions,
     log_q_approx,
@@ -80,3 +83,63 @@ def test_exact_limit_switch():
     val_exact = log_partitions(5000, 40, exact_limit=10**9)
     val_approx = log_partitions(5000, 40, exact_limit=10)
     assert abs(val_exact - val_approx) / abs(val_exact) < 1e-3
+
+
+def test_szekeres_error_bound_near_exact_limit():
+    """The fallback stays within the 0.03 nats the module documents, on both
+    sides of EXACT_LIMIT and across the few-parts/Szekeres hand-over."""
+    for m in (12000, 11000, 10001, 10000, 9000):
+        for k in (2, 5, 10, 11, 30, 100, 300, 1000, 2000):
+            assert abs(log_q_approx(m, k) - log_q_exact(m, k)) < 0.03, (m, k)
+
+
+def one_shot_table(kmax, mmax):
+    """The log q table built in one pass at a fixed extent (rows k <= kmax,
+    columns m <= mmax): the reference for a table grown by requests."""
+    tab = np.full((kmax + 1, mmax + 1), -np.inf)
+    tab[0, 0] = 0.0
+    tab[1, :] = 0.0
+    for kk in range(2, kmax + 1):
+        prev = tab[kk - 1]
+        pad = (-(mmax + 1)) % kk
+        blocks = np.concatenate([prev, np.full(pad, -np.inf)]).reshape(-1, kk)
+        tab[kk] = np.logaddexp.accumulate(blocks, axis=0).reshape(-1)[: mmax + 1]
+    return tab
+
+
+def grown_table(requests):
+    table = _LogQTable()
+    for m, k in requests:
+        table.value(m, k)
+    return table
+
+
+def assert_rows_match_one_shot(table):
+    ref = one_shot_table(len(table._rows) - 1, table._mmax)
+    for k, row in enumerate(table._rows):
+        # bit for bit, not only equal as floats
+        assert np.array_equal(row.view(np.int64), ref[k].view(np.int64)), k
+
+
+requests = hst.lists(
+    hst.tuples(hst.integers(1, 600), hst.integers(1, 80)), min_size=1, max_size=8)
+
+
+class TestGrownTable:
+    @given(requests)
+    def test_rows_equal_one_shot_build(self, reqs):
+        assert_rows_match_one_shot(grown_table(reqs))
+
+    def test_more_rows_than_columns(self):
+        # rows past the column extent are extended from seeds shorter than k
+        # when the columns grow
+        assert_rows_match_one_shot(grown_table([(1000, 900), (1000, 1000), (1300, 1000)]))
+
+    @given(requests)
+    def test_extents_stay_within_a_quarter_of_the_largest_request(self, reqs):
+        table = grown_table(reqs)
+        k_req = max(min(k, m) for m, k in reqs)
+        m_req = max(m for m, _ in reqs)
+        assert len(table._rows) - 1 <= max(16, 1.25 * k_req)
+        assert table._mmax <= max(256, 1.25 * m_req)
+        assert all(len(row) == table._mmax + 1 for row in table._rows)
