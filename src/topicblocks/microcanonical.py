@@ -19,12 +19,23 @@ log space from sparse count aggregates; nothing touches individual tokens.
 
 The aggregates are built by numpy grouping, not per-element loops:
 `CountTables` sorts each key set once and sums with `reduceat`/`bincount`
-(exact integers), and `side_statistics` groups the (node, group)-sorted
-labeled degrees into node runs and integer keys.  Its dicts are filled in
-order of first occurrence by node, the order a node-by-node visit gives, so
-every float sum over them runs in a fixed order and scores are reproducible
-to the bit.  Integer log-factorials come from `util.log_factorial_table`,
-which equals the scalar `log_factorial` bit for bit.
+(exact integers), and `MixtureTables` groups the (node, group)-sorted
+labeled degrees into node runs, mixtures and (mixture, group) pairs, each
+numbered in order of first occurrence by node.  `joint_logp` scores the
+degree and partition priors straight from these integer arrays
+(`logp_degrees_array`, `logp_partition_array`, with restricted-partition
+counts from `partition_counts.log_partitions_array`).  `side_statistics`
+is a dict view of the same arrays, in the layout of the incremental
+engine's tables, which `logp_degrees_given_mixtures` and
+`logp_overlap_partition` score.
+
+Both paths add the same float terms in the same order, the order a
+node-by-node visit gives, so they agree bit for bit and scores are
+reproducible to the bit.  The array path adds floats left to right (a
+sequential `cumsum`, or one vectorized add per column across runs), never
+with `.sum()` or `reduceat`, which add pairwise from eight terms up.  Integer
+log-factorials come from `util.log_factorial_table`, which equals the scalar
+`log_factorial` bit for bit.
 """
 from __future__ import annotations
 
@@ -35,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import LabeledGraph
-from .partition_counts import log_partitions
+from .partition_counts import log_partitions, log_partitions_array
 from .scores import ModelScore
 from .util import (
     IntegrityError,
@@ -51,12 +62,20 @@ from .util import (
 # --- sparse count aggregates ----------------------------------------------
 
 
+def _run_bounds(sorted_key: np.ndarray) -> np.ndarray:
+    """Start of every run of equal values in `sorted_key`, then its length."""
+    change = np.empty(len(sorted_key) + 1, dtype=bool)
+    change[0] = change[-1] = True
+    np.not_equal(sorted_key[1:], sorted_key[:-1], out=change[1:-1])
+    return np.flatnonzero(change)
+
+
 def _sorted_sums(key: np.ndarray, weight: np.ndarray):
     """Distinct keys in ascending order and the exact integer sum of the
     weights of each, from one sort."""
     order = np.argsort(key)
     key, weight = key[order], weight[order]
-    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]]) if len(key) else key
+    starts = _run_bounds(key)[:-1]
     return key[starts], np.add.reduceat(weight, starts)
 
 
@@ -96,8 +115,11 @@ class CountTables:
         self.pair_s = uniq % B
         self.E = int(state.m.sum())
 
-        kuniq, self.k_val = _sorted_sums(np.concatenate([state.i * B + state.r, state.j * B + state.s]),
-                                         np.concatenate([state.m, state.m]))
+        # each end's (node, group) sums first, then the two reduced halves merged
+        key_i, sum_i = _sorted_sums(state.i * B + state.r, state.m)
+        key_j, sum_j = _sorted_sums(state.j * B + state.s, state.m)
+        kuniq, self.k_val = _sorted_sums(np.concatenate([key_i, key_j]),
+                                         np.concatenate([sum_i, sum_j]))
         self.k_node = kuniq // B
         self.k_group = kuniq % B
         self.e_r = np.bincount(self.k_group, weights=self.k_val, minlength=B).astype(np.int64)
@@ -213,6 +235,116 @@ class SideStats:
     e_r: Counter = field(default_factory=Counter)  # r -> half-edge total
 
 
+class MixtureTables:
+    """Integer aggregates of the labeled degrees by node mixture.
+
+    A node's mixture is the tuple of groups its half-edges carry.  Mixtures
+    are keyed by (side, mixture) and numbered in order of first occurrence by
+    node; a (mixture, group) pair is numbered by its mixture, then by the
+    group's place in the mixture; within a pair, distinct degrees are kept in
+    order of first occurrence by node.  These are the orders in which a
+    node-by-node visit meets the keys, so every float sum over them below, and
+    over the dicts of `side_statistics`, runs in one fixed order.
+
+    Built from the tables' (node, group)-sorted labeled degrees: node runs
+    from one `flatnonzero`, mixture ids from one `lexsort` of the nodes of
+    each mixture size (so memory stays proportional to the labeled degrees
+    however many groups a node sits in), degree frequencies from one stable
+    sort.
+    """
+
+    def __init__(self, state: LabeledGraph, tables: CountTables | None = None):
+        t = self.tables = tables if tables is not None else CountTables(state)
+        nodes, groups, vals = t.k_node, t.k_group, t.k_val
+        n = len(nodes)
+        node_runs = _run_bounds(nodes)
+        starts, sizes = node_runs[:-1], np.diff(node_runs)
+        if state.side is None:
+            node_side = np.zeros(len(starts), np.int64)
+            self.group_side = np.zeros(state.n_groups, np.int64)
+            self.sides = [0] if n else []
+            self.side_groups = {0: state.n_groups}
+        else:  # both sides, in order of their first node
+            node_side = state.side[nodes[starts]]
+            self.group_side = state.group_side
+            self.sides = list(dict.fromkeys(node_side[:1].tolist() + [0, 1]))
+            self.side_groups = {sd: int((state.group_side == sd).sum()) for sd in self.sides}
+        self.n_eff = {sd: int(np.count_nonzero(node_side == sd)) for sd in self.sides}
+        self.entry_side = np.repeat(node_side, sizes)
+        span = int(sizes.max(initial=0)) + 1
+        hist_key, self.hist_count = _first_occurrence_counts(node_side * span + sizes)
+        self.hist_side, self.hist_q = hist_key // span, hist_key % span
+
+        # mixture ids: the (side, groups...) rows of each size q, lexsorted
+        # (stable, so the head of each run of equal rows is its first node)
+        by_size = np.argsort(sizes, kind="stable")
+        size_runs = _run_bounds(sizes[by_size]).tolist()
+        blocks = []
+        for lo, hi in zip(size_runs, size_runs[1:]):
+            idx = by_size[lo:hi]
+            rows = np.column_stack([node_side[idx],
+                                    groups[starts[idx, None] + np.arange(sizes[idx[0]])]])
+            order = np.lexsort(rows.T)
+            rows = rows[order]
+            new = np.ones(len(rows), dtype=bool)
+            new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+            blocks.append((idx[order], idx[order[new]], np.cumsum(new) - 1))
+        first_node = np.concatenate([starts[:0]] + [first for _, first, _ in blocks])
+        by_first = np.argsort(first_node)
+        rank = np.empty_like(by_first)
+        rank[by_first] = np.arange(len(by_first))
+        node_mix = np.empty(len(starts), np.int64)
+        base = 0
+        for idx, first, local in blocks:
+            node_mix[idx] = rank[base + local]
+            base += len(first)
+        mix_node = first_node[by_first]  # first node of each mixture, by id
+        self.mix_side = node_side[mix_node]
+        self.mix_size = sizes[mix_node]
+        self.mix_count = np.bincount(node_mix, minlength=len(mix_node))
+
+        # (mixture, group) pairs, and where each labeled degree falls
+        offset = np.cumsum(self.mix_size) - self.mix_size
+        n_pairs = int(self.mix_size.sum())
+        self.pair_mix = np.repeat(np.arange(len(mix_node)), self.mix_size)
+        self.pair_side = np.repeat(self.mix_side, self.mix_size)
+        self.pair_group = groups[np.repeat(starts[mix_node] - offset, self.mix_size)
+                                 + np.arange(n_pairs)]
+        entry_pair = np.repeat(offset[node_mix] - starts, sizes) + np.arange(n)
+
+        # per pair: its distinct degrees by first occurrence, with frequencies
+        k_span = int(vals.max(initial=0)) + 1
+        key = entry_pair * k_span + vals
+        order = np.argsort(key, kind="stable")
+        runs = _run_bounds(key[order])
+        heads = order[runs[:-1]]  # first occurrence of each (pair, degree)
+        run_pair = key[heads] // k_span
+        by_pair = np.argsort(run_pair * max(n, 1) + heads)
+        self.freq_k = vals[heads][by_pair]
+        self.freq_count = np.diff(runs)[by_pair]
+        self.freq_start = np.searchsorted(run_pair[by_pair], np.arange(n_pairs + 1))
+        self.pair_esum = (np.add.reduceat(self.freq_k * self.freq_count, self.freq_start[:-1])
+                          if n_pairs else np.zeros(0, np.int64))
+
+
+def _run_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """The sum of each nonempty run values[bounds[i]:bounds[i + 1]], added
+    left to right as a Python loop adds (numpy's reductions add pairwise from
+    eight terms up): one vectorized add per column, over the runs that reach
+    it, longest runs first."""
+    lens = np.diff(bounds)
+    by_len = np.argsort(-lens, kind="stable")
+    heads = bounds[:-1][by_len]
+    acc = values[heads]
+    reaching = len(lens) - np.cumsum(np.bincount(lens))  # runs longer than c
+    for c in range(1, len(reaching) - 1):
+        k = reaching[c]
+        acc[:k] += values[heads[:k] + c]
+    out = np.empty_like(acc)
+    out[by_len] = acc
+    return out
+
+
 def side_statistics(state: LabeledGraph, tables: CountTables | None = None):
     """Per-side mixture statistics derived from the nonzero labeled degrees.
 
@@ -220,72 +352,58 @@ def side_statistics(state: LabeledGraph, tables: CountTables | None = None):
     partition support.  Groups are re-expressed per side but keep their
     global indices.
 
-    Built by array grouping over the tables' (node, group)-sorted labeled
-    degrees: node runs give each node's mixture tuple, mixtures get ids in
-    order of first occurrence by node, and every sum or frequency comes from
-    `bincount`/`np.unique` on integer keys.  Each dict is filled once per
-    distinct key, in order of first occurrence by node (by labeled degree
-    within a node; e_r by ascending group), so `size_hist`,
+    A dict view of `MixtureTables` in the layout of the incremental engine's
+    tables; `joint_logp` scores the arrays directly.  Each dict is filled
+    once per distinct key, in order of first occurrence by node (by labeled
+    degree within a node; e_r by ascending group), so `size_hist`,
     `mixture_count`, `e_mix` and every `deg_freq` Counter iterate as if the
     nodes had been visited one by one, and the sums over them are
     reproducible to the bit.
     """
-    t = tables if tables is not None else CountTables(state)
-    nodes, groups, vals = t.k_node, t.k_group, t.k_val
-    n, B = len(nodes), state.n_groups
-    starts = np.flatnonzero(np.r_[True, nodes[1:] != nodes[:-1]]) if n else nodes
-    sizes = np.diff(np.r_[starts, n])
-    node_side = np.zeros(len(starts), np.int64) if state.side is None else state.side[nodes[starts]]
-
-    if state.side is None:
-        sides = {0: SideStats(n_groups=B)} if n else {}
-    else:  # both sides, in order of their first node
-        sides = {sd: SideStats(n_groups=int((state.group_side == sd).sum()))
-                 for sd in dict.fromkeys(node_side.tolist() + [0, 1])}
-
-    group_list = groups.tolist()
-    ids = {}  # (side, mixture) -> id, numbered by first occurrence
-    node_mix = np.array([ids.setdefault((sd, tuple(group_list[a:a + q])), len(ids))
-                         for sd, a, q in zip(node_side.tolist(), starts.tolist(), sizes.tolist())],
-                        dtype=np.int64)
-    mixtures = list(ids)
-    mix_side = np.array([sd for sd, _ in mixtures], dtype=np.int64)
-    mix_len = np.array([len(mix) for _, mix in mixtures], dtype=np.int64)
-    # pair id of each labeled degree: its mixture's offset plus its position in the node's run
-    offset = np.cumsum(mix_len) - mix_len
-    entry_pair = np.repeat(offset[node_mix] - starts, sizes) + np.arange(n)
-    n_pairs = int(mix_len.sum())
-
-    e_sums = np.bincount(entry_pair, weights=vals, minlength=n_pairs).astype(np.int64).tolist()
-    k_span = int(vals.max(initial=0)) + 1
-    freq_key, freq_count = _first_occurrence_counts(entry_pair * k_span + vals)
-    by_pair = np.argsort(freq_key // k_span, kind="stable")
-    freq_k = (freq_key[by_pair] % k_span).tolist()
-    freq_count = freq_count[by_pair].tolist()
-    bounds = np.searchsorted(freq_key[by_pair] // k_span, np.arange(n_pairs + 1)).tolist()
-
-    pair_keys = [(mix, g) for _, mix in mixtures for g in mix]
-    pair_side = np.repeat(mix_side, mix_len)
-    for sd, key, esum, lo, hi in zip(pair_side.tolist(), pair_keys, e_sums, bounds, bounds[1:]):
+    mix = MixtureTables(state, tables)
+    sides = {sd: SideStats(n_groups=mix.side_groups[sd]) for sd in mix.sides}
+    pair_group = mix.pair_group.tolist()
+    bounds = [0] + np.cumsum(mix.mix_size).tolist()
+    mixtures = [tuple(pair_group[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    for sd, mixture, nb in zip(mix.mix_side.tolist(), mixtures, mix.mix_count.tolist()):
+        sides[sd].n_eff += nb
+        sides[sd].mixture_count[mixture] = nb
+    freq_k, freq_count = mix.freq_k.tolist(), mix.freq_count.tolist()
+    fb = mix.freq_start.tolist()
+    for sd, m_id, g, esum, lo, hi in zip(mix.pair_side.tolist(), mix.pair_mix.tolist(), pair_group,
+                                        mix.pair_esum.tolist(), fb, fb[1:]):
+        key = (mixtures[m_id], g)
         sides[sd].e_mix[key] = esum
         sides[sd].deg_freq[key] = _counter(zip(freq_k[lo:hi], freq_count[lo:hi]))
-    for (sd, mix), nb in zip(mixtures, np.bincount(node_mix, minlength=len(mixtures)).tolist()):
-        sides[sd].n_eff += nb
-        sides[sd].mixture_count[mix] = nb
-    tallies = (
-        ("size_hist", node_side, sizes),
-        ("members_with", np.repeat(node_side, sizes), groups),
-        ("m_r", pair_side, np.array([g for _, g in pair_keys], dtype=np.int64)),
-    )
-    for name, key_side, key in tallies:
-        span = int(max(B, key.max(initial=0))) + 1
+    for sd, q, n_q in zip(mix.hist_side.tolist(), mix.hist_q.tolist(), mix.hist_count.tolist()):
+        sides[sd].size_hist[q] = n_q
+    t = mix.tables
+    span = len(t.e_r) + 1
+    for name, key_side, key in (("members_with", mix.entry_side, t.k_group),
+                                ("m_r", mix.pair_side, mix.pair_group)):
         uniq, counts = _first_occurrence_counts(key_side * span + key)
         for u, c in zip(uniq.tolist(), counts.tolist()):
             getattr(sides[u // span], name)[u % span] = c
-    group_side = np.zeros(B, np.int64) if state.side is None else state.group_side
     for r in np.flatnonzero(t.e_r).tolist():
-        sides[int(group_side[r])].e_r[r] = int(t.e_r[r])
+        sides[int(mix.group_side[r])].e_r[r] = int(t.e_r[r])
     return sides
+
+
+def _partition_head(n_eff: int, n_groups: int, size_hist, max_overlap: int | None):
+    """`logp_overlap_partition` up to its per-mixture terms, which the caller
+    adds in mixture order, and the log-factorial table they index."""
+    B = n_groups
+    Q = B if max_overlap is None else min(max_overlap, B)
+    if any(q > Q for q, _ in size_hist):
+        raise ValueError(f"node mixture exceeds the overlap bound {Q}")
+    lf = log_factorial_table(n_eff)  # every count here is at most n_eff
+    out = -float(log_num_compositions(n_eff, Q))
+    out += float(sum(lf[nq] for _, nq in size_hist))
+    out -= float(lf[n_eff])
+    for q, n_q in size_hist:
+        out -= log_num_compositions_large(float(log_binom(B, q)), n_q)
+        out -= float(lf[n_q])
+    return out, lf
 
 
 def logp_overlap_partition(stats: SideStats, max_overlap: int | None = None) -> float:
@@ -294,20 +412,28 @@ def logp_overlap_partition(stats: SideStats, max_overlap: int | None = None) -> 
     size, uniform mixture assignment."""
     if stats.n_eff == 0:
         return 0.0
-    B = stats.n_groups
-    Q = B if max_overlap is None else min(max_overlap, B)
-    if any(q > Q for q in stats.size_hist):
-        raise ValueError(f"node mixture exceeds the overlap bound {Q}")
-    lf = log_factorial_table(stats.n_eff)  # every count here is at most n_eff
-    out = -float(log_num_compositions(stats.n_eff, Q))
-    out += float(sum(lf[nq] for nq in stats.size_hist.values()))
-    out -= float(lf[stats.n_eff])
-    for q, n_q in stats.size_hist.items():
-        out -= log_num_compositions_large(float(log_binom(B, q)), n_q)
-        out -= float(lf[n_q])
+    out, lf = _partition_head(stats.n_eff, stats.n_groups, list(stats.size_hist.items()),
+                              max_overlap)
     for mixture, nb in stats.mixture_count.items():
         out += float(lf[nb])
     return out
+
+
+def logp_partition_array(mix: MixtureTables, max_overlap: int | None = None) -> float:
+    """The summed `logp_overlap_partition` of every side, from the arrays;
+    the per-mixture terms are added by one sequential `cumsum`, so the value
+    equals the dict path's bit for bit."""
+    parts = []
+    for sd in mix.sides:
+        if mix.n_eff[sd] == 0:
+            parts.append(0.0)
+            continue
+        here = mix.hist_side == sd
+        size_hist = list(zip(mix.hist_q[here].tolist(), mix.hist_count[here].tolist()))
+        out, lf = _partition_head(mix.n_eff[sd], mix.side_groups[sd], size_hist, max_overlap)
+        mixture_terms = lf[mix.mix_count[mix.mix_side == sd]]
+        parts.append(float(np.cumsum(np.concatenate(([out], mixture_terms)))[-1]))
+    return float(sum(parts))
 
 
 def logp_degrees_given_mixtures(stats_by_side: dict) -> float:
@@ -343,11 +469,47 @@ def logp_degrees_given_mixtures(stats_by_side: dict) -> float:
     return out
 
 
-def logp_partition_bipartite(state: LabeledGraph, max_overlap: int | None = None,
-                             stats_by_side: dict | None = None) -> float:
-    """Product of per-side overlapping partition priors.  A group whose
-    half-edges touch both sides makes the state inconsistent: IntegrityError
-    names the first offending bundle."""
+def logp_degrees_array(mix: MixtureTables) -> float:
+    """`logp_degrees_given_mixtures` of the side statistics, from the arrays.
+
+    Every term is the dict path's: the O(B) group terms as scalars, the
+    restricted-partition terms from `log_partitions_array`, each pair's
+    frequency log-factorials added left to right (`_run_sums`).  All of them
+    are added in the dict path's order, per side its groups then its pairs,
+    by one sequential `cumsum`, so the value is equal bit for bit.
+    """
+    t = mix.tables
+    nb = mix.mix_count[mix.pair_mix]
+    lp = log_partitions_array(mix.pair_esum, nb)
+    if (lp == -np.inf).any():
+        bad = int(np.argmax(lp == -np.inf))
+        raise IntegrityError(
+            f"degree sum {mix.pair_esum[bad]} cannot split into {nb[bad]} positive parts"
+        )
+    lf = log_factorial_table(int(nb.max(initial=0)))  # frequencies are at most nb
+    pair_terms = np.column_stack([-lp, _run_sums(lf[mix.freq_count], mix.freq_start), -lf[nb]])
+    B = len(t.e_r)
+    terms = [np.zeros(1)]
+    for sd in mix.sides:
+        rs = np.flatnonzero((t.e_r > 0) & (mix.group_side == sd))
+        members = np.bincount(t.k_group[mix.entry_side == sd], minlength=B)[rs]
+        mixtures = np.bincount(mix.pair_group[mix.pair_side == sd], minlength=B)[rs]
+        group_terms = []
+        for r, er, sr, mr in zip(rs.tolist(), t.e_r[rs].tolist(), members.tolist(),
+                                 mixtures.tolist()):
+            if mr == 0 or er < sr:
+                raise IntegrityError(
+                    f"group {r} degree total {er} inconsistent with its {sr} members"
+                )
+            group_terms.append(-float(log_num_compositions(er - sr, mr)))
+        terms.append(np.array(group_terms, dtype=float))
+        terms.append(pair_terms[mix.pair_side == sd].reshape(-1))
+    return float(np.cumsum(np.concatenate(terms))[-1])
+
+
+def _check_group_sides(state: LabeledGraph) -> None:
+    """A group whose half-edges touch both sides makes the state
+    inconsistent: IntegrityError names the first offending bundle."""
     if state.side is not None:
         bad_r = state.group_side[state.r] != state.side[state.i]
         bad_s = state.group_side[state.s] != state.side[state.j]
@@ -356,6 +518,14 @@ def logp_partition_bipartite(state: LabeledGraph, max_overlap: int | None = None
             raise IntegrityError(
                 f"bundle {int(which)} labels a half-edge with a group from the other side"
             )
+
+
+def logp_partition_bipartite(state: LabeledGraph, max_overlap: int | None = None,
+                             stats_by_side: dict | None = None) -> float:
+    """Product of per-side overlapping partition priors.  A group whose
+    half-edges touch both sides makes the state inconsistent: IntegrityError
+    names the first offending bundle."""
+    _check_group_sides(state)
     stats = stats_by_side if stats_by_side is not None else side_statistics(state)
     return float(sum(logp_overlap_partition(st, max_overlap) for st in stats.values()))
 
@@ -492,12 +662,12 @@ def joint_logp(state: LabeledGraph, hierarchy: Hierarchy | None = None,
     tables = CountTables(state)
     if np.any(tables.e_r == 0):
         raise IntegrityError("empty group in a scored state")
-    stats = side_statistics(state, tables)
+    _check_group_sides(state)
+    mix = MixtureTables(state, tables)
     breakdown = {}
     breakdown["adjacency"] = -logp_graph_given_ke(state, tables)
-    breakdown["degrees"] = -logp_degrees_given_mixtures(stats)
-    part = logp_partition_bipartite(state, max_overlap, stats_by_side=stats)
-    breakdown["partition"] = -part
+    breakdown["degrees"] = -logp_degrees_array(mix)
+    breakdown["partition"] = -logp_partition_array(mix, max_overlap)
     breakdown["edge_matrix"] = -logp_hierarchy(
         tables.dense_e(), hierarchy.assignments, state.group_side, E=tables.E
     )

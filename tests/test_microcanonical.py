@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 from collections import Counter
@@ -7,15 +8,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as hst
 
+from topicblocks import lda
 from topicblocks.graph import LabeledGraph, derive_counts, state_from_label_arrays
+from topicblocks.inference import labels_to_state
 from topicblocks.microcanonical import (
+    _run_sums,
     CountTables,
     Hierarchy,
+    MixtureTables,
     SideStats,
     aggregate_matrix,
     compress_groups,
     hierarchy_group_sides,
     joint_logp,
+    logp_degrees_array,
     logp_degrees_flat,
     logp_degrees_given_mixtures,
     logp_edge_matrix_geometric,
@@ -29,7 +35,7 @@ from topicblocks.microcanonical import (
     side_statistics,
     top_level_density,
 )
-from topicblocks.util import IntegrityError
+from topicblocks.util import IntegrityError, log_factorial_table
 
 
 def random_state(rng, n_max=6, e_max=8, b_max=3, allow_loops=True):
@@ -528,7 +534,7 @@ def side_statistics_reference(state, tables=None):
     return sides
 
 
-def joint_breakdown_reference(state):
+def joint_breakdown_reference(state, max_overlap=None):
     """`joint_logp`'s flat breakdown, from the reference aggregates."""
     state = compress_groups_reference(state)
     t = CountTablesReference(state)
@@ -536,7 +542,7 @@ def joint_breakdown_reference(state):
     return {
         "adjacency": -logp_graph_given_ke(state, t),
         "degrees": -logp_degrees_given_mixtures(stats),
-        "partition": -logp_partition_bipartite(state, stats_by_side=stats),
+        "partition": -logp_partition_bipartite(state, max_overlap, stats_by_side=stats),
         "edge_matrix": -logp_hierarchy(t.dense_e(), [], state.group_side, E=t.E),
     }
 
@@ -638,3 +644,119 @@ class TestArrayAggregates:
         self.check(state_from_label_arrays(2, 3, empty, empty, empty, empty, empty, 3, [0, 1, 1]))
         assert side_statistics(LabeledGraph(1, empty, empty, empty, empty, empty, 0)) == {}
         assert joint_logp(LabeledGraph(1, empty, empty, empty, empty, empty, 0)).sigma_nats == 0.0
+
+
+def assert_joint_matches_reference(state, max_overlap=None):
+    """`joint_logp` equals the reference breakdown bit for bit, or both
+    refuse the overlap bound."""
+    try:
+        want = joint_breakdown_reference(state, max_overlap)
+    except ValueError:
+        with pytest.raises(ValueError, match="overlap"):
+            joint_logp(state, max_overlap=max_overlap)
+        return
+    assert joint_logp(state, max_overlap=max_overlap).breakdown == want
+
+
+@functools.lru_cache(maxsize=None)
+def corpus_state(n_topics, variant, sided=True):
+    """True-label state of a seeded 200-document Zipf-base corpus; unsided,
+    all its nodes form one side, so one side's partition is the whole term."""
+    V = 300
+    hyper = lda.make_hyper(1.0, 1.0, np.full(n_topics, 1.0 / n_topics),
+                           lda.double_power_law_base(V))
+    sample = lda.sample_corpus(n_topics, 200, V, 40, hyper, seed=3)
+    st = labels_to_state(sample.labels, variant)
+    return st if sided else LabeledGraph(st.n_nodes, st.i, st.j, st.r, st.s, st.m, st.n_groups)
+
+
+class TestOrderSensitiveSums:
+    """States large enough for the order of float sums to show: a (mixture,
+    group) pair with nine or more distinct degrees and sides with nine or
+    more pairs, where numpy's pairwise `.sum()` or a `reduceat` would change
+    the last bits.  The array scores equal the dict reference exactly."""
+
+    @pytest.mark.parametrize("max_overlap", [None, 1, 2])
+    @pytest.mark.parametrize("sided", [True, False])
+    @pytest.mark.parametrize("variant", ["per-doc-group", "doc-clustering"])
+    @pytest.mark.parametrize("n_topics", [2, 4])
+    def test_corpus_states(self, n_topics, variant, sided, max_overlap):
+        assert_joint_matches_reference(corpus_state(n_topics, variant, sided), max_overlap)
+
+    @pytest.mark.parametrize("variant", ["per-doc-group", "doc-clustering"])
+    def test_corpus_side_statistics(self, variant):
+        state = compress_groups(corpus_state(4, variant))
+        mix = MixtureTables(state)
+        assert np.diff(mix.freq_start).max() >= 9
+        assert np.bincount(mix.pair_side).min() >= 9  # on both sides
+        assert mix.mix_size.max() >= 2  # overlapping mixtures
+        assert_same_stats(side_statistics(state), side_statistics_reference(state))
+
+    @pytest.mark.parametrize("variant", ["per-doc-group", "doc-clustering"])
+    @pytest.mark.parametrize("n_topics", [2, 4])
+    def test_corpus_frequency_sums(self, n_topics, variant):
+        """Each pair's frequency log-factorials, summed as the dict path sums
+        them (a ninth term already changes a pairwise sum)."""
+        state = compress_groups(corpus_state(n_topics, variant))
+        mix, stats = MixtureTables(state), side_statistics_reference(state)
+        lf = log_factorial_table(state.n_nodes)
+        got = _run_sums(lf[mix.freq_count], mix.freq_start)
+        for sd, st in stats.items():
+            want = [float(sum(lf[c] for c in st.deg_freq[key].values())) for key in st.e_mix]
+            assert got[mix.pair_side == sd].tolist() == want
+
+    @given(hst.lists(hst.lists(hst.floats(1e-3, 1e3), min_size=1, max_size=30), max_size=12))
+    def test_run_sums_add_left_to_right(self, runs):
+        values = np.array([v for run in runs for v in run])
+        bounds = np.cumsum([0] + [len(run) for run in runs])
+        want = []
+        for run in runs:
+            acc = np.float64(run[0])
+            for v in run[1:]:
+                acc = acc + np.float64(v)
+            want.append(float(acc))
+        assert _run_sums(values, bounds).tolist() == want
+
+    @given(general_states(), hst.sampled_from([None, 1, 2]))
+    def test_overlap_bounds_on_unsided_states(self, state, max_overlap):
+        assert_joint_matches_reference(state, max_overlap)
+
+    @given(bipartite_states(), hst.sampled_from([None, 1, 2]))
+    def test_overlap_bounds_on_bipartite_states(self, state, max_overlap):
+        assert_joint_matches_reference(state, max_overlap)
+
+
+class TestArrayErrorPaths:
+    """The array scores refuse what the dict scores refuse, with the same
+    exception types."""
+
+    def small_state(self):
+        return state_from_label_arrays(3, 2, [0, 1, 2, 2], [0, 1, 0, 1], [0, 0, 0, 1],
+                                       [2, 3, 2, 3], [2, 1, 3, 1], 4, [0, 0, 1, 1])
+
+    def test_mixed_side_group(self):
+        st = state_from_label_arrays(1, 1, [0], [0], [0], [0], [1], 2, [0, 1])
+        with pytest.raises(IntegrityError, match="side"):
+            joint_logp(st)
+
+    def test_inconsistent_group_total(self):
+        st = self.small_state()
+        tables = CountTables(st)
+        tables.e_r[0] = 1  # group 0 has three member nodes
+        with pytest.raises(IntegrityError, match="inconsistent"):
+            logp_degrees_array(MixtureTables(st, tables))
+        with pytest.raises(IntegrityError, match="inconsistent"):
+            logp_degrees_given_mixtures(side_statistics(st, tables))
+
+    def test_degree_sum_that_cannot_split(self):
+        st = self.small_state()
+        mix = MixtureTables(st)
+        mix.pair_esum[-1] = mix.mix_count[mix.pair_mix[-1]] - 1
+        with pytest.raises(IntegrityError, match="cannot split"):
+            logp_degrees_array(mix)
+
+    def test_overlap_bound(self):
+        st = self.small_state()  # document 2 sits in groups 0 and 1
+        joint_logp(st, max_overlap=2)
+        with pytest.raises(ValueError, match="overlap"):
+            joint_logp(st, max_overlap=1)

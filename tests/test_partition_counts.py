@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as hst
 
@@ -8,6 +9,7 @@ from topicblocks.partition_counts import (
     _LogQTable,
     count_partitions,
     log_partitions,
+    log_partitions_array,
     log_q_approx,
     log_q_exact,
 )
@@ -143,3 +145,49 @@ class TestGrownTable:
         assert len(table._rows) - 1 <= max(16, 1.25 * k_req)
         assert table._mmax <= max(256, 1.25 * m_req)
         assert all(len(row) == table._mmax + 1 for row in table._rows)
+
+
+def partition_args(m_max=400):
+    """(m, n) pairs that hit every branch: n > m, n = 0, m = n, m = 0,
+    negative arguments and the table."""
+    m = hst.integers(-2, m_max)
+    return hst.one_of(
+        hst.tuples(m, hst.integers(-2, 120)),
+        m.flatmap(lambda a: hst.sampled_from([(a, 0), (a, a), (0, a), (a, a + 1), (a, a - 1)])),
+    )
+
+
+class TestLogPartitionsArray:
+    """`log_partitions_array` equals the scalar `log_partitions` bit for bit."""
+
+    @given(hst.lists(partition_args(), min_size=1, max_size=40),
+           hst.sampled_from([None, 0, 3, 40, 200]))
+    def test_equals_scalar(self, pairs, limit):
+        m, n = (np.array(c) for c in zip(*pairs))
+        got = log_partitions_array(m, n, exact_limit=limit)
+        assert got.tolist() == [log_partitions(a, b, exact_limit=limit) for a, b in pairs]
+
+    def test_both_approximate_branches(self):
+        # mm = 4960 above the limit: k = 3 takes the few-parts branch and
+        # k = 40 (>= mm ** 0.25) the Szekeres branch
+        m, n = np.array([4963, 5000, 7, 0]), np.array([3, 40, 7, 0])
+        got = log_partitions_array(m, n, exact_limit=10)
+        assert got.tolist() == [log_partitions(a, b, exact_limit=10) for a, b in zip(m, n)]
+        assert got[1] == log_q_approx(4960, 40) and got[0] == log_q_approx(4960, 3)
+
+    @pytest.mark.parametrize("limit", [0, 3, 40])
+    def test_exact_limit_boundary(self, limit):
+        # m - n at the limit stays exact; one above it is approximated
+        n = np.array([1, 2, 5, 9, 1, 2, 5, 9])
+        m = n + limit + np.repeat([0, 1], 4)
+        got = log_partitions_array(m, n, exact_limit=limit)
+        assert got.tolist() == [log_partitions(a, b, exact_limit=limit) for a, b in zip(m, n)]
+
+    def test_shapes(self):
+        assert log_partitions_array(6, 2).shape == ()
+        assert log_partitions_array(6, 2) == log_partitions(6, 2)
+        grid = log_partitions_array(np.arange(12).reshape(3, 4), 2)
+        assert grid.shape == (3, 4)
+        assert grid.tolist() == [[log_partitions(m, 2) for m in row]
+                                 for row in np.arange(12).reshape(3, 4).tolist()]
+        assert log_partitions_array(np.zeros(0, np.int64), np.zeros(0, np.int64)).shape == (0,)
