@@ -58,7 +58,6 @@ from .microcanonical import (
     logp_hierarchy,
     logp_marginal_flat,
     logp_overlap_partition,
-    logp_partition_bipartite,
     side_statistics,
 )
 from .partition_counts import count_partitions, log_partitions

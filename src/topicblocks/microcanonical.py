@@ -476,16 +476,13 @@ def logp_degrees_array(mix: MixtureTables) -> float:
     restricted-partition terms from `log_partitions_array`, each pair's
     frequency log-factorials added left to right (`_run_sums`).  All of them
     are added in the dict path's order, per side its groups then its pairs,
-    by one sequential `cumsum`, so the value is equal bit for bit.
+    by one sequential `cumsum`, so the value is equal bit for bit.  The
+    checks run in that order too, so a state with several faults raises the
+    dict path's error.
     """
     t = mix.tables
     nb = mix.mix_count[mix.pair_mix]
     lp = log_partitions_array(mix.pair_esum, nb)
-    if (lp == -np.inf).any():
-        bad = int(np.argmax(lp == -np.inf))
-        raise IntegrityError(
-            f"degree sum {mix.pair_esum[bad]} cannot split into {nb[bad]} positive parts"
-        )
     lf = log_factorial_table(int(nb.max(initial=0)))  # frequencies are at most nb
     pair_terms = np.column_stack([-lp, _run_sums(lf[mix.freq_count], mix.freq_start), -lf[nb]])
     B = len(t.e_r)
@@ -503,6 +500,11 @@ def logp_degrees_array(mix: MixtureTables) -> float:
                 )
             group_terms.append(-float(log_num_compositions(er - sr, mr)))
         terms.append(np.array(group_terms, dtype=float))
+        bad = np.flatnonzero((lp == -np.inf) & (mix.pair_side == sd))
+        if len(bad):
+            raise IntegrityError(
+                f"degree sum {mix.pair_esum[bad[0]]} cannot split into {nb[bad[0]]} positive parts"
+            )
         terms.append(pair_terms[mix.pair_side == sd].reshape(-1))
     return float(np.cumsum(np.concatenate(terms))[-1])
 
@@ -518,16 +520,6 @@ def _check_group_sides(state: LabeledGraph) -> None:
             raise IntegrityError(
                 f"bundle {int(which)} labels a half-edge with a group from the other side"
             )
-
-
-def logp_partition_bipartite(state: LabeledGraph, max_overlap: int | None = None,
-                             stats_by_side: dict | None = None) -> float:
-    """Product of per-side overlapping partition priors.  A group whose
-    half-edges touch both sides makes the state inconsistent: IntegrityError
-    names the first offending bundle."""
-    _check_group_sides(state)
-    stats = stats_by_side if stats_by_side is not None else side_statistics(state)
-    return float(sum(logp_overlap_partition(st, max_overlap) for st in stats.values()))
 
 
 # --- nested hierarchy --------------------------------------------------------
@@ -662,11 +654,11 @@ def joint_logp(state: LabeledGraph, hierarchy: Hierarchy | None = None,
     tables = CountTables(state)
     if np.any(tables.e_r == 0):
         raise IntegrityError("empty group in a scored state")
-    _check_group_sides(state)
     mix = MixtureTables(state, tables)
     breakdown = {}
     breakdown["adjacency"] = -logp_graph_given_ke(state, tables)
     breakdown["degrees"] = -logp_degrees_array(mix)
+    _check_group_sides(state)
     breakdown["partition"] = -logp_partition_array(mix, max_overlap)
     breakdown["edge_matrix"] = -logp_hierarchy(
         tables.dense_e(), hierarchy.assignments, state.group_side, E=tables.E

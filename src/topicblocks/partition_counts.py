@@ -206,23 +206,19 @@ def log_partitions(m: int, n: int, exact_limit: int | None = None) -> float:
     return _log_partitions_cached(int(m), int(n), int(limit))
 
 
-def log_partitions_array(m, n, exact_limit: int | None = None) -> np.ndarray:
-    """`log_partitions` elementwise over integer arrays, equal to it bit for bit.
+def log_partitions_array(m: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """`log_partitions` over equal-length 1-D integer arrays, bit for bit.
 
     The edge cases follow the scalar rules (-inf where p(m, n) = 0, 0.0 where
     m = n).  Exact entries grow the shared table once, to the largest (k, m)
     they need, and are gathered row by row, one row per distinct k; only the
-    entries whose m - n exceeds the limit call `log_q_approx`.  Nothing is
+    entries whose m - n exceeds EXACT_LIMIT call `log_q_approx`.  Nothing is
     memoized.
     """
-    limit = EXACT_LIMIT if exact_limit is None else exact_limit
-    m, n = np.broadcast_arrays(np.asarray(m, dtype=np.int64), np.asarray(n, dtype=np.int64))
-    shape = m.shape
-    m, n = m.ravel(), n.ravel()
     mm = m - n
     out = np.where((mm == 0) & (n >= 0), 0.0, -np.inf)
     needs_q = (n > 0) & (mm > 0)
-    exact = np.flatnonzero(needs_q & (mm <= limit))
+    exact = np.flatnonzero(needs_q & (mm <= EXACT_LIMIT))
     if len(exact):
         k = np.minimum(n[exact], mm[exact])
         order = np.argsort(k, kind="stable")
@@ -231,6 +227,6 @@ def log_partitions_array(m, n, exact_limit: int | None = None) -> np.ndarray:
         bounds = [0] + (np.flatnonzero(k[1:] != k[:-1]) + 1).tolist() + [len(k)]
         for lo, hi in zip(bounds, bounds[1:]):
             out[exact[lo:hi]] = _logq._rows[int(k[lo])][mm[exact[lo:hi]]]
-    for idx in np.flatnonzero(needs_q & (mm > limit)).tolist():
+    for idx in np.flatnonzero(needs_q & (mm > EXACT_LIMIT)).tolist():
         out[idx] = log_q_approx(int(mm[idx]), int(min(n[idx], mm[idx])))
-    return out.reshape(shape)
+    return out

@@ -12,6 +12,7 @@ from topicblocks import lda
 from topicblocks.graph import LabeledGraph, derive_counts, state_from_label_arrays
 from topicblocks.inference import labels_to_state
 from topicblocks.microcanonical import (
+    _check_group_sides,
     _run_sums,
     CountTables,
     Hierarchy,
@@ -31,7 +32,7 @@ from topicblocks.microcanonical import (
     logp_level_partition,
     logp_marginal_flat,
     logp_overlap_partition,
-    logp_partition_bipartite,
+    logp_partition_array,
     side_statistics,
     top_level_density,
 )
@@ -320,7 +321,7 @@ class TestBipartitePartition:
     def test_two_single_groups(self):
         st = state_from_label_arrays(2, 2, [0, 1], [0, 1], [0, 0], [1, 1],
                                      [1, 1], 2, [0, 1])
-        got = logp_partition_bipartite(st)
+        got = logp_partition_array(MixtureTables(st))
         stats = side_statistics(st)
         expected = sum(logp_overlap_partition(s) for s in stats.values())
         assert abs(got - expected) < 1e-12
@@ -329,15 +330,14 @@ class TestBipartitePartition:
         # word half-edge labeled with a document-side group
         st = state_from_label_arrays(1, 1, [0], [0], [0], [0], [1], 2, [0, 1])
         with pytest.raises(IntegrityError, match="side"):
-            logp_partition_bipartite(st)
+            joint_logp(st)
 
     def test_sides_scored_independently(self):
-        rng = np.random.default_rng(5)
         st = state_from_label_arrays(
             3, 3, [0, 1, 2, 0], [0, 1, 2, 2], [0, 1, 0, 0], [2, 3, 3, 2],
             [2, 1, 1, 1], 4, [0, 0, 1, 1])
         stats = side_statistics(st)
-        total = logp_partition_bipartite(st)
+        total = logp_partition_array(MixtureTables(st))
         assert abs(total - sum(logp_overlap_partition(s) for s in stats.values())) < 1e-12
 
 
@@ -534,6 +534,13 @@ def side_statistics_reference(state, tables=None):
     return sides
 
 
+def logp_partition_reference(state, max_overlap, stats_by_side):
+    """The summed per-side overlapping partition priors of the dict path,
+    after the mixed-side check."""
+    _check_group_sides(state)
+    return float(sum(logp_overlap_partition(st, max_overlap) for st in stats_by_side.values()))
+
+
 def joint_breakdown_reference(state, max_overlap=None):
     """`joint_logp`'s flat breakdown, from the reference aggregates."""
     state = compress_groups_reference(state)
@@ -542,7 +549,7 @@ def joint_breakdown_reference(state, max_overlap=None):
     return {
         "adjacency": -logp_graph_given_ke(state, t),
         "degrees": -logp_degrees_given_mixtures(stats),
-        "partition": -logp_partition_bipartite(state, max_overlap, stats_by_side=stats),
+        "partition": -logp_partition_reference(state, max_overlap, stats),
         "edge_matrix": -logp_hierarchy(t.dense_e(), [], state.group_side, E=t.E),
     }
 
@@ -572,12 +579,15 @@ def both_sides(size):
 
 
 @hst.composite
-def bipartite_states(draw):
+def bipartite_states(draw, mixed_sides=False):
     """Two-sided states with interleaved node sides and group sides,
-    isolated nodes, repeated bundles, unused groups, or no edges at all."""
+    isolated nodes, repeated bundles, unused groups, or no edges at all.
+    With `mixed_sides`, half-edges take groups of either side."""
     side, group_side = draw(both_sides(9)), draw(both_sides(6))
     nodes, groups = ([[v for v, sd in enumerate(arr) if sd == want] for want in (0, 1)]
                      for arr in (side, group_side))
+    if mixed_sides:
+        groups = [list(range(len(group_side)))] * 2
     rows = draw(hst.lists(hst.tuples(hst.sampled_from(nodes[0]), hst.sampled_from(nodes[1]),
                                      hst.sampled_from(groups[0]), hst.sampled_from(groups[1]),
                                      hst.integers(1, 4)), max_size=12))
@@ -726,18 +736,52 @@ class TestOrderSensitiveSums:
         assert_joint_matches_reference(state, max_overlap)
 
 
+def outcome(score, *args, **kwargs):
+    """What a scorer returns, or the type and message of what it raises."""
+    try:
+        return score(*args, **kwargs)
+    except (IntegrityError, ValueError) as err:
+        return type(err), str(err)
+
+
 class TestArrayErrorPaths:
     """The array scores refuse what the dict scores refuse, with the same
-    exception types."""
+    exception types, and a state with several faults raises the same error
+    on both paths."""
 
     def small_state(self):
         return state_from_label_arrays(3, 2, [0, 1, 2, 2], [0, 1, 0, 1], [0, 0, 0, 1],
                                        [2, 3, 2, 3], [2, 1, 3, 1], 4, [0, 0, 1, 1])
 
-    def test_mixed_side_group(self):
-        st = state_from_label_arrays(1, 1, [0], [0], [0], [0], [1], 2, [0, 1])
-        with pytest.raises(IntegrityError, match="side"):
+    def test_degree_fault_before_mixed_side(self):
+        # document 0 carries only the word-side group 1 and word 0 only the
+        # document-side group 0: group 0 has no member on its own side, which
+        # the degree prior refuses before the partition prior's side check
+        st = state_from_label_arrays(1, 1, [0], [0], [1], [0], [1], 2, [0, 1])
+        with pytest.raises(IntegrityError, match="inconsistent"):
             joint_logp(st)
+        assert outcome(lambda: joint_logp(st).breakdown) == outcome(joint_breakdown_reference, st)
+
+    @given(bipartite_states(mixed_sides=True), hst.sampled_from([None, 1]))
+    def test_mixed_side_states(self, state, max_overlap):
+        assert outcome(lambda: joint_logp(state, max_overlap=max_overlap).breakdown) == \
+            outcome(joint_breakdown_reference, state, max_overlap)
+
+    @pytest.mark.parametrize("faults, match", [
+        ({"e_r": 0, "k_val": True}, "inconsistent"),  # both on side 0: groups first
+        ({"e_r": 2, "k_val": True}, "cannot split"),  # side 0's pair before side 1's group
+    ])
+    def test_fault_order(self, faults, match):
+        # groups 0 and 2 have three and two member nodes
+        st = state_from_label_arrays(3, 2, [0, 1, 2, 2], [0, 1, 0, 1], [0, 0, 0, 1],
+                                     [2, 2, 2, 3], [2, 1, 3, 1], 4, [0, 0, 1, 1])
+        tables = CountTables(st)
+        tables.e_r[faults["e_r"]] = 1
+        if faults["k_val"]:  # document 2 alone in its mixture, degree 0 in group 1
+            tables.k_val[(tables.k_node == 2) & (tables.k_group == 1)] = 0
+        got = outcome(logp_degrees_array, MixtureTables(st, tables))
+        assert got == outcome(logp_degrees_given_mixtures, side_statistics(st, tables))
+        assert got[0] is IntegrityError and match in got[1]
 
     def test_inconsistent_group_total(self):
         st = self.small_state()

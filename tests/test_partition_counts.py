@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as hst
 
+from topicblocks import partition_counts
 from topicblocks.partition_counts import (
     _LogQTable,
     count_partitions,
@@ -157,37 +158,37 @@ def partition_args(m_max=400):
     )
 
 
+def assert_array_equals_scalar(m, n):
+    m, n = np.asarray(m, dtype=np.int64), np.asarray(n, dtype=np.int64)
+    got = log_partitions_array(m, n)
+    assert got.tolist() == [log_partitions(a, b) for a, b in zip(m.tolist(), n.tolist())]
+    return got
+
+
 class TestLogPartitionsArray:
     """`log_partitions_array` equals the scalar `log_partitions` bit for bit."""
 
-    @given(hst.lists(partition_args(), min_size=1, max_size=40),
+    @given(hst.lists(partition_args(), max_size=40),
            hst.sampled_from([None, 0, 3, 40, 200]))
+    @example([], None)
     def test_equals_scalar(self, pairs, limit):
-        m, n = (np.array(c) for c in zip(*pairs))
-        got = log_partitions_array(m, n, exact_limit=limit)
-        assert got.tolist() == [log_partitions(a, b, exact_limit=limit) for a, b in pairs]
+        m, n = (list(c) for c in zip(*pairs)) if pairs else ([], [])
+        with pytest.MonkeyPatch.context() as mp:
+            if limit is not None:
+                mp.setattr(partition_counts, "EXACT_LIMIT", limit)
+            assert_array_equals_scalar(m, n)
 
     def test_both_approximate_branches(self):
-        # mm = 4960 above the limit: k = 3 takes the few-parts branch and
-        # k = 40 (>= mm ** 0.25) the Szekeres branch
-        m, n = np.array([4963, 5000, 7, 0]), np.array([3, 40, 7, 0])
-        got = log_partitions_array(m, n, exact_limit=10)
-        assert got.tolist() == [log_partitions(a, b, exact_limit=10) for a, b in zip(m, n)]
-        assert got[1] == log_q_approx(4960, 40) and got[0] == log_q_approx(4960, 3)
+        # mm = EXACT_LIMIT + 5 is approximated: k = 3 takes the few-parts
+        # branch and k = 15 (>= mm ** 0.25) the Szekeres branch
+        mm = partition_counts.EXACT_LIMIT + 5
+        got = assert_array_equals_scalar([mm + 3, mm + 15, 7, 0], [3, 15, 7, 0])
+        assert got[0] == log_q_approx(mm, 3) and got[1] == log_q_approx(mm, 15)
 
-    @pytest.mark.parametrize("limit", [0, 3, 40])
-    def test_exact_limit_boundary(self, limit):
-        # m - n at the limit stays exact; one above it is approximated
+    def test_exact_limit_boundary(self):
+        # m - n at EXACT_LIMIT stays exact; one above it is approximated
         n = np.array([1, 2, 5, 9, 1, 2, 5, 9])
-        m = n + limit + np.repeat([0, 1], 4)
-        got = log_partitions_array(m, n, exact_limit=limit)
-        assert got.tolist() == [log_partitions(a, b, exact_limit=limit) for a, b in zip(m, n)]
-
-    def test_shapes(self):
-        assert log_partitions_array(6, 2).shape == ()
-        assert log_partitions_array(6, 2) == log_partitions(6, 2)
-        grid = log_partitions_array(np.arange(12).reshape(3, 4), 2)
-        assert grid.shape == (3, 4)
-        assert grid.tolist() == [[log_partitions(m, 2) for m in row]
-                                 for row in np.arange(12).reshape(3, 4).tolist()]
-        assert log_partitions_array(np.zeros(0, np.int64), np.zeros(0, np.int64)).shape == (0,)
+        m = n + partition_counts.EXACT_LIMIT + np.repeat([0, 1], 4)
+        got = assert_array_equals_scalar(m, n)
+        assert got[3] == log_q_exact(partition_counts.EXACT_LIMIT, 9)
+        assert got[7] == log_q_approx(partition_counts.EXACT_LIMIT + 1, 9)
