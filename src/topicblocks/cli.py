@@ -477,8 +477,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--overlap", type=int, default=None)
     p.add_argument("--K", type=int, default=None,
                    help="word-group cap in per-doc-group mode")
-    p.add_argument("--restarts", type=int, default=10)
-    p.add_argument("--sweeps", type=int, default=200)
+    p.add_argument("--restarts", type=int, default=10,
+                   help="independent restarts (a greedy clustered fit runs one)")
+    p.add_argument("--sweeps", type=int, default=200,
+                   help="sweep cap per phase (node-move sweeps, then unit sweeps)")
     p.add_argument("--max-levels", type=int, default=5, dest="max_levels")
     p.add_argument("--preset", default=None, choices=["fig2-mode"])
     p.add_argument("--seed", type=int, default=0)

@@ -6,16 +6,17 @@ degrees, group-pair totals, per-side mixture tables) and an index from each
 node to its bundles.  Every change goes through one path, a batch of mass
 moves inside bundles that returns the exact change of the description length
 with an undo log: a unit move relabels one half-edge pair of one bundle, a
-node move all of one node's half-edges in one group, a split a batch of node
-moves.  A batch that would break the overlap cap is refused before anything
-changes, and the running total must match the from-scratch joint.
+node move all of one node's half-edges in one group.  A batch that would
+break the overlap cap is refused before anything changes, and the running
+total must match the from-scratch joint.  Per-doc-group fits and the
+tempered (anneal, mcmc) fits run their unit sweeps on this engine.
 
 Nonoverlapping states are searched at block level by the agglomerator, whose
 merges and node moves share one closed-form group-table delta.  A clustered
-fit starts from its greedy merges of the node singletons, then runs rounds of
-one unit-move sweep and split proposals until a round accepts no move.
-`refine_doc_clusters` coarsens anchored fits by its merges and polishes the
-best candidate by its node moves.
+fit is its greedy merges of the node singletons followed by node-move sweeps
+until a sweep moves no node; a tempered clustered fit continues from there
+with unit sweeps.  `refine_doc_clusters` coarsens anchored fits by its
+merges and polishes the best candidate by its node moves.
 
 Document-anchored fits (every document pinned to its own group, so mixtures
 read directly as topic proportions) get a vectorized batch optimizer that
@@ -27,8 +28,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import time
 from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,11 +39,14 @@ import numpy as np
 from .graph import LabeledGraph, state_from_label_arrays
 from .lda import LabeledCounts, LdaSample
 from .microcanonical import (
+    CountTables,
     Hierarchy,
     SideStats,
+    compress_groups,
     joint_logp,
     logp_degrees_given_mixtures,
     logp_geometric,
+    logp_hierarchy,
     logp_overlap_partition,
     top_level_density,
 )
@@ -231,10 +237,6 @@ class MutableLabeledState:
             - logp_geometric(self.E, B, top_level_density(self.E, B))
         )
 
-    def add_group(self, side) -> int:
-        self.group_side.append(side)
-        return len(self.group_side) - 1
-
     # -- the one mutation path ----------------------------------------------
 
     def _breaks_cap(self, moves) -> bool:
@@ -350,11 +352,11 @@ def init_state(graph, config: InferenceConfig, rng=None) -> MutableLabeledState:
     """Side-respecting initial labeling.
 
     per-doc-group mode pins document d to its own group and spreads word
-    half-edges over `n_word_groups` random labels.  clustered mode starts
-    from one group per node on both sides and applies the agglomerator's
-    greedy merges, giving a nonoverlapping state; nodes without edges stay
-    out of every group.  A per-doc-group start with more word groups than
-    the overlap cap is rejected with a ValueError.
+    half-edges over `n_word_groups` random labels.  clustered mode is the
+    nonoverlapping search of `block_search` (greedy merges of the node
+    singletons, then at most `n_sweeps` node-move sweeps), so nodes without
+    edges stay out of every group.  A per-doc-group start with more word
+    groups than the overlap cap is rejected with a ValueError.
     """
     rng = np.random.default_rng(config.seed) if rng is None else rng
     D, V = graph.n_docs, graph.n_words
@@ -370,19 +372,48 @@ def init_state(graph, config: InferenceConfig, rng=None) -> MutableLabeledState:
             for r in np.nonzero(split)[0]:
                 items.append((int(d), int(w), int(d), D + int(r), int(split[r])))
     elif config.doc_clustering == "clustered":
-        counts = np.zeros((D, V), dtype=np.int64)
-        np.add.at(counts, (graph.doc_idx, graph.word_idx), graph.counts)
-        agg = NonoverlappingAgglomerator(counts, np.arange(D), np.arange(V))
-        agg.greedy_merge()
-        doc_group, word_group = agg.materialize()
-        n_doc_groups = int(doc_group.max(initial=-1)) + 1
-        group_side = [0] * n_doc_groups + [1] * (int(word_group.max(initial=-1)) + 1)
-        d_idx, w_idx = np.nonzero(counts)
-        items = zip(d_idx, w_idx, doc_group[d_idx], n_doc_groups + word_group[w_idx],
-                    counts[d_idx, w_idx])
+        st = block_search(graph, config)[0]
+        items, group_side = zip(st.i, st.j - D, st.r, st.s, st.m), st.group_side
     else:
         raise ValueError(f"unknown doc_clustering mode {config.doc_clustering!r}")
     return MutableLabeledState(D, V, items, group_side, overlap=config.overlap)
+
+
+def _block_state(counts, doc_group, word_group) -> LabeledGraph:
+    """Nonoverlapping labeled graph of the count matrix under the compacted
+    group assignments (-1 for nodes without edges): every half-edge carries
+    its node's group, document groups first."""
+    d_idx, w_idx = np.nonzero(counts)
+    Gd, Gw = int(doc_group.max(initial=-1)) + 1, int(word_group.max(initial=-1)) + 1
+    return state_from_label_arrays(*counts.shape, d_idx, w_idx, doc_group[d_idx],
+                                   Gd + word_group[w_idx], counts[d_idx, w_idx],
+                                   Gd + Gw, [0] * Gd + [1] * Gw)
+
+
+def block_search(graph, config: InferenceConfig) -> tuple[LabeledGraph, list[float], bool]:
+    """A clustered fit's search on the agglomerator's group tables alone:
+    greedy merges of the node singletons, then node-move sweeps until a sweep
+    moves no node, at most `config.n_sweeps`.  It draws no random number.
+    Returns the compacted flat state, the trace (the exact sigma after the
+    merges, then the running sigma after each sweep) and whether a sweep
+    moved no node."""
+    counts = np.zeros((graph.n_docs, graph.n_words), dtype=np.int64)
+    np.add.at(counts, (graph.doc_idx, graph.word_idx), graph.counts)
+    agg = NonoverlappingAgglomerator(counts, np.arange(graph.n_docs),
+                                     np.arange(graph.n_words), max_overlap=config.overlap)
+    agg.greedy_merge()
+    trace = [joint_logp(_block_state(counts, *agg.materialize()),
+                        max_overlap=config.overlap).sigma_nats]
+    converged = False
+    for _ in range(config.n_sweeps):
+        # one sweep per call runs the sweeps of block_polish(agg, n_sweeps);
+        # every applied move gains more than 1e-9 nats, so 0.0 means no move
+        gain = block_polish(agg, max_sweeps=1)
+        trace.append(trace[-1] + gain)
+        if gain == 0.0:
+            converged = True
+            break
+    return _block_state(counts, *agg.materialize()), trace, converged
 
 
 # --- sweeps ------------------------------------------------------------------
@@ -422,14 +453,15 @@ def greedy_sweep(state: MutableLabeledState, rng, doc_anchored=False) -> dict:
 
 
 def mh_sweep(state: MutableLabeledState, rng, temperature=1.0,
-             doc_labels=None, word_labels=None) -> dict:
+             doc_labels=None, word_labels=None, doc_anchored=False) -> dict:
     """E Metropolis-Hastings unit proposals at the given temperature.
 
     A unit is picked proportionally to bundle label mass and sent to a
     uniform label pair, so the acceptance carries the count-ratio correction
     that makes the chain target exp(-sigma) over labeled states.  Proposals
     with ratio exactly one are accepted with probability one half; at zero
-    temperature only strict improvements pass.
+    temperature only strict improvements pass.  With `doc_anchored` a
+    proposal keeps the unit's document label and draws only its word label.
     """
     doc_labels = doc_labels if doc_labels is not None else state.doc_groups()
     word_labels = word_labels if word_labels is not None else state.word_groups()
@@ -445,7 +477,7 @@ def mh_sweep(state: MutableLabeledState, rng, temperature=1.0,
         mass = np.array([cnt[p] for p in pairs], dtype=float)
         pair = pairs[int(rng.choice(len(pairs), p=mass / mass.sum()))]
         new_pair = (
-            doc_labels[int(rng.integers(len(doc_labels)))],
+            pair[0] if doc_anchored else doc_labels[int(rng.integers(len(doc_labels)))],
             word_labels[int(rng.integers(len(word_labels)))],
         )
         if new_pair == pair:
@@ -467,45 +499,6 @@ def mh_sweep(state: MutableLabeledState, rng, temperature=1.0,
     return {"proposed": n_props, "accepted": accepted}
 
 
-def split_pass(state: MutableLabeledState, rng) -> float:
-    """Propose splitting each group by 2-means on member nodes' neighbor
-    profiles; keep splits that strictly lower the description length."""
-    total = 0.0
-    for side in (0, 1):
-        offset = 0 if side == 0 else state.n_docs
-        groups = list(state.doc_groups() if side == 0 else state.word_groups())
-        for g in groups:
-            members = sorted(node for node, mix in state.node_mixture.items() if g in mix)
-            if len(members) < 2:
-                continue
-            profiles = [Counter() for _ in members]
-            for profile, node in zip(profiles, members):
-                for key in state.node_keys[node]:
-                    for pair, m in state.bundles[key].items():
-                        if pair[side] == g:
-                            profile[pair[1 - side]] += m
-            cols = sorted(set().union(*profiles))
-            mat = np.array([[p[c] for c in cols] for p in profiles], dtype=float)
-            norms = mat.sum(axis=1, keepdims=True)
-            mat = mat / np.maximum(norms, 1.0)
-            assign = _kmeans(mat, 2, rng, iters=20)
-            if assign.min() == assign.max():
-                continue
-            fresh = state.add_group(side)
-            delta = 0.0
-            log = []
-            for node, a in zip(members, assign):
-                if a == 1:
-                    dd, ll = state.relabel_node(side, node - offset, g, fresh)
-                    delta += dd
-                    log.extend(ll)
-            if delta < -1e-9:
-                total += delta
-            else:
-                state.undo(log)
-    return total
-
-
 # --- hierarchy search --------------------------------------------------------
 
 
@@ -519,8 +512,6 @@ def grow_hierarchy(state: LabeledGraph, max_levels: int,
     rescored through that term alone; the full joint is assembled once at the
     end.
     """
-    from .microcanonical import CountTables, compress_groups, logp_hierarchy
-
     state = compress_groups(state)
     tables = CountTables(state)
     e_base = tables.dense_e()
@@ -574,35 +565,33 @@ def grow_hierarchy(state: LabeledGraph, max_levels: int,
 
 def _fit_one_restart(graph, config: InferenceConfig, ridx: int, seq) -> FitResult:
     rng = np.random.default_rng(seq)
-    state = init_state(graph, config, rng)
-    trace = [state.sigma()]
     stats = Counter()
-    converged = False
-    doc_anchored = config.doc_clustering == "per-doc-group"
-    if config.mode in ("anneal", "mcmc"):
-        if config.mode == "anneal":
-            temps = np.geomspace(
-                max(config.temperature_start, 1e-6),
-                max(config.temperature_end, 1e-6),
-                num=min(config.n_sweeps, 20),
-            )
-        else:
-            temps = np.full(min(config.n_sweeps, 20), config.temperature_start)
-        for temp in temps:
-            info = mh_sweep(state, rng, temperature=float(temp))
+    if config.doc_clustering == "clustered" and config.mode == "greedy":
+        final, trace, converged = block_search(graph, config)
+    else:
+        state = init_state(graph, config, rng)
+        trace = [state.sigma()]
+        doc_anchored = config.doc_clustering == "per-doc-group"
+        if config.mode in ("anneal", "mcmc"):
+            if config.mode == "anneal":
+                temps = np.geomspace(max(config.temperature_start, 1e-6),
+                                     max(config.temperature_end, 1e-6),
+                                     num=min(config.n_sweeps, 20))
+            else:
+                temps = np.full(min(config.n_sweeps, 20), config.temperature_start)
+            for temp in temps:
+                stats.update(mh_sweep(state, rng, temperature=float(temp),
+                                      doc_anchored=doc_anchored))
+                trace.append(state.sigma())
+        converged = False
+        for _ in range(config.n_sweeps):
+            info = greedy_sweep(state, rng, doc_anchored=doc_anchored)
             stats.update(info)
             trace.append(state.sigma())
-    for _ in range(config.n_sweeps):
-        info = greedy_sweep(state, rng, doc_anchored=doc_anchored)
-        stats.update(info)
-        split_gain = 0.0 if doc_anchored else split_pass(state, rng)
-        trace.append(state.sigma())
-        if info["accepted"] == 0 and split_gain == 0.0:
-            converged = True
-            break
-    from .microcanonical import compress_groups
-
-    final = compress_groups(state.to_labeled_graph())
+            if info["accepted"] == 0:
+                converged = True
+                break
+        final = compress_groups(state.to_labeled_graph())
     hierarchy, score = grow_hierarchy(final, config.max_levels,
                                       max_overlap=config.overlap)
     trace.append(score.sigma_nats)
@@ -615,32 +604,39 @@ def _fit_one_restart(graph, config: InferenceConfig, ridx: int, seq) -> FitResul
 def fit(graph, config: InferenceConfig) -> FitResult:
     """Best-of-restarts posterior maximization.
 
-    Clustered fits start from the agglomerator's greedy merges of the node
-    singletons.  Greedy mode then runs rounds of one unit-move sweep followed
-    by split proposals, and stops at the first round that accepts no move;
-    anneal mode runs tempered sweeps first; mcmc mode samples at constant
-    temperature before the final descent.  The number of groups per side and
-    the hierarchy depth come out of the optimization.  If the sweep budget
-    runs out first, the best state so far is returned with `converged=False`.
+    A clustered fit runs `block_search`: greedy merges of the node
+    singletons, then at most `n_sweeps` node-move sweeps on the group
+    tables.  That search draws no random number, so a greedy clustered fit
+    ends there after one restart, whatever `n_restarts` says.  Anneal and
+    mcmc fits continue from its state with tempered or constant-temperature
+    unit sweeps; a per-doc-group fit starts from random word labels with each
+    document pinned to its own group.  Both finish with at most `n_sweeps`
+    greedy unit sweeps.  The number of groups per side and the hierarchy
+    depth come out of the optimization.
+
+    `sigma_trace` holds the sigma after the merges and after each node-move
+    sweep for a greedy clustered fit, otherwise that of the start and after
+    each unit sweep; its last entry is the score with the grown hierarchy.
+    `converged` is False when the last phase used all `n_sweeps` sweeps and
+    its last sweep still moved.  `acceptance` sums the unit and MH proposal
+    counts, so it is empty for a greedy clustered fit.
 
     Restarts use independent seed streams and reduce by minimum description
     length (ties to the lowest restart index); TOPICBLOCKS_THREADS > 1 runs
     them in worker processes with identical results.
     """
-    import os
-
     t0 = time.time()
-    seeds = np.random.SeedSequence(config.seed).spawn(config.n_restarts)
+    deterministic = (config.mode, config.doc_clustering) == ("greedy", "clustered")
+    n_restarts = 1 if deterministic else config.n_restarts
+    seeds = np.random.SeedSequence(config.seed).spawn(n_restarts)
     n_workers = int(os.environ.get("TOPICBLOCKS_THREADS", "1") or "1")
-    if n_workers > 1 and config.n_restarts > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
+    if n_workers > 1 and n_restarts > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             results = list(pool.map(
                 _fit_one_restart,
-                [graph] * config.n_restarts,
-                [config] * config.n_restarts,
-                range(config.n_restarts),
+                [graph] * n_restarts,
+                [config] * n_restarts,
+                range(n_restarts),
                 seeds,
             ))
     else:
@@ -808,13 +804,13 @@ def fit_doc_anchored(counts: np.ndarray, n_topics: int, seed: int = 0,
     return best_labels, best_sigma, best_trace
 
 
-def _kmeans(mat, n_clusters, rng, iters=60):
+def _kmeans(mat, n_clusters, rng):
     n = mat.shape[0]
     if n_clusters >= n:
         return np.arange(n, dtype=np.int64)
     centers = mat[rng.choice(n, size=n_clusters, replace=False)]
     assign = np.zeros(n, dtype=np.int64)
-    for _ in range(iters):
+    for _ in range(60):  # Lloyd iterations at most
         dist = ((mat[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new = dist.argmin(axis=1)
         if np.array_equal(new, assign):
@@ -875,14 +871,16 @@ class NonoverlappingAgglomerator:
     node move (v from a to b) both move a part of one group into another, so
     one delta and one apply serve both; global terms enter only when a move
     changes a side's group count.  Each delta equals the change of
-    `joint_logp` between the materialized states.  Degree-0 nodes belong to
+    `joint_logp` between the materialized states, under the overlap cap
+    `max_overlap` when one is given.  Degree-0 nodes belong to
     no group and are marked -1.  Log-factorials come from
     `util.log_factorial_table` and an empty group's terms are exact zeros, so
     merge deltas are bit-identical to scoring the merged group cell by cell.
     """
 
-    def __init__(self, counts: np.ndarray, doc_assign, word_assign):
+    def __init__(self, counts: np.ndarray, doc_assign, word_assign, max_overlap=None):
         self.counts = np.asarray(counts, dtype=np.int64)
+        self.max_overlap = max_overlap
         self.doc_assign = np.asarray(doc_assign, dtype=np.int64).copy()
         self.word_assign = np.asarray(word_assign, dtype=np.int64).copy()
         self.degrees = (self.counts.sum(axis=1), self.counts.sum(axis=0))
@@ -917,14 +915,16 @@ class NonoverlappingAgglomerator:
 
     def _global_terms(self, side, change=0) -> float:
         """Terms that depend only on (N, B), once `side` gains `change`
-        groups: the side's size histogram prior, size assignment and
-        mixture-frequency histogram prior, and the edge-count prior."""
+        groups: the side's size histogram prior (over mixture sizes up to
+        Q = min(cap, B)), size assignment and mixture-frequency histogram
+        prior, and the edge-count prior."""
         n_eff = sum(e["n"] for e in self.tables[side].values())
         B = len(self.tables[side]) + change
         B_all = len(self.tables[0]) + len(self.tables[1]) + change
+        Q = B if self.max_overlap is None else min(self.max_overlap, B)
         out = 0.0
         if n_eff:
-            out = float(log_num_compositions(int(n_eff), int(B)))      # -log P(n)
+            out = float(log_num_compositions(int(n_eff), int(Q)))      # -log P(n)
             # all mixtures have size one: P(q | n) = 1
             out += log_num_compositions_large(float(np.log(B)), n_eff)  # -log P(n_b | n_q)
             out += log_factorial(n_eff)                                 # -log P(b | n_b): / n_q!
@@ -1073,8 +1073,6 @@ def refine_doc_clusters(labels_dense: np.ndarray, seed: int = 0,
     z = np.asarray(labels_dense)
     D, V, K = z.shape
     counts = z.sum(axis=2)
-    d_idx, w_idx = np.nonzero(counts)
-    n_dw = counts[d_idx, w_idx]
     k_d = counts.sum(axis=1)
     theta_hat = z.sum(axis=1) / np.maximum(k_d, 1)[:, None]
     profiles = counts / np.maximum(k_d, 1)[:, None]
@@ -1083,8 +1081,7 @@ def refine_doc_clusters(labels_dense: np.ndarray, seed: int = 0,
     def clustered(da, wa, suffix=""):
         """Exact score and labeled state of the assignment (da, wa)."""
         Gd, Gw = int(da.max()) + 1, int(wa.max()) + 1
-        st = state_from_label_arrays(D, V, d_idx, w_idx, da[d_idx], Gd + wa[w_idx],
-                                     n_dw, Gd + Gw, [0] * Gd + [1] * Gw)
+        st = _block_state(counts, da, wa)
         return joint_logp(st, model_id="hsbm",
                           parametrization=f"clustered[{Gd}x{Gw}]{suffix}"), st
 

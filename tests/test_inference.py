@@ -1,3 +1,5 @@
+import contextlib
+import io
 import itertools
 import math
 import re
@@ -8,9 +10,11 @@ from hypothesis import given
 from hypothesis import strategies as hst
 from hypothesis.extra.numpy import arrays
 
-from topicblocks import presets
+from topicblocks import inference, presets
+from topicblocks.cli import _load_corpus_dir
+from topicblocks.cli import main as cli_main
 from topicblocks.evaluation import adjusted_rand_index
-from topicblocks.graph import BipartiteMultigraph, state_from_label_arrays
+from topicblocks.graph import BipartiteMultigraph, from_counts, state_from_label_arrays
 from topicblocks.inference import (
     InferenceConfig,
     MutableLabeledState,
@@ -307,6 +311,139 @@ class TestGreedyFit:
         assert len(state.group_side) == 8 + 2
 
 
+@pytest.fixture(scope="module")
+def synth_graphs(tmp_path_factory):
+    """The corpora of `synth --K 2 --D 20 --V 30 --m 20 --alpha 0.05 --beta
+    0.05 --p-w uniform`, by synth seed 21 and 22."""
+    graphs = {}
+    for seed in (21, 22):
+        out = str(tmp_path_factory.mktemp(f"synth{seed}"))
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli_main(["synth", "--K", "2", "--D", "20", "--V", "30", "--m", "20",
+                      "--alpha", "0.05", "--beta", "0.05", "--p-w", "uniform",
+                      "--seed", str(seed), "--out", out])
+        graphs[seed] = from_counts(_load_corpus_dir(out))
+    return graphs
+
+
+def dense_counts(graph):
+    counts = np.zeros((graph.n_docs, graph.n_words), dtype=np.int64)
+    np.add.at(counts, (graph.doc_idx, graph.word_idx), graph.counts)
+    return counts
+
+
+def merged_agglomerator(graph):
+    """The agglomerator after greedy merges of the node singletons."""
+    ag = NonoverlappingAgglomerator(dense_counts(graph), np.arange(graph.n_docs),
+                                    np.arange(graph.n_words))
+    ag.greedy_merge()
+    return ag
+
+
+def polish_sweeps_to_converge(graph):
+    """Node-move sweeps after the merges that move some node."""
+    ag = merged_agglomerator(graph)
+    n = 0
+    while block_polish(ag, max_sweeps=1) < 0.0:
+        n += 1
+    return n
+
+
+class TestBlockSearch:
+    def test_greedy_fit_is_a_node_move_fixed_point(self, synth_graphs):
+        graph = synth_graphs[21]
+        result = fit(graph, InferenceConfig(mode="greedy", seed=0, n_restarts=2,
+                                            n_sweeps=10, max_levels=5))
+        st, D = result.state, graph.n_docs
+        n_doc_groups = int((st.group_side == 0).sum())
+        doc, word = np.full(D, -1), np.full(graph.n_words, -1)
+        doc[st.i], word[st.j - D] = st.r, st.s - n_doc_groups
+        ag = NonoverlappingAgglomerator(dense_counts(graph), doc, word)
+        assert block_polish(ag, max_sweeps=10) == 0.0
+
+    def test_anneal_reaches_the_greedy_state(self, synth_graphs):
+        result = fit(synth_graphs[22], InferenceConfig(mode="anneal", seed=0, n_restarts=2,
+                                                       n_sweeps=10, max_levels=5))
+        assert result.sigma <= 321.0351123879486 + 1e-9
+
+    def test_trace_is_merges_then_one_entry_per_sweep(self, synth_graphs):
+        graph = synth_graphs[21]
+        cfg = InferenceConfig(mode="greedy", seed=0, n_restarts=1, n_sweeps=10)
+        result = fit(graph, cfg)
+        counts, ag = dense_counts(graph), merged_agglomerator(graph)
+        expected = [materialized_sigma(counts, ag)]
+        while len(expected) <= cfg.n_sweeps:
+            moved = block_polish(ag, max_sweeps=1) < 0.0
+            expected.append(materialized_sigma(counts, ag))
+            if not moved:
+                break
+        trace = result.sigma_trace
+        assert trace[0] == expected[0]
+        assert len(trace) == len(expected) + 1
+        assert np.allclose(trace[:-1], expected, rtol=0.0, atol=1e-8)
+        assert trace[-1] == result.sigma
+        assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
+        assert result.acceptance == {}
+
+    def test_not_converged_only_when_the_last_allowed_sweep_moved(self, synth_graphs):
+        graph = synth_graphs[21]
+        n_moving = polish_sweeps_to_converge(graph)
+        assert n_moving >= 1
+        for n_sweeps, converged in ((n_moving, False), (n_moving + 1, True), (200, True)):
+            cfg = InferenceConfig(mode="greedy", seed=0, n_restarts=1, n_sweeps=n_sweeps)
+            result = fit(graph, cfg)
+            assert result.converged == converged
+            assert len(result.sigma_trace) == n_moving + 2 + converged
+
+    def test_greedy_fit_builds_no_unit_engine(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a greedy clustered fit built the unit-move engine")
+        monkeypatch.setattr(MutableLabeledState, "__init__", refuse)
+        cfg = InferenceConfig(mode="greedy", seed=0, n_restarts=2, n_sweeps=10)
+        assert np.isfinite(fit(planted_biclique_graph(), cfg).sigma)
+
+
+def fit_outcome(result):
+    st = result.state
+    return (result.sigma, result.sigma_trace, result.converged, result.seed,
+            result.acceptance, [a.tolist() for a in result.hierarchy.assignments],
+            [a.tolist() for a in (st.i, st.j, st.r, st.s, st.m, st.group_side)])
+
+
+class TestRestarts:
+    def test_greedy_clustered_fit_runs_one_restart(self, monkeypatch):
+        graph = planted_biclique_graph()
+        one = fit(graph, InferenceConfig(mode="greedy", seed=4, n_restarts=1, n_sweeps=10))
+        calls = []
+        real = inference._fit_one_restart
+
+        def counted(*args):
+            calls.append(args[2])
+            return real(*args)
+        monkeypatch.setattr(inference, "_fit_one_restart", counted)
+        three = fit(graph, InferenceConfig(mode="greedy", seed=4, n_restarts=3, n_sweeps=10))
+        assert calls == [0]
+        assert fit_outcome(three) == fit_outcome(one)
+
+    def test_worker_processes_match_the_serial_path(self, monkeypatch):
+        cfg = InferenceConfig(mode="anneal", seed=3, n_restarts=2, n_sweeps=5)
+        graph = planted_biclique_graph(mult=2)
+        serial = fit(graph, cfg)
+        monkeypatch.setenv("TOPICBLOCKS_THREADS", "2")
+        assert fit_outcome(fit(graph, cfg)) == fit_outcome(serial)
+
+
+class TestTemperedFits:
+    @pytest.mark.parametrize("mode", ["anneal", "mcmc"])
+    def test_per_doc_group_fit_keeps_docs_pinned(self, mode):
+        cfg = InferenceConfig(mode=mode, doc_clustering="per-doc-group", n_word_groups=2,
+                              seed=1, n_restarts=1, n_sweeps=10)
+        st = fit(planted_biclique_graph(mult=2), cfg).state
+        doc_groups = np.flatnonzero(st.group_side == 0)
+        # groups are compacted in id order, so document d keeps the d-th one
+        assert np.array_equal(st.r, doc_groups[st.i])
+
+
 class TestMHChain:
     def test_stationary_distribution_via_transition_matrix(self):
         """One-move transition kernel has the labeled-state posterior as its
@@ -488,7 +625,8 @@ class TestGibbsInitializer:
 
 
 def materialized_sigma(counts, ag):
-    """joint_logp of the nonoverlapping state an agglomerator describes."""
+    """joint_logp of the nonoverlapping state an agglomerator describes,
+    under the agglomerator's overlap cap."""
     da, wa = ag.materialize()
     d_idx, w_idx = np.nonzero(counts)
     gd, gw = da.max(initial=-1) + 1, wa.max(initial=-1) + 1
@@ -496,7 +634,7 @@ def materialized_sigma(counts, ag):
     st = state_from_label_arrays(*counts.shape, d_idx, w_idx, da[d_idx],
                                  gd + wa[w_idx], counts[d_idx, w_idx],
                                  gd + gw, gs)
-    return joint_logp(st).sigma_nats
+    return joint_logp(st, max_overlap=ag.max_overlap).sigma_nats
 
 
 @hst.composite
@@ -566,10 +704,10 @@ class TestAgglomerator:
         assert total <= 0.0
         assert abs((materialized_sigma(counts, ag) - before) - total) < 1e-8
 
-    @given(merge_cases(), hst.data())
-    def test_merge_delta_prediction(self, case, data):
+    @given(merge_cases(), hst.sampled_from([None, 1, 2]), hst.data())
+    def test_merge_delta_prediction(self, case, cap, data):
         counts, doc_assign, word_assign = case
-        ag = NonoverlappingAgglomerator(counts, doc_assign, word_assign)
+        ag = NonoverlappingAgglomerator(counts, doc_assign, word_assign, max_overlap=cap)
         pairs = [(side, a, b) for side in (0, 1)
                  for a, b in itertools.combinations(sorted(ag.tables[side]), 2)]
         if not pairs:
@@ -728,13 +866,13 @@ def assert_tables_fresh(counts, ag):
 
 
 class TestNodeMoves:
-    @given(merge_cases(), hst.data())
-    def test_move_delta_matches_joint(self, case, data):
-        """A node move's delta is the change of the joint, also when the
-        source empties or the target was empty, and the apply leaves the
-        tables a fresh build would give."""
+    @given(merge_cases(), hst.sampled_from([None, 1, 2]), hst.data())
+    def test_move_delta_matches_joint(self, case, cap, data):
+        """A node move's delta is the change of the joint under the overlap
+        cap, also when the source empties or the target was empty, and the
+        apply leaves the tables a fresh build would give."""
         counts, doc_assign, word_assign = case
-        ag = NonoverlappingAgglomerator(counts, doc_assign, word_assign)
+        ag = NonoverlappingAgglomerator(counts, doc_assign, word_assign, max_overlap=cap)
         moves = node_moves(ag)
         if not moves:
             return
