@@ -77,6 +77,8 @@ class InferenceConfig:
     def __post_init__(self):
         if self.n_sweeps <= 0 or self.n_restarts <= 0:
             raise ValueError("sweep and restart counts must be positive")
+        if self.overlap is not None and self.overlap < 1:
+            raise ValueError("the overlap cap must be at least 1")
         if self.temperature_end > self.temperature_start:
             raise ValueError("temperature schedule must be nonincreasing")
 
@@ -604,15 +606,13 @@ def _fit_one_restart(graph, config: InferenceConfig, ridx: int, seq) -> FitResul
 def fit(graph, config: InferenceConfig) -> FitResult:
     """Best-of-restarts posterior maximization.
 
-    A clustered fit runs `block_search`: greedy merges of the node
-    singletons, then at most `n_sweeps` node-move sweeps on the group
-    tables.  That search draws no random number, so a greedy clustered fit
-    ends there after one restart, whatever `n_restarts` says.  Anneal and
+    A clustered fit runs `block_search` (merges, then at most `n_sweeps`
+    node-move sweeps), which draws no random number, so a greedy clustered
+    fit ends there after one restart, whatever `n_restarts` says.  Anneal and
     mcmc fits continue from its state with tempered or constant-temperature
     unit sweeps; a per-doc-group fit starts from random word labels with each
     document pinned to its own group.  Both finish with at most `n_sweeps`
-    greedy unit sweeps.  The number of groups per side and the hierarchy
-    depth come out of the optimization.
+    greedy unit sweeps.  Group counts and hierarchy depth are fitted.
 
     `sigma_trace` holds the sigma after the merges and after each node-move
     sweep for a greedy clustered fit, otherwise that of the start and after

@@ -66,6 +66,13 @@ class TestDispatch:
                     "--out", tmp_path / "o"]) == 2
         assert "--K" in capsys.readouterr().err
 
+    def test_fit_with_overlap_cap_below_one_exits_two(self, tmp_path, capsys):
+        sample = tmp_path / "sample"
+        run(["synth", "--K", 2, "--D", 4, "--V", 6, "--m", 5, "--out", sample])
+        assert run(["fit", "--corpus", sample, "--overlap", 0,
+                    "--out", tmp_path / "o"]) == 2
+        assert "overlap cap must be at least 1" in capsys.readouterr().err
+
     def test_export_of_mixed_side_state_exits_three(self, tmp_path, capsys):
         model = tmp_path / "model"
         model.mkdir()
