@@ -31,7 +31,6 @@ import math
 import os
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -382,9 +381,8 @@ def init_state(graph, config: InferenceConfig, rng=None) -> MutableLabeledState:
 
 
 def _block_state(counts, doc_group, word_group) -> LabeledGraph:
-    """Nonoverlapping labeled graph of the count matrix under the compacted
-    group assignments (-1 for nodes without edges): every half-edge carries
-    its node's group, document groups first."""
+    """Nonoverlapping labeled graph of the count matrix under compacted group
+    assignments (-1 for no group); document groups come first."""
     d_idx, w_idx = np.nonzero(counts)
     Gd, Gw = int(doc_group.max(initial=-1)) + 1, int(word_group.max(initial=-1)) + 1
     return state_from_label_arrays(*counts.shape, d_idx, w_idx, doc_group[d_idx],
@@ -631,6 +629,8 @@ def fit(graph, config: InferenceConfig) -> FitResult:
     seeds = np.random.SeedSequence(config.seed).spawn(n_restarts)
     n_workers = int(os.environ.get("TOPICBLOCKS_THREADS", "1") or "1")
     if n_workers > 1 and n_restarts > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             results = list(pool.map(
                 _fit_one_restart,
