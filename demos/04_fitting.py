@@ -17,6 +17,7 @@ from topicblocks import (
 )
 
 ## Two disconnected document-word blocks; greedy agglomeration finds them.
+## A greedy clustered fit is deterministic, so it runs a single restart.
 d_idx, w_idx, cnt = [], [], []
 for d in range(4):
     for w in range(4):
@@ -25,8 +26,7 @@ for d in range(4, 8):
     for w in range(4, 8):
         d_idx.append(d); w_idx.append(w); cnt.append(3)
 graph = BipartiteMultigraph(8, 8, d_idx, w_idx, cnt)
-result = fit(graph, InferenceConfig(mode="greedy", seed=1, n_restarts=3,
-                                    n_sweeps=20))
+result = fit(graph, InferenceConfig(mode="greedy", seed=1, n_sweeps=20))
 groups = {}
 for i, j, r, s in zip(result.state.i, result.state.j, result.state.r, result.state.s):
     groups.setdefault(int(i), []).append(int(r))
