@@ -28,13 +28,7 @@ from .corpus import (
 )
 from .evaluation import dissemination_all, group_summaries
 from .graph import from_counts, state_from_dict, state_to_dict
-from .inference import (
-    InferenceConfig,
-    fit,
-    fit_doc_anchored,
-    fixed_label_score,
-    labels_to_state,
-)
+from .inference import InferenceConfig, fit, fixed_label_score
 from .lda import (
     DirichletHyper,
     LabeledCounts,
@@ -215,48 +209,33 @@ def cmd_fit(args):
     if args.preset == "fig2-mode":
         if args.K is None:
             raise ValueError("fit --preset fig2-mode needs --K, the number of topics")
-        corpus = _load_corpus_dir(args.corpus)
-        dense = corpus.dense_counts(max_cells=10**8)
-        z, sigma, trace = fit_doc_anchored(
-            dense, args.K, seed=args.seed, n_restarts=args.restarts,
-        )
-        labels = LabeledCounts.from_dense(z)
-        state = labels_to_state(labels, "per-doc-group")
-        hierarchy = Hierarchy()
-        score = fixed_label_score(labels, "per-doc-group")
-        result_info = {"mode": "fig2-mode", "sigma": sigma}
-    else:
-        corpus = _load_corpus_dir(args.corpus)
-        graph = from_counts(corpus)
-        config = InferenceConfig(
-            mode=args.mode, doc_clustering=args.doc_clustering,
-            overlap=args.overlap, n_word_groups=args.K, seed=args.seed,
-            n_sweeps=args.sweeps, n_restarts=args.restarts,
-            max_levels=args.max_levels,
-        )
-        result = fit(graph, config)
-        state, hierarchy, score = result.state, result.hierarchy, result.score
-        trace = result.sigma_trace
-        result_info = {
-            "mode": args.mode, "converged": result.converged,
-            "acceptance": result.acceptance, "wall_time": result.wall_time,
-        }
+        args.doc_clustering, args.max_levels = "per-doc-group", 0
+    config = InferenceConfig(
+        mode=args.mode, doc_clustering=args.doc_clustering,
+        overlap=args.overlap, n_word_groups=args.K, seed=args.seed,
+        n_sweeps=args.sweeps, n_restarts=args.restarts,
+        max_levels=args.max_levels,
+    )
+    corpus = _load_corpus_dir(args.corpus)
+    result = fit(from_counts(corpus), config)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "state.json"), "w", encoding="utf-8") as fh:
-        json.dump(state_to_dict(state, corpus.n_docs), fh, sort_keys=True)
+        json.dump(state_to_dict(result.state, corpus.n_docs), fh, sort_keys=True)
         fh.write("\n")
     with open(os.path.join(args.out, "hierarchy.json"), "w", encoding="utf-8") as fh:
-        json.dump({"assignments": [a.tolist() for a in hierarchy.assignments]}, fh)
+        json.dump({"assignments": [a.tolist() for a in result.hierarchy.assignments]}, fh)
         fh.write("\n")
     with open(os.path.join(args.out, "sigma_trace.tsv"), "w", encoding="utf-8") as fh:
-        for i, s in enumerate(trace):
+        for i, s in enumerate(result.sigma_trace):
             fh.write(f"{i}\t{s!r}\n")
     with open(os.path.join(args.out, "score.json"), "w", encoding="utf-8") as fh:
-        json.dump(score.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(result.score.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    write_manifest(args.out, "fit", {**vars(args), **result_info},
+    write_manifest(args.out, "fit", {**vars(args), "converged": result.converged,
+                                     "acceptance": result.acceptance,
+                                     "wall_time": result.wall_time},
                    [os.path.join(args.corpus, "edges.tsv")])
-    print(f"fitted sigma={score.sigma_nats!r} -> {args.out}")
+    print(f"fitted sigma={result.sigma!r} -> {args.out}")
     return 0
 
 
@@ -327,14 +306,11 @@ def cmd_summarize(args):
             fh.write(out + "\n")
     if args.simplex:
         from .evaluation import topic_mixtures, write_simplex_tsv
-        from .lda import LabeledCounts
 
-        word_groups = sorted({int(s) for s in state.s})
-        remap = {g: t for t, g in enumerate(word_groups)}
+        word_groups, topic = np.unique(state.s, return_inverse=True)
         labels = LabeledCounts(
             corpus.n_docs, state.n_nodes - corpus.n_docs, len(word_groups),
-            state.i, state.j - corpus.n_docs,
-            np.asarray([remap[int(s)] for s in state.s]), state.m,
+            state.i, state.j - corpus.n_docs, topic, state.m,
         )
         if labels.n_topics != 3:
             raise ValueError(
@@ -391,14 +367,8 @@ def _tree_text(hierarchy: Hierarchy, n_base_groups: int, group_side) -> str:
         for mm in members:
             descend(level_idx - 1, int(mm), prefix + "  ")
 
-    top = levels[-1]
-    roots = np.unique(top) if len(levels) > 1 else np.arange(n_base_groups)
-    if len(levels) == 1:
-        for g in roots:
-            descend(0, int(g), "")
-    else:
-        for g in roots:
-            descend(len(levels) - 1, int(g), "")
+    for g in np.unique(levels[-1]):
+        descend(len(levels) - 1, int(g), "")
     return "\n".join(lines) + "\n"
 
 
@@ -407,9 +377,7 @@ def cmd_export(args):
         raise IntegrityError(f"model directory {args.model!r} does not exist")
     state, hierarchy = load_model(args.model)
     os.makedirs(args.out, exist_ok=True)
-    n_docs = None
-    with open(os.path.join(args.model, "state.json"), "r", encoding="utf-8") as fh:
-        n_docs = json.load(fh)["n_docs"]
+    n_docs = int(np.count_nonzero(state.side == 0))
     with open(os.path.join(args.out, "bundles.tsv"), "w", encoding="utf-8") as fh:
         for i, j, r, s, m in zip(state.i, state.j, state.r, state.s, state.m):
             fh.write(f"{int(i)}\t{int(j - n_docs)}\t{int(r)}\t{int(s)}\t{int(m)}\n")
@@ -476,13 +444,16 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["per-doc-group", "clustered"])
     p.add_argument("--overlap", type=int, default=None)
     p.add_argument("--K", type=int, default=None,
-                   help="word-group cap in per-doc-group mode")
+                   help="word-group cap in per-doc-group mode (default 2)")
     p.add_argument("--restarts", type=int, default=10,
                    help="independent restarts (a greedy clustered fit runs one)")
     p.add_argument("--sweeps", type=int, default=200,
-                   help="sweep cap per phase (node-move sweeps, then unit sweeps)")
+                   help="cap per phase: node-move or unit sweeps (clustered), "
+                        "descent rounds (per-doc-group)")
     p.add_argument("--max-levels", type=int, default=5, dest="max_levels")
-    p.add_argument("--preset", default=None, choices=["fig2-mode"])
+    p.add_argument("--preset", default=None, choices=["fig2-mode"],
+                   help="fig2-mode: --doc-clustering per-doc-group "
+                        "--max-levels 0, with --K required")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit)

@@ -109,16 +109,6 @@ class Corpus:
         np.add.at(n_w, self.word_idx, self.counts)
         return n_w
 
-    def dense_counts(self, max_cells: int = 10**6) -> np.ndarray:
-        if self.n_docs * self.n_words > max_cells:
-            raise ValueError(
-                f"dense count matrix would hold {self.n_docs * self.n_words} cells; "
-                f"limit is {max_cells}"
-            )
-        m = np.zeros((self.n_docs, self.n_words), dtype=np.int64)
-        m[self.doc_idx, self.word_idx] = self.counts
-        return m
-
 
 def build_corpus(doc_streams, pretokenized: bool = False, min_count: int = 1) -> Corpus:
     """Assemble a corpus from (id, raw_text) pairs, or (id, token list) pairs

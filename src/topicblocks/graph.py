@@ -50,6 +50,16 @@ class BipartiteMultigraph:
         np.add.at(k, self.word_idx, self.counts)
         return k
 
+    def coalesced(self) -> "BipartiteMultigraph":
+        """The same multigraph with repeated (d, w) pairs summed and pairs of
+        total 0 dropped, in the np.nonzero order of its count matrix."""
+        key = self.doc_idx * self.n_words + self.word_idx
+        uniq, inv = np.unique(key, return_inverse=True)
+        total = np.bincount(inv, self.counts, len(uniq)).astype(np.int64)
+        keep = total > 0
+        return BipartiteMultigraph(self.n_docs, self.n_words, uniq[keep] // self.n_words,
+                                   uniq[keep] % self.n_words, total[keep])
+
 
 def from_counts(corpus: Corpus) -> BipartiteMultigraph:
     """Word-document multigraph equivalent to the corpus count matrix."""
@@ -254,11 +264,7 @@ def state_to_dict(state: LabeledGraph, n_docs: int) -> dict:
 
 
 def state_from_dict(payload: dict) -> LabeledGraph:
-    bundles = payload["bundles"]
-    if bundles:
-        d, w, r, s, m = (np.asarray(col, dtype=np.int64) for col in zip(*bundles))
-    else:
-        d = w = r = s = m = np.zeros(0, dtype=np.int64)
+    d, w, r, s, m = np.array(payload["bundles"], dtype=np.int64).reshape(-1, 5).T
     return state_from_label_arrays(
         payload["n_docs"], payload["n_words"], d, w, r, s, m,
         payload["n_groups"], np.asarray(payload["group_side"], dtype=np.int64),

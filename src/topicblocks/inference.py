@@ -8,8 +8,8 @@ moves inside bundles that returns the exact change of the description length
 with an undo log: a unit move relabels one half-edge pair of one bundle, a
 node move all of one node's half-edges in one group.  A batch that would
 break the overlap cap is refused before anything changes, and the running
-total must match the from-scratch joint.  Per-doc-group fits and the
-tempered (anneal, mcmc) fits run their unit sweeps on this engine.
+total must match the from-scratch joint.  The tempered (anneal, mcmc) fits
+run their Metropolis-Hastings sweeps on this engine.
 
 Nonoverlapping states are searched at block level by the agglomerator, whose
 merges and node moves share one closed-form group-table delta.  A clustered
@@ -18,11 +18,11 @@ until a sweep moves no node; a tempered clustered fit continues from there
 with unit sweeps.  `refine_doc_clusters` coarsens anchored fits by its
 merges and polishes the best candidate by its node moves.
 
-Document-anchored fits (every document pinned to its own group, so mixtures
-read directly as topic proportions) get a vectorized batch optimizer that
-proposes whole-bundle reassignments from count tables and accepts a batch
-only when the exactly rescored description length drops, so greedy traces
-stay monotone at corpus scale.
+Per-doc-group fits (every document pinned to its own group, so mixtures
+read directly as topic proportions) get one vectorized batch optimizer on
+sparse label rows that proposes whole-bundle reassignments from count tables
+and accepts a batch only when the exactly rescored description length drops,
+so greedy traces stay monotone at corpus scale.
 """
 from __future__ import annotations
 
@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import LabeledGraph, state_from_label_arrays
+from .graph import BipartiteMultigraph, LabeledGraph, state_from_label_arrays
 from .lda import LabeledCounts, LdaSample
 from .microcanonical import (
     CountTables,
@@ -78,6 +78,12 @@ class InferenceConfig:
             raise ValueError("sweep and restart counts must be positive")
         if self.overlap is not None and self.overlap < 1:
             raise ValueError("the overlap cap must be at least 1")
+        K = self.n_word_groups
+        if K is not None and K < 1:
+            raise ValueError(f"the word-group count must be at least 1, not {K}")
+        if self.doc_clustering == "per-doc-group" and (self.overlap or math.inf) < (K or 2):
+            raise ValueError(f"a per-doc-group fit spreads word half-edges over {K or 2} "
+                             f"groups, more than the overlap cap {self.overlap}")
         if self.temperature_end > self.temperature_start:
             raise ValueError("temperature schedule must be nonincreasing")
 
@@ -322,15 +328,9 @@ class MutableLabeledState:
     # -- conversions ------------------------------------------------------
 
     def to_labeled_graph(self) -> LabeledGraph:
-        rows = []
-        for (d, w), cnt in sorted(self.bundles.items()):
-            for (rd, rw), m in sorted(cnt.items()):
-                if m > 0:
-                    rows.append((d, w, rd, rw, m))
-        if rows:
-            d, w, rd, rw, m = (np.asarray(col, dtype=np.int64) for col in zip(*rows))
-        else:
-            d = w = rd = rw = m = np.zeros(0, dtype=np.int64)
+        rows = [(d, w, rd, rw, m) for (d, w), cnt in sorted(self.bundles.items())
+                for (rd, rw), m in sorted(cnt.items()) if m > 0]
+        d, w, rd, rw, m = np.array(rows, dtype=np.int64).reshape(-1, 5).T
         return state_from_label_arrays(
             self.n_docs, self.n_words, d, w, rd, rw, m,
             len(self.group_side), np.asarray(self.group_side, dtype=np.int64),
@@ -352,21 +352,17 @@ class MutableLabeledState:
 def init_state(graph, config: InferenceConfig, rng=None) -> MutableLabeledState:
     """Side-respecting initial labeling.
 
-    per-doc-group mode pins document d to its own group and spreads word
-    half-edges over `n_word_groups` random labels.  clustered mode is the
-    nonoverlapping search of `block_search` (greedy merges of the node
-    singletons, then at most `n_sweeps` node-move sweeps), so nodes without
-    edges stay out of every group.  A per-doc-group start with more word
-    groups than the overlap cap is rejected with a ValueError.
+    per-doc-group mode (a tempered fit's start) pins document d to its own
+    group and spreads word half-edges over `n_word_groups` random labels.
+    clustered mode is the nonoverlapping search of `block_search` (greedy
+    merges of the node singletons, then at most `n_sweeps` node-move
+    sweeps), so nodes without edges stay out of every group.
     """
     rng = np.random.default_rng(config.seed) if rng is None else rng
     D, V = graph.n_docs, graph.n_words
     items = []
     if config.doc_clustering == "per-doc-group":
         K = config.n_word_groups or 2
-        if config.overlap is not None and config.overlap < K:
-            raise ValueError(f"a per-doc-group start spreads word half-edges over {K} "
-                             f"groups, more than the overlap cap {config.overlap}")
         group_side = [0] * D + [1] * K
         for d, w, c in zip(graph.doc_idx, graph.word_idx, graph.counts):
             split = rng.multinomial(int(c), np.full(K, 1.0 / K))
@@ -419,7 +415,7 @@ def block_search(graph, config: InferenceConfig) -> tuple[LabeledGraph, list[flo
 # --- sweeps ------------------------------------------------------------------
 
 
-def greedy_sweep(state: MutableLabeledState, rng, doc_anchored=False) -> dict:
+def greedy_sweep(state: MutableLabeledState, rng) -> dict:
     """One greedy pass over all bundles: move one unit of each label pair to
     its best alternative, accepting only strict improvements (ties rejected)."""
     accepted = 0
@@ -431,21 +427,17 @@ def greedy_sweep(state: MutableLabeledState, rng, doc_anchored=False) -> dict:
         for pair in sorted(state.bundles[key].keys()):
             if state.bundles[key].get(pair, 0) <= 0:
                 continue
-            word_targets = state.word_groups()
-            doc_targets = [pair[0]] if doc_anchored else state.doc_groups()
             best = None
-            for rd2 in doc_targets:
-                for rw2 in word_targets:
-                    cand = (rd2, rw2)
-                    if cand == pair:
-                        continue
-                    proposed += 1
-                    delta = state.unit_move(d, w, pair, cand)
-                    if delta == math.inf:
-                        continue
-                    if delta < -1e-12 and (best is None or delta < best[0]):
-                        best = (delta, cand)
-                    state.unit_move(d, w, cand, pair)
+            for cand in itertools.product(state.doc_groups(), state.word_groups()):
+                if cand == pair:
+                    continue
+                proposed += 1
+                delta = state.unit_move(d, w, pair, cand)
+                if delta == math.inf:
+                    continue
+                if delta < -1e-12 and (best is None or delta < best[0]):
+                    best = (delta, cand)
+                state.unit_move(d, w, cand, pair)
             if best is not None:
                 state.unit_move(d, w, pair, best[1])
                 accepted += 1
@@ -510,8 +502,11 @@ def grow_hierarchy(state: LabeledGraph, max_levels: int,
 
     Only the edge-matrix stack changes during the search, so candidates are
     rescored through that term alone; the full joint is assembled once at the
-    end.
+    end.  With `max_levels` below one the flat joint is returned before any
+    (B, B) edge matrix is built.
     """
+    if max_levels < 1:
+        return Hierarchy(), joint_logp(state, max_overlap=max_overlap)
     state = compress_groups(state)
     tables = CountTables(state)
     e_base = tables.dense_e()
@@ -566,26 +561,40 @@ def grow_hierarchy(state: LabeledGraph, max_levels: int,
 def _fit_one_restart(graph, config: InferenceConfig, ridx: int, seq) -> FitResult:
     rng = np.random.default_rng(seq)
     stats = Counter()
-    if config.doc_clustering == "clustered" and config.mode == "greedy":
+    anchored = config.doc_clustering == "per-doc-group"
+    state, trace, rows = None, [], None
+    if config.mode in ("anneal", "mcmc"):
+        state = init_state(graph, config, rng)
+        trace.append(state.sigma())
+        if config.mode == "anneal":
+            temps = np.geomspace(max(config.temperature_start, 1e-6),
+                                 max(config.temperature_end, 1e-6),
+                                 num=min(config.n_sweeps, 20))
+        else:
+            temps = np.full(min(config.n_sweeps, 20), config.temperature_start)
+        for temp in temps:
+            stats.update(mh_sweep(state, rng, temperature=float(temp),
+                                  doc_anchored=anchored))
+            trace.append(state.sigma())
+    if anchored:
+        bundles, K, D = graph.coalesced(), config.n_word_groups or 2, graph.n_docs
+        if state is not None:  # its labels replace the start and the Gibbs initializer
+            keys = zip(bundles.doc_idx.tolist(), bundles.word_idx.tolist())
+            rows = np.array([[state.bundles[(d, w)][(d, D + r)] for r in range(K)]
+                             for d, w in keys], dtype=np.int64).reshape(-1, K)
+        rows, _, descent, converged = _anchored_restart(
+            bundles, K, ridx, rng, config.n_sweeps, rows=rows)
+        trace += descent
+        b, r = np.nonzero(rows)
+        final = compress_groups(state_from_label_arrays(
+            D, graph.n_words, bundles.doc_idx[b], bundles.word_idx[b], bundles.doc_idx[b],
+            D + r, rows[b, r], D + K, [0] * D + [1] * K))
+    elif state is None:
         final, trace, converged = block_search(graph, config)
     else:
-        state = init_state(graph, config, rng)
-        trace = [state.sigma()]
-        doc_anchored = config.doc_clustering == "per-doc-group"
-        if config.mode in ("anneal", "mcmc"):
-            if config.mode == "anneal":
-                temps = np.geomspace(max(config.temperature_start, 1e-6),
-                                     max(config.temperature_end, 1e-6),
-                                     num=min(config.n_sweeps, 20))
-            else:
-                temps = np.full(min(config.n_sweeps, 20), config.temperature_start)
-            for temp in temps:
-                stats.update(mh_sweep(state, rng, temperature=float(temp),
-                                      doc_anchored=doc_anchored))
-                trace.append(state.sigma())
         converged = False
         for _ in range(config.n_sweeps):
-            info = greedy_sweep(state, rng, doc_anchored=doc_anchored)
+            info = greedy_sweep(state, rng)
             stats.update(info)
             trace.append(state.sigma())
             if info["accepted"] == 0:
@@ -608,16 +617,18 @@ def fit(graph, config: InferenceConfig) -> FitResult:
     node-move sweeps), which draws no random number, so a greedy clustered
     fit ends there after one restart, whatever `n_restarts` says.  Anneal and
     mcmc fits continue from its state with tempered or constant-temperature
-    unit sweeps; a per-doc-group fit starts from random word labels with each
-    document pinned to its own group.  Both finish with at most `n_sweeps`
-    greedy unit sweeps.  Group counts and hierarchy depth are fitted.
+    unit sweeps, then at most `n_sweeps` greedy unit sweeps.  A per-doc-group
+    restart is a `fit_doc_anchored` restart with `n_word_groups` (default 2)
+    and at most `n_sweeps` descent rounds; in anneal and mcmc fits, unit
+    sweeps that keep documents in their own groups replace its start.  Group
+    counts and hierarchy depth are fitted.
 
     `sigma_trace` holds the sigma after the merges and after each node-move
     sweep for a greedy clustered fit, otherwise that of the start and after
-    each unit sweep; its last entry is the score with the grown hierarchy.
-    `converged` is False when the last phase used all `n_sweeps` sweeps and
-    its last sweep still moved.  `acceptance` sums the unit and MH proposal
-    counts, so it is empty for a greedy clustered fit.
+    each unit sweep, then the descent's trace; its last entry is the score
+    with the grown hierarchy.  `converged` is False when the last phase used
+    all `n_sweeps` sweeps or rounds and its last one still moved.
+    `acceptance` sums the unit and MH proposal counts (none in greedy fits).
 
     Restarts use independent seed streams and reduce by minimum description
     length (ties to the lowest restart index); TOPICBLOCKS_THREADS > 1 runs
@@ -691,45 +702,56 @@ def fixed_label_score(sample: LdaSample | LabeledCounts, variant: str,
 # --- document-anchored batch fitter -------------------------------------------
 
 
-def score_doc_anchored(labels_dense: np.ndarray) -> ModelScore:
-    """Exact description length of a dense (D, V, K) label tensor under the
-    document-anchored parametrization."""
-    return fixed_label_score(LabeledCounts.from_dense(labels_dense), "per-doc-group")
+def _topic_totals(idx: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """(n, K) float totals of the rows per index, one bincount per column
+    summed in row order (exact for integer totals below 2**53)."""
+    return np.stack([np.bincount(idx, weights=rows[:, r], minlength=n)
+                     for r in range(rows.shape[1])], axis=1)
 
 
-def _gibbs_anneal_anchored(z, d_idx, w_idx, n_dw, rng, sweeps=25,
+def score_doc_anchored(rows: np.ndarray, bundles: BipartiteMultigraph) -> ModelScore:
+    """Exact description length of the label rows, per-doc-group; bit-identical
+    to scoring the dense tensor, as its `LabeledCounts.from_dense` arrays,
+    in the same (d, w, r) order, are built here."""
+    b, r = np.nonzero(rows)
+    return fixed_label_score(LabeledCounts(bundles.n_docs, bundles.n_words, rows.shape[1],
+                                           bundles.doc_idx[b], bundles.word_idx[b], r,
+                                           rows[b, r]), "per-doc-group")
+
+
+def _gibbs_anneal_anchored(rows, bundles, rng, sweeps=25,
                            pseudo_doc=1.0, pseudo_word=0.02,
                            t_start=2.0, t_end=0.4):
     """Tempered bundle resampling: each bundle's units are redrawn from the
     count-ratio conditional raised to 1/T along a cooling schedule.  Pure
     initialization heuristic; the exact objective drives the later descent.
 
-    Sequential and scalar: the labels are held as one K-row per bundle,
-    aligned with (d_idx, w_idx), and the doc-topic, word-topic and topic
-    totals as lists of floats (exact integers), so a bundle costs K scalar
-    updates and one `rng.multinomial` call; z is written once at the end.
-    Each conditional is computed in a fixed order: counts minus the bundle's
-    row, (ndr + pseudo_doc) * (kwr + pseudo_word) / (nr + V * pseudo_word),
-    max(x, 1e-300) ** (1/T), a left-to-right sum, then the division.  So z
-    and the rng stream equal those of a numpy loop over (D, V, K) slices
-    doing the same steps, up to rounding in the last bit: numpy's array power
-    may be a SIMD routine that differs from the C library's `pow` by 1 ulp,
-    and above 7 topics numpy sums pairwise.  Such a difference changes a draw
-    only if a uniform lands within an ulp of a cumulative probability."""
-    D, V, K = z.shape
-    rows = z[d_idx, w_idx].tolist()
-    ndr = z.sum(axis=1).astype(np.float64).tolist()
-    kwr = z.sum(axis=0).astype(np.float64).tolist()
-    nr = z.sum(axis=(0, 1)).astype(np.float64).tolist()
-    docs, words, sizes = d_idx.tolist(), w_idx.tolist(), n_dw.tolist()
-    norm = V * pseudo_word
-    topics = range(K)
-    order = np.arange(len(rows))
+    Sequential and scalar: the rows are held as lists, and the doc-topic,
+    word-topic and topic totals as lists of floats (exact integers), so a
+    bundle costs K scalar updates and one `rng.multinomial` call; `rows` is
+    written once at the end.  Each conditional is computed in a fixed order: counts minus
+    the bundle's row, (ndr + pseudo_doc) * (kwr + pseudo_word) / (nr + V *
+    pseudo_word), max(x, 1e-300) ** (1/T), a left-to-right sum, then the
+    division.  So the labels and the rng stream equal those of a numpy loop
+    over (D, V, K) slices doing the same steps, up to rounding in the last
+    bit: numpy's array power may be a SIMD routine that differs from the C
+    library's `pow` by 1 ulp, and above 7 topics numpy sums pairwise.  Such
+    a difference changes a draw only if a uniform lands within an ulp of a
+    cumulative probability."""
+    d_idx, w_idx = bundles.doc_idx, bundles.word_idx
+    labels = rows.tolist()
+    ndr = _topic_totals(d_idx, rows, bundles.n_docs).tolist()
+    kwr = _topic_totals(w_idx, rows, bundles.n_words).tolist()
+    nr = rows.sum(axis=0).astype(np.float64).tolist()
+    docs, words, sizes = d_idx.tolist(), w_idx.tolist(), bundles.counts.tolist()
+    norm = bundles.n_words * pseudo_word
+    topics = range(rows.shape[1])
+    order = np.arange(len(labels))
     for temp in np.geomspace(t_start, t_end, sweeps):
         rng.shuffle(order)
         inv = float(1.0 / temp)
         for t in order.tolist():
-            cur, nd, kw = rows[t], ndr[docs[t]], kwr[words[t]]
+            cur, nd, kw = labels[t], ndr[docs[t]], kwr[words[t]]
             p, total = [], 0.0
             for r in topics:
                 c = cur[r]
@@ -741,67 +763,77 @@ def _gibbs_anneal_anchored(z, d_idx, w_idx, n_dw, rng, sweeps=25,
                 p.append(x)
                 total += x
             new = rng.multinomial(sizes[t], [x / total for x in p]).tolist()
-            rows[t] = new
+            labels[t] = new
             for r in topics:
                 c = new[r]
                 nd[r] += c
                 kw[r] += c
                 nr[r] += c
-    z[d_idx, w_idx] = np.asarray(rows, dtype=z.dtype).reshape(len(rows), K)
-    return z
+    rows[:] = np.asarray(labels, dtype=rows.dtype).reshape(rows.shape)
+    return rows
+
+
+def _anchored_restart(bundles: BipartiteMultigraph, K: int, ridx: int, rng,
+                      max_rounds: int, gibbs_sweeps: int = 25, rows=None):
+    """One restart of the anchored fitter on the coalesced `bundles`.
+
+    Without start `rows`, it draws a random split (word-pure on even
+    restarts) and runs tempered bundle resampling to escape the symmetric
+    start.  It then descends greedily: rounds propose whole-word,
+    proportional, whole-bundle or single-unit shifts toward the label with
+    the best count-ratio gain, and a batch is accepted only if the exact
+    description length drops (a failed batch is retried on the most
+    promising fraction of bundles first).  Returns (rows, sigma, trace,
+    converged); the trace is nonincreasing, and `converged` is False if
+    all `max_rounds` rounds moved."""
+    if rows is None:
+        counts = bundles.counts
+        rows = np.zeros((len(counts), K), dtype=np.int64)
+        if ridx % 2 == 0:
+            # word-pure start: whole columns owned by one topic
+            owner = rng.integers(K, size=bundles.n_words)
+            rows[np.arange(len(counts)), owner[bundles.word_idx]] = counts
+            anneal = dict(sweeps=max(6, gibbs_sweeps // 2), t_start=1.0, t_end=0.3)
+        else:
+            rows[:] = rng.multinomial(counts, np.full(K, 1.0 / K))
+            anneal = dict(sweeps=gibbs_sweeps, t_start=2.0, t_end=0.4)
+        if gibbs_sweeps:
+            _gibbs_anneal_anchored(rows, bundles, rng, **anneal)
+    sigma = score_doc_anchored(rows, bundles).sigma_nats
+    trace = [sigma]
+    for _ in range(max_rounds):
+        improved = False
+        for mode in ("word", "prop", "bundle", "unit"):
+            cand = _anchored_proposal(rows, bundles, mode)
+            if cand is None:
+                continue
+            accepted, sigma = _try_batch(rows, cand, sigma, bundles)
+            if accepted:
+                trace.append(sigma)
+                improved = True
+        if not improved:
+            return rows, sigma, trace, True
+    return rows, sigma, trace, False
 
 
 def fit_doc_anchored(counts: np.ndarray, n_topics: int, seed: int = 0,
                      n_restarts: int = 3, max_rounds: int = 60,
                      gibbs_sweeps: int = 25):
     """Fit token labels with documents pinned to their own groups and a
-    capped number of word groups.
-
-    Each restart draws a random split, runs tempered bundle resampling to
-    escape the symmetric start, then descends greedily: rounds propose either
-    whole-bundle reassignments or single-unit shifts toward the label with
-    the best count-ratio gain, and a proposal batch is accepted only if the
-    exactly recomputed description length drops (a failed batch is retried on
-    the most promising fraction of bundles first).  The returned trace covers
-    the descent phase and is nonincreasing.
-    """
+    capped number of word groups: the best (ties to the lowest index) of
+    `n_restarts` runs of `_anchored_restart` with independent seed streams.
+    Returns the (D, V, K) labels, their description length and the winning
+    descent's trace, which is nonincreasing."""
     counts = np.asarray(counts, dtype=np.int64)
-    D, V = counts.shape
-    K = n_topics
-    seeds = np.random.SeedSequence(seed).spawn(n_restarts)
-    best_labels, best_sigma, best_trace = None, np.inf, None
     d_idx, w_idx = np.nonzero(counts)
-    n_dw = counts[d_idx, w_idx]
-    for ridx, seq in enumerate(seeds):
-        rng = np.random.default_rng(seq)
-        z = np.zeros((D, V, K), dtype=np.int64)
-        if ridx % 2 == 0:
-            # word-pure start: whole columns owned by one topic
-            owner = rng.integers(K, size=V)
-            z[d_idx, w_idx, owner[w_idx]] = n_dw
-            anneal = dict(sweeps=max(6, gibbs_sweeps // 2), t_start=1.0, t_end=0.3)
-        else:
-            z[d_idx, w_idx] = rng.multinomial(n_dw, np.full(K, 1.0 / K))
-            anneal = dict(sweeps=gibbs_sweeps, t_start=2.0, t_end=0.4)
-        if gibbs_sweeps:
-            _gibbs_anneal_anchored(z, d_idx, w_idx, n_dw, rng, **anneal)
-        sigma = score_doc_anchored(z).sigma_nats
-        trace = [sigma]
-        for _ in range(max_rounds):
-            improved = False
-            for mode in ("word", "prop", "bundle", "unit"):
-                cand = _anchored_proposal(z, d_idx, w_idx, n_dw, mode)
-                if cand is None:
-                    continue
-                accepted, sigma = _try_batch(z, cand, sigma, d_idx, w_idx, n_dw)
-                if accepted:
-                    trace.append(sigma)
-                    improved = True
-            if not improved:
-                break
-        if sigma < best_sigma:
-            best_labels, best_sigma, best_trace = z.copy(), sigma, trace
-    return best_labels, best_sigma, best_trace
+    bundles = BipartiteMultigraph(*counts.shape, d_idx, w_idx, counts[d_idx, w_idx])
+    seeds = np.random.SeedSequence(seed).spawn(n_restarts)
+    runs = (_anchored_restart(bundles, n_topics, ridx, np.random.default_rng(seq),
+                              max_rounds, gibbs_sweeps) for ridx, seq in enumerate(seeds))
+    rows, sigma, trace, _ = min(runs, key=lambda run: run[1])
+    z = np.zeros(counts.shape + (n_topics,), dtype=np.int64)
+    z[d_idx, w_idx] = rows
+    return z, sigma, trace
 
 
 def _kmeans(mat, n_clusters, rng):
@@ -1086,7 +1118,7 @@ def refine_doc_clusters(labels_dense: np.ndarray, seed: int = 0,
                           parametrization=f"clustered[{Gd}x{Gw}]{suffix}"), st
 
     lab = LabeledCounts.from_dense(z)
-    candidates = [(score_doc_anchored(z), None, None),
+    candidates = [(fixed_label_score(lab, "per-doc-group"), None, None),
                   (fixed_label_score(lab, "doc-clustering"), "topic-pair",
                    labels_to_state(lab, "doc-clustering"))]
     seen, seen_seeds = set(), set()
@@ -1141,7 +1173,7 @@ def _largest_remainder_round(n, p):
     return out
 
 
-def _anchored_proposal(z, d_idx, w_idx, n_dw, mode):
+def _anchored_proposal(rows, bundles, mode):
     """Candidate label moves ranked by a count-ratio heuristic: the per-unit
     gain of placing mass under topic r given current tables.
 
@@ -1149,82 +1181,79 @@ def _anchored_proposal(z, d_idx, w_idx, n_dw, mode):
     proportionally to the exponentiated gains (shared words stay shared), and
     "unit" shifts a single unit from the weakest occupied topic to the best.
     """
-    ndr = z.sum(axis=1).astype(float)       # (D, K)
-    kwr = z.sum(axis=0).astype(float)       # (V, K)
-    nr = kwr.sum(axis=0)                    # (K,)
+    d_idx, w_idx, n_dw = bundles.doc_idx, bundles.word_idx, bundles.counts
+    V = bundles.n_words
+    ndr = _topic_totals(d_idx, rows, bundles.n_docs)   # (D, K)
+    kwr = _topic_totals(w_idx, rows, V)                # (V, K)
+    nr = kwr.sum(axis=0)                               # (K,)
     gain = (
         np.log(ndr + 0.5)[d_idx]
         + np.log(kwr + 0.5)[w_idx]
         - np.log(nr + 0.5)[None, :]
     )
     target = gain.argmax(axis=1)
-    rows = np.arange(len(d_idx))
-    cur = z[d_idx, w_idx]
-    split = None
+    idx = np.arange(len(d_idx))
+    donor, split = target, None  # a donor serves only "unit", a split only "prop"
     if mode == "word":
         # coordinated move of a word's entire column to one topic
-        n_w = np.zeros(z.shape[1], dtype=np.int64)
-        np.add.at(n_w, w_idx, n_dw)
-        col_gain = np.zeros((z.shape[1], z.shape[2]))
-        np.add.at(col_gain, w_idx, n_dw[:, None] * np.log(ndr + 0.5)[d_idx])
+        n_w = kwr.sum(axis=1)
+        col_gain = _topic_totals(w_idx, n_dw[:, None] * np.log(ndr + 0.5)[d_idx], V)
         col_gain -= n_w[:, None] * np.log(nr + 0.5)[None, :]
         word_target = col_gain.argmax(axis=1)
         target = word_target[w_idx]
-        movable = (n_dw - cur[rows, target]) > 0
+        movable = (n_dw - rows[idx, target]) > 0
         word_margin = col_gain.max(axis=1) - (
             (col_gain * kwr).sum(axis=1) / np.maximum(n_w, 1)
         )
         margin = word_margin[w_idx] / np.maximum(n_w, 1)[w_idx]
-        donor = target
     elif mode == "bundle":
-        movable = (n_dw - cur[rows, target]) > 0
-        margin = gain[rows, target] - (gain * cur).sum(axis=1) / np.maximum(n_dw, 1)
-        donor = target  # unused in bundle mode
+        movable = (n_dw - rows[idx, target]) > 0
+        margin = gain[idx, target] - (gain * rows).sum(axis=1) / np.maximum(n_dw, 1)
     elif mode == "prop":
         p = np.exp(gain - gain.max(axis=1, keepdims=True))
         p /= p.sum(axis=1, keepdims=True)
         split = _largest_remainder_round(n_dw, p)
-        movable = np.any(split != cur, axis=1)
-        margin = np.abs(split - cur).sum(axis=1).astype(float)
-        donor = target
+        movable = np.any(split != rows, axis=1)
+        margin = np.abs(split - rows).sum(axis=1).astype(float)
     else:
-        donor = np.where(cur > 0, gain, np.inf).argmin(axis=1)
-        movable = (cur[rows, donor] > 0) & (donor != target)
-        margin = gain[rows, target] - gain[rows, donor]
+        donor = np.where(rows > 0, gain, np.inf).argmin(axis=1)
+        movable = (rows[idx, donor] > 0) & (donor != target)
+        margin = gain[idx, target] - gain[idx, donor]
     if not np.any(movable):
         return None
     return {"target": target, "donor": donor, "margin": margin,
             "mask": movable, "mode": mode, "split": split}
 
 
-def _apply_anchored(z, cand, d_idx, w_idx, n_dw, subset):
+def _apply_anchored(rows, cand, bundles, subset):
     """Apply the candidate on a subset of bundles; returns an undo record."""
     sel = np.nonzero(cand["mask"] & subset)[0]
-    before = z[d_idx[sel], w_idx[sel]].copy()
+    before = rows[sel].copy()
     if cand["mode"] in ("bundle", "word"):
-        z[d_idx[sel], w_idx[sel]] = 0
-        z[d_idx[sel], w_idx[sel], cand["target"][sel]] = n_dw[sel]
+        rows[sel] = 0
+        rows[sel, cand["target"][sel]] = bundles.counts[sel]
     elif cand["mode"] == "prop":
-        z[d_idx[sel], w_idx[sel]] = cand["split"][sel]
+        rows[sel] = cand["split"][sel]
     else:
-        z[d_idx[sel], w_idx[sel], cand["donor"][sel]] -= 1
-        z[d_idx[sel], w_idx[sel], cand["target"][sel]] += 1
+        rows[sel, cand["donor"][sel]] -= 1
+        rows[sel, cand["target"][sel]] += 1
     return sel, before
 
 
-def _try_batch(z, cand, sigma, d_idx, w_idx, n_dw):
+def _try_batch(rows, cand, sigma, bundles):
     """Accept the proposal on the full bundle set, halving to the highest
-    margin fraction on failure; z is left at the best accepted state."""
+    margin fraction on failure; returns (accepted, sigma) with the rows at
+    the best accepted state."""
     order = np.argsort(-cand["margin"])
     fraction = 1.0
     while fraction >= 1 / 64:
         take = order[: max(1, int(len(order) * fraction))]
-        subset = np.zeros(len(d_idx), dtype=bool)
+        subset = np.zeros(len(rows), dtype=bool)
         subset[take] = True
-        sel, before = _apply_anchored(z, cand, d_idx, w_idx, n_dw, subset)
-        new_sigma = score_doc_anchored(z).sigma_nats
+        sel, before = _apply_anchored(rows, cand, bundles, subset)
+        new_sigma = score_doc_anchored(rows, bundles).sigma_nats
         if new_sigma < sigma - 1e-9:
             return True, new_sigma
-        z[d_idx[sel], w_idx[sel]] = before
+        rows[sel] = before
         fraction /= 4
     return False, sigma

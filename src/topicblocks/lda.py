@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graph import BipartiteMultigraph
 from .scores import ModelScore
 from .util import IntegrityError, log_factorial, lgamma
 
@@ -155,12 +156,9 @@ class LabeledCounts:
                              self.d, remap[self.w], self.r, self.counts)
 
     def word_doc_counts(self):
-        """Collapse topic labels: unique (d, w) pairs with their totals."""
-        key = self.d * self.n_words + self.w
-        uniq, inv = np.unique(key, return_inverse=True)
-        tot = np.zeros(len(uniq), dtype=np.int64)
-        np.add.at(tot, inv, self.counts)
-        return uniq // self.n_words, uniq % self.n_words, tot
+        """Collapse topic labels: unique (d, w) pairs with positive totals."""
+        g = BipartiteMultigraph(self.n_docs, self.n_words, self.d, self.w, self.counts).coalesced()
+        return g.doc_idx, g.word_idx, g.counts
 
     def permute_topics(self, perm) -> "LabeledCounts":
         perm = np.asarray(perm, dtype=np.int64)

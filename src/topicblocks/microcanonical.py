@@ -660,8 +660,13 @@ def joint_logp(state: LabeledGraph, hierarchy: Hierarchy | None = None,
     breakdown["degrees"] = -logp_degrees_array(mix)
     _check_group_sides(state)
     breakdown["partition"] = -logp_partition_array(mix, max_overlap)
-    breakdown["edge_matrix"] = -logp_hierarchy(
-        tables.dense_e(), hierarchy.assignments, state.group_side, E=tables.E
-    )
+    if hierarchy.assignments:
+        breakdown["edge_matrix"] = -logp_hierarchy(
+            tables.dense_e(), hierarchy.assignments, state.group_side, E=tables.E
+        )
+    else:
+        # a flat state's edge prior needs only E and B, not the (B, B) matrix
+        breakdown["edge_matrix"] = -logp_edge_matrix_geometric(
+            tables, top_level_density(tables.E, tables.n_groups))
     return ModelScore.from_breakdown(breakdown, model_id=model_id,
                                      parametrization=parametrization)

@@ -66,6 +66,19 @@ class TestDispatch:
                     "--out", tmp_path / "o"]) == 2
         assert "--K" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["--doc-clustering", "per-doc-group", "--K", 0],
+        ["--doc-clustering", "per-doc-group", "--K", -1],
+        ["--preset", "fig2-mode", "--K", 0],
+    ])
+    def test_fit_with_word_group_count_below_one_exits_two(self, tmp_path, capsys, argv):
+        sample = tmp_path / "sample"
+        run(["synth", "--K", 2, "--D", 6, "--V", 8, "--m", 5, "--out", sample])
+        capsys.readouterr()
+        assert run(["fit", "--corpus", sample, *argv, "--out", tmp_path / "o"]) == 2
+        assert "word-group count must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_fit_with_overlap_cap_below_one_exits_two(self, tmp_path, capsys):
         sample = tmp_path / "sample"
         run(["synth", "--K", 2, "--D", 4, "--V", 6, "--m", 5, "--out", sample])
@@ -217,6 +230,41 @@ class TestFitPipeline:
         state, _ = load_model(model)
         # documents stay in their own groups
         assert np.array_equal(np.sort(np.unique(state.r)), np.unique(state.i))
+
+    def test_fig2_preset_is_a_per_doc_group_fit_without_levels(self, tmp_path):
+        sample = tmp_path / "sample"
+        run(["synth", "--K", 3, "--D", 12, "--V", 20, "--m", 15, "--seed", 3,
+             "--out", sample])
+        common = ["--K", 3, "--corpus", sample, "--restarts", 2, "--seed", 1]
+        preset, plain = tmp_path / "preset", tmp_path / "plain"
+        assert run(["fit", "--preset", "fig2-mode", *common, "--out", preset]) == 0
+        assert run(["fit", "--doc-clustering", "per-doc-group", "--max-levels", 0,
+                    *common, "--out", plain]) == 0
+        assert sorted(os.listdir(preset)) == sorted(os.listdir(plain))
+        for name in os.listdir(preset):
+            if name != "manifest.json":
+                assert (preset / name).read_text() == (plain / name).read_text(), name
+        configs = [json.loads((d / "manifest.json").read_text())["config"]
+                   for d in (preset, plain)]
+        for config in configs:
+            del config["preset"], config["out"], config["wall_time"]
+        assert configs[0] == configs[1]
+        state, hierarchy = load_model(preset)
+        assert hierarchy.assignments == []
+        score = json.loads((preset / "score.json").read_text())
+        assert joint_logp(state).sigma_nats == pytest.approx(score["sigma_nats"], abs=1e-9)
+
+    def test_fig2_preset_past_the_dense_cell_count(self, tmp_path):
+        # 10**4 + 1 documents with one distinct word each: D * V > 10**8 cells
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        n = 10**4 + 1
+        (corpus / "edges.tsv").write_text("".join(f"d{i}\tw{i}\t1\n" for i in range(n)))
+        model = tmp_path / "model"
+        assert run(["fit", "--preset", "fig2-mode", "--K", 2, "--restarts", 1,
+                    "--corpus", corpus, "--out", model]) == 0
+        state, _ = load_model(model)
+        assert state.n_nodes == 2 * n and state.n_edges == n
 
 
 class TestComparePreset:

@@ -42,9 +42,9 @@ class TestBuildCorpus:
         c = build_corpus([("d1", "a b a")])
         assert c.n_words == 2
         assert c.total_tokens == 3
-        dense = c.dense_counts()
-        assert dense[0, c.vocab.index["a"]] == 2
-        assert dense[0, c.vocab.index["b"]] == 1
+        cells = {(int(d), int(w)): int(n)
+                 for d, w, n in zip(c.doc_idx, c.word_idx, c.counts)}
+        assert cells == {(0, c.vocab.index["a"]): 2, (0, c.vocab.index["b"]): 1}
         assert c.doc_lengths().tolist() == [3]
 
     def test_shared_vocabulary(self):

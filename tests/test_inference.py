@@ -38,7 +38,7 @@ from topicblocks.lda import (
     sample_corpus,
     sample_mixture_corpus,
 )
-from topicblocks.microcanonical import joint_logp, side_statistics
+from topicblocks.microcanonical import CountTables, joint_logp, side_statistics
 from topicblocks.partition_counts import log_partitions
 from topicblocks.util import IntegrityError, log_factorial
 
@@ -105,11 +105,21 @@ class TestOverlapCap:
         assert st.sigma() == before
         assert st.node_mixture[0] == (0,)
 
-    def test_per_doc_group_start_above_the_cap_rejected(self):
-        cfg = InferenceConfig(doc_clustering="per-doc-group", n_word_groups=3,
-                              overlap=2)
-        with pytest.raises(ValueError, match="3 groups.*overlap cap 2"):
-            init_state(planted_biclique_graph(), cfg)
+    def test_per_doc_group_start_above_the_cap_rejected(self, tmp_path, capsys):
+        for mode in ("greedy", "anneal", "mcmc"):
+            with pytest.raises(ValueError, match="3 groups.*overlap cap 2"):
+                InferenceConfig(mode=mode, doc_clustering="per-doc-group",
+                                n_word_groups=3, overlap=2)
+        corpus = str(tmp_path / "corpus")
+        cli_main(["synth", "--K", "2", "--D", "6", "--V", "8", "--m", "5",
+                  "--out", corpus])
+        capsys.readouterr()
+        for mode in ("greedy", "anneal", "mcmc"):
+            assert cli_main(["fit", "--corpus", corpus, "--mode", mode,
+                             "--doc-clustering", "per-doc-group", "--K", "3",
+                             "--overlap", "2", "--out", str(tmp_path / mode)]) == 2
+            assert "3 groups, more than the overlap cap 2" in capsys.readouterr().err
+            assert not (tmp_path / mode).exists()
 
     def test_fit_with_overlap_one_is_nonoverlapping(self):
         graph = planted_biclique_graph()
@@ -426,11 +436,54 @@ class TestRestarts:
         assert fit_outcome(three) == fit_outcome(one)
 
     def test_worker_processes_match_the_serial_path(self, monkeypatch):
-        cfg = InferenceConfig(mode="anneal", seed=3, n_restarts=2, n_sweeps=5)
+        configs = (InferenceConfig(mode="anneal", seed=3, n_restarts=2, n_sweeps=5),
+                   InferenceConfig(doc_clustering="per-doc-group", n_word_groups=2,
+                                   seed=3, n_restarts=3, n_sweeps=20))
         graph = planted_biclique_graph(mult=2)
-        serial = fit(graph, cfg)
-        monkeypatch.setenv("TOPICBLOCKS_THREADS", "2")
-        assert fit_outcome(fit(graph, cfg)) == fit_outcome(serial)
+        for cfg in configs:
+            monkeypatch.delenv("TOPICBLOCKS_THREADS", raising=False)
+            serial = fit(graph, cfg)
+            monkeypatch.setenv("TOPICBLOCKS_THREADS", "2")
+            assert fit_outcome(fit(graph, cfg)) == fit_outcome(serial)
+
+
+def dense_labels(result, graph, n_topics):
+    """(D, V, K) word labels of a per-doc-group fit; the compacted word groups
+    are the occupied topics in increasing order."""
+    st, z = result.state, np.zeros((graph.n_docs, graph.n_words, n_topics), np.int64)
+    word_groups = np.flatnonzero(st.group_side == 1)
+    np.add.at(z, (st.i, st.j - graph.n_docs, np.searchsorted(word_groups, st.s)), st.m)
+    return z
+
+
+class TestPerDocGroupFit:
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("corpus", [21, 22])
+    def test_greedy_fit_is_the_anchored_fitter(self, synth_graphs, corpus, seed):
+        graph = synth_graphs[corpus]
+        cfg = InferenceConfig(doc_clustering="per-doc-group", n_word_groups=2,
+                              n_restarts=3, n_sweeps=60, max_levels=0, seed=seed)
+        result = fit(graph, cfg)
+        z, sigma, trace = fit_doc_anchored(dense_counts(graph), 2, seed=seed, n_restarts=3)
+        topics = np.flatnonzero(z.sum(axis=(0, 1)))
+        assert np.array_equal(dense_labels(result, graph, len(topics)), z[:, :, topics])
+        assert abs(result.sigma - sigma) < 1e-9
+        assert result.sigma_trace[:-1] == trace
+        assert result.acceptance == {}
+
+    def test_repeated_pairs_fit_like_the_coalesced_graph(self, synth_graphs):
+        graph = synth_graphs[22]
+        rng = np.random.default_rng(0)
+        part = rng.integers(0, graph.counts + 1)
+        # each pair split into two entries, plus an empty one, in shuffled order
+        d = np.concatenate([graph.doc_idx, graph.doc_idx, [0]])
+        w = np.concatenate([graph.word_idx, graph.word_idx, [0]])
+        c = np.concatenate([part, graph.counts - part, [0]])
+        order = rng.permutation(len(c))
+        split = BipartiteMultigraph(graph.n_docs, graph.n_words, d[order], w[order], c[order])
+        cfg = InferenceConfig(doc_clustering="per-doc-group", n_word_groups=3,
+                              n_restarts=2, n_sweeps=30, seed=4)
+        assert fit_outcome(fit(split, cfg)) == fit_outcome(fit(graph, cfg))
 
 
 class TestTemperedFits:
@@ -530,9 +583,20 @@ class TestAnchoredFitter:
         z, sigma, trace = fit_doc_anchored(dense, 2, seed=0, n_restarts=2,
                                            gibbs_sweeps=10)
         assert all(a >= b - 1e-9 for a, b in zip(trace, trace[1:]))
-        assert abs(score_doc_anchored(z).sigma_nats - sigma) < 1e-9
+        assert abs(fixed_label_score(LabeledCounts.from_dense(z), "per-doc-group")
+                   .sigma_nats - sigma) < 1e-9
         truth = fixed_label_score(s, "per-doc-group").sigma_nats
         assert sigma <= truth + 0.01 * abs(truth)
+
+    def test_row_score_matches_the_dense_score(self):
+        rng = np.random.default_rng(8)
+        z = rng.integers(0, 3, size=(6, 7, 3)) * (rng.random((6, 7, 1)) < 0.6)
+        counts = z.sum(axis=2)
+        d_idx, w_idx = np.nonzero(counts)
+        bundles = BipartiteMultigraph(6, 7, d_idx, w_idx, counts[d_idx, w_idx])
+        dense = fixed_label_score(LabeledCounts.from_dense(z), "per-doc-group")
+        rows = score_doc_anchored(z[d_idx, w_idx], bundles)
+        assert (rows.sigma_nats, rows.breakdown) == (dense.sigma_nats, dense.breakdown)
 
     def test_label_totals_preserved(self):
         rng = np.random.default_rng(5)
@@ -594,18 +658,21 @@ def gibbs_cases(draw):
 
 
 def run_both_gibbs(counts, n_topics, schedule, seed):
-    """(labels, rng state) after the engine's and the reference resampler."""
+    """(dense labels, rng state) after the engine's and the reference
+    resampler; the engine runs on label rows of the count matrix's bundles."""
     d_idx, w_idx = np.nonzero(counts)
     n_dw = counts[d_idx, w_idx]
-    start = np.zeros(counts.shape + (n_topics,), dtype=np.int64)
-    start[d_idx, w_idx] = np.random.default_rng(seed).multinomial(
-        n_dw, np.full(n_topics, 1.0 / n_topics))
-    out = []
-    for gibbs in (_gibbs_anneal_anchored, _gibbs_reference):
-        z, rng = start.copy(), np.random.default_rng(seed + 1)
-        gibbs(z, d_idx, w_idx, n_dw, rng, **schedule)
-        out.append((z, rng.bit_generator.state))
-    return out
+    start = np.random.default_rng(seed).multinomial(n_dw, np.full(n_topics, 1.0 / n_topics))
+    bundles = BipartiteMultigraph(*counts.shape, d_idx, w_idx, n_dw)
+    rows, rng = start.copy(), np.random.default_rng(seed + 1)
+    _gibbs_anneal_anchored(rows, bundles, rng, **schedule)
+    z = np.zeros(counts.shape + (n_topics,), dtype=np.int64)
+    z[d_idx, w_idx] = rows
+    out = [(z, rng.bit_generator.state)]
+    z, rng = np.zeros_like(z), np.random.default_rng(seed + 1)
+    z[d_idx, w_idx] = start
+    _gibbs_reference(z, d_idx, w_idx, n_dw, rng, **schedule)
+    return out + [(z, rng.bit_generator.state)]
 
 
 class TestGibbsInitializer:
@@ -743,6 +810,19 @@ class TestHierarchyGrowth:
         hierarchy, score = grow_hierarchy(st, max_levels=3)
         flat = joint_logp(st).sigma_nats
         assert score.sigma_nats <= flat + 1e-9
+
+    def test_no_level_allowed_builds_no_edge_matrix(self, monkeypatch):
+        st = labels_to_state(sample_corpus(2, 6, 8, 10, noninformative_hyper(2, 8),
+                                           seed=1).labels, "per-doc-group")
+        flat = joint_logp(st, max_overlap=2).sigma_nats
+
+        def refuse(self):
+            raise AssertionError("grow_hierarchy built the (B, B) edge matrix")
+        monkeypatch.setattr(CountTables, "dense_e", refuse)
+        for max_levels in (0, -1):
+            hierarchy, score = grow_hierarchy(st, max_levels, max_overlap=2)
+            assert hierarchy.assignments == []
+            assert score.sigma_nats == flat
 
     def test_respects_depth_cap(self):
         graph = planted_biclique_graph()
