@@ -1,22 +1,23 @@
 """Search over labeled states: greedy descent, simulated annealing, and
-Metropolis-Hastings sampling of half-edge label assignments.
+Metropolis-Hastings sampling.
 
 The mutable engine keeps sparse count aggregates (bundle counts, labeled
-degrees, group-pair totals, per-side mixture tables) and an index from each
-node to its bundles.  Every change goes through one path, a batch of mass
-moves inside bundles that returns the exact change of the description length
-with an undo log: a unit move relabels one half-edge pair of one bundle, a
-node move all of one node's half-edges in one group.  A batch that would
+degrees, group-pair totals, per-side mixture tables).  Every change goes
+through one path, a batch of mass moves inside bundles that returns the
+exact change of the description length; a unit move relabels one half-edge
+pair of one bundle.  A batch that would
 break the overlap cap is refused before anything changes, and the running
-total must match the from-scratch joint.  The tempered (anneal, mcmc) fits
-run their Metropolis-Hastings sweeps on this engine.
+total must match the from-scratch joint.  Tempered (anneal, mcmc)
+per-doc-group fits run their unit Metropolis-Hastings sweeps on this engine.
 
 Nonoverlapping states are searched at block level by the agglomerator, whose
-merges and node moves share one closed-form group-table delta.  A clustered
-fit is its greedy merges of the node singletons followed by node-move sweeps
-until a sweep moves no node; a tempered clustered fit continues from there
-with unit sweeps.  `refine_doc_clusters` coarsens anchored fits by its
-merges and polishes the best candidate by its node moves.
+merges and node moves share one closed-form group-table delta.  Every
+clustered fit runs on it: greedy merges of the node singletons, then
+node-move sweeps until a sweep moves no node; a tempered clustered fit
+continues from there with node-move Metropolis-Hastings sweeps, polishes
+again and keeps the better of that state and the greedy one.
+`refine_doc_clusters` coarsens anchored fits by its merges and polishes the
+best candidate by its node moves.
 
 Per-doc-group fits (every document pinned to its own group, so mixtures
 read directly as topic proportions) get one vectorized batch optimizer on
@@ -74,6 +75,10 @@ class InferenceConfig:
     max_levels: int = 1
 
     def __post_init__(self):
+        if self.mode not in ("greedy", "anneal", "mcmc"):
+            raise ValueError(f"unknown mode {self.mode!r}")
+        if self.doc_clustering not in ("per-doc-group", "clustered"):
+            raise ValueError(f"unknown doc_clustering mode {self.doc_clustering!r}")
         if self.n_sweeps <= 0 or self.n_restarts <= 0:
             raise ValueError("sweep and restart counts must be positive")
         if self.overlap is not None and self.overlap < 1:
@@ -128,11 +133,6 @@ class MutableLabeledState:
         self._side_terms = [0.0, 0.0]
         for (d, w, rd, rw, m) in bundle_items:
             self._bundle_add(int(d), int(w), int(rd), int(rw), int(m))
-        # moves relabel mass inside bundles, so the bundle keys never change
-        self.node_keys: dict[int, list] = {}   # node -> its bundle keys, sorted
-        for d, w in sorted(self.bundles):
-            self.node_keys.setdefault(d, []).append((d, w))
-            self.node_keys.setdefault(self.n_docs + w, []).append((d, w))
         for side in (0, 1):
             self._refresh_side(side)
 
@@ -263,15 +263,15 @@ class MutableLabeledState:
 
     def _bulk_moves(self, moves):
         """Apply (bundle key, old pair, new pair, mass) moves, refreshing each
-        touched side once; returns (exact delta, undo log).
+        touched side once; returns the exact delta.  The reversed batch with
+        old and new pairs swapped undoes it.
 
         This is the only code that changes the state after construction.  A
         batch that would put some node in more groups than the overlap cap is
-        refused whole: the state stays as it was and the result is
-        (+inf, []).
+        refused whole: the state stays as it was and the result is +inf.
         """
         if self.overlap is not None and self._breaks_cap(moves):
-            return math.inf, []
+            return math.inf
         before = self.sigma()
         touched = set()
         for (d, w), pair, target, m in moves:
@@ -304,26 +304,13 @@ class MutableLabeledState:
                     touched.add(side)
         for side in sorted(touched):
             self._refresh_side(side)
-        return self.sigma() - before, list(moves)
+        return self.sigma() - before
 
     def unit_move(self, d, w, old_pair, new_pair) -> float:
         """Relabel one half-edge pair of bundle (d, w); returns the exact
         change in description length (+inf, changing nothing, if the move
         breaks the overlap cap).  The inverse call undoes the move."""
-        return self._bulk_moves([((d, w), old_pair, new_pair, 1)])[0]
-
-    def relabel_node(self, side, idx, g_from, g_to):
-        """Move one node's g_from half-edges to g_to (mixture move)."""
-        moves = []
-        for key in self.node_keys.get(self._node(side, idx), ()):
-            for pair, m in sorted(self.bundles[key].items()):
-                if m > 0 and pair[side] == g_from:
-                    target = (g_to, pair[1]) if side == 0 else (pair[0], g_to)
-                    moves.append((key, pair, target, m))
-        return self._bulk_moves(moves)
-
-    def undo(self, log):
-        self._bulk_moves([(key, target, pair, m) for key, pair, target, m in reversed(log)])
+        return self._bulk_moves([((d, w), old_pair, new_pair, 1)])
 
     # -- conversions ------------------------------------------------------
 
@@ -339,41 +326,34 @@ class MutableLabeledState:
     def score(self) -> ModelScore:
         return joint_logp(self.to_labeled_graph(), max_overlap=self.overlap)
 
-    def doc_groups(self):
-        return sorted(self.sides[0].e_r)
-
-    def word_groups(self):
-        return sorted(self.sides[1].e_r)
-
 
 # --- initialization ---------------------------------------------------------
 
 
 def init_state(graph, config: InferenceConfig, rng=None) -> MutableLabeledState:
-    """Side-respecting initial labeling.
-
-    per-doc-group mode (a tempered fit's start) pins document d to its own
-    group and spreads word half-edges over `n_word_groups` random labels.
-    clustered mode is the nonoverlapping search of `block_search` (greedy
-    merges of the node singletons, then at most `n_sweeps` node-move
-    sweeps), so nodes without edges stay out of every group.
-    """
+    """The start of a tempered per-doc-group fit: document d is pinned to its
+    own group and each bundle's half-edges are spread over `n_word_groups`
+    (default 2) word labels by a uniform multinomial draw.  Clustered fits
+    start from node singletons in `block_search` instead."""
     rng = np.random.default_rng(config.seed) if rng is None else rng
     D, V = graph.n_docs, graph.n_words
+    K = config.n_word_groups or 2
     items = []
-    if config.doc_clustering == "per-doc-group":
-        K = config.n_word_groups or 2
-        group_side = [0] * D + [1] * K
-        for d, w, c in zip(graph.doc_idx, graph.word_idx, graph.counts):
-            split = rng.multinomial(int(c), np.full(K, 1.0 / K))
-            for r in np.nonzero(split)[0]:
-                items.append((int(d), int(w), int(d), D + int(r), int(split[r])))
-    elif config.doc_clustering == "clustered":
-        st = block_search(graph, config)[0]
-        items, group_side = zip(st.i, st.j - D, st.r, st.s, st.m), st.group_side
-    else:
-        raise ValueError(f"unknown doc_clustering mode {config.doc_clustering!r}")
-    return MutableLabeledState(D, V, items, group_side, overlap=config.overlap)
+    for d, w, c in zip(graph.doc_idx, graph.word_idx, graph.counts):
+        split = rng.multinomial(int(c), np.full(K, 1.0 / K))
+        for r in np.nonzero(split)[0]:
+            items.append((int(d), int(w), int(d), D + int(r), int(split[r])))
+    return MutableLabeledState(D, V, items, [0] * D + [1] * K, overlap=config.overlap)
+
+
+def temperatures(config: InferenceConfig) -> np.ndarray:
+    """A tempered fit's `min(n_sweeps, 20)` sweep temperatures: geometric from
+    `temperature_start` to `temperature_end` (anneal) or constant (mcmc)."""
+    n = min(config.n_sweeps, 20)
+    if config.mode == "mcmc":
+        return np.full(n, config.temperature_start)
+    return np.geomspace(max(config.temperature_start, 1e-6),
+                        max(config.temperature_end, 1e-6), num=n)
 
 
 def _block_state(counts, doc_group, word_group) -> LabeledGraph:
@@ -386,13 +366,18 @@ def _block_state(counts, doc_group, word_group) -> LabeledGraph:
                                    Gd + Gw, [0] * Gd + [1] * Gw)
 
 
-def block_search(graph, config: InferenceConfig) -> tuple[LabeledGraph, list[float], bool]:
-    """A clustered fit's search on the agglomerator's group tables alone:
-    greedy merges of the node singletons, then node-move sweeps until a sweep
-    moves no node, at most `config.n_sweeps`.  It draws no random number.
+def block_search(graph, config: InferenceConfig, rng=None):
+    """A clustered fit's search on the agglomerator's group tables alone.
+
+    Greedy merges of the node singletons, then node-move sweeps until a sweep
+    moves no node, at most `config.n_sweeps`; a greedy search draws no random
+    number.  Anneal and mcmc searches continue with one `block_mh_sweep` per
+    temperature of `temperatures(config)`, drawn from `rng`, polish again the
+    same way, and keep that state only if its sigma is below the greedy one.
     Returns the compacted flat state, the trace (the exact sigma after the
-    merges, then the running sigma after each sweep) and whether a sweep
-    moved no node."""
+    merges, then the running sigma after each polish or MH sweep), whether
+    the last polish ended on a sweep without a move, and the node-move
+    proposal and acceptance counts (empty when greedy)."""
     counts = np.zeros((graph.n_docs, graph.n_words), dtype=np.int64)
     np.add.at(counts, (graph.doc_idx, graph.word_idx), graph.counts)
     agg = NonoverlappingAgglomerator(counts, np.arange(graph.n_docs),
@@ -400,48 +385,26 @@ def block_search(graph, config: InferenceConfig) -> tuple[LabeledGraph, list[flo
     agg.greedy_merge()
     trace = [joint_logp(_block_state(counts, *agg.materialize()),
                         max_overlap=config.overlap).sigma_nats]
-    converged = False
-    for _ in range(config.n_sweeps):
-        # one sweep per call runs the sweeps of block_polish(agg, n_sweeps);
-        # every applied move gains more than 1e-9 nats, so 0.0 means no move
-        gain = block_polish(agg, max_sweeps=1)
-        trace.append(trace[-1] + gain)
-        if gain == 0.0:
-            converged = True
-            break
-    return _block_state(counts, *agg.materialize()), trace, converged
+    stats, best = Counter(), None
+    for temps in [()] if config.mode == "greedy" else [(), temperatures(config)]:
+        for temp in temps:
+            delta, proposed, accepted = block_mh_sweep(agg, rng, float(temp))
+            trace.append(trace[-1] + delta)
+            stats.update(proposed=proposed, accepted=accepted)
+        converged = False
+        for _ in range(config.n_sweeps):
+            # every applied move gains more than 1e-9 nats, so 0.0 means no move
+            gain = block_polish(agg, max_sweeps=1)
+            trace.append(trace[-1] + gain)
+            if gain == 0.0:
+                converged = True
+                break
+        if best is None or trace[-1] < best[0] - 1e-9:
+            best = trace[-1], agg.materialize()
+    return _block_state(counts, *best[1]), trace, converged, dict(stats)
 
 
 # --- sweeps ------------------------------------------------------------------
-
-
-def greedy_sweep(state: MutableLabeledState, rng) -> dict:
-    """One greedy pass over all bundles: move one unit of each label pair to
-    its best alternative, accepting only strict improvements (ties rejected)."""
-    accepted = 0
-    proposed = 0
-    keys = sorted(state.bundles.keys())
-    rng.shuffle(keys)
-    for key in keys:
-        d, w = key
-        for pair in sorted(state.bundles[key].keys()):
-            if state.bundles[key].get(pair, 0) <= 0:
-                continue
-            best = None
-            for cand in itertools.product(state.doc_groups(), state.word_groups()):
-                if cand == pair:
-                    continue
-                proposed += 1
-                delta = state.unit_move(d, w, pair, cand)
-                if delta == math.inf:
-                    continue
-                if delta < -1e-12 and (best is None or delta < best[0]):
-                    best = (delta, cand)
-                state.unit_move(d, w, cand, pair)
-            if best is not None:
-                state.unit_move(d, w, pair, best[1])
-                accepted += 1
-    return {"proposed": proposed, "accepted": accepted}
 
 
 def mh_sweep(state: MutableLabeledState, rng, temperature=1.0,
@@ -455,14 +418,13 @@ def mh_sweep(state: MutableLabeledState, rng, temperature=1.0,
     temperature only strict improvements pass.  With `doc_anchored` a
     proposal keeps the unit's document label and draws only its word label.
     """
-    doc_labels = doc_labels if doc_labels is not None else state.doc_groups()
-    word_labels = word_labels if word_labels is not None else state.word_groups()
+    doc_labels = sorted(state.sides[0].e_r) if doc_labels is None else doc_labels
+    word_labels = sorted(state.sides[1].e_r) if word_labels is None else word_labels
     accepted = 0
     keys = sorted(state.bundles.keys())
     totals = np.array([sum(state.bundles[k].values()) for k in keys], dtype=float)
     cum = np.cumsum(totals / totals.sum())
-    n_props = state.E
-    for _ in range(n_props):
+    for _ in range(state.E):
         key = keys[int(np.searchsorted(cum, rng.random(), side="right"))]
         cnt = state.bundles[key]
         pairs = sorted(cnt.keys())
@@ -488,7 +450,7 @@ def mh_sweep(state: MutableLabeledState, rng, temperature=1.0,
             accepted += 1
         else:
             state.unit_move(key[0], key[1], new_pair, pair)
-    return {"proposed": n_props, "accepted": accepted}
+    return {"proposed": state.E, "accepted": accepted}
 
 
 # --- hierarchy search --------------------------------------------------------
@@ -560,47 +522,29 @@ def grow_hierarchy(state: LabeledGraph, max_levels: int,
 
 def _fit_one_restart(graph, config: InferenceConfig, ridx: int, seq) -> FitResult:
     rng = np.random.default_rng(seq)
-    stats = Counter()
-    anchored = config.doc_clustering == "per-doc-group"
-    state, trace, rows = None, [], None
-    if config.mode in ("anneal", "mcmc"):
-        state = init_state(graph, config, rng)
-        trace.append(state.sigma())
-        if config.mode == "anneal":
-            temps = np.geomspace(max(config.temperature_start, 1e-6),
-                                 max(config.temperature_end, 1e-6),
-                                 num=min(config.n_sweeps, 20))
-        else:
-            temps = np.full(min(config.n_sweeps, 20), config.temperature_start)
-        for temp in temps:
-            stats.update(mh_sweep(state, rng, temperature=float(temp),
-                                  doc_anchored=anchored))
-            trace.append(state.sigma())
-    if anchored:
+    if config.doc_clustering == "clustered":
+        final, trace, converged, stats = block_search(graph, config, rng)
+    else:
         bundles, K, D = graph.coalesced(), config.n_word_groups or 2, graph.n_docs
-        if state is not None:  # its labels replace the start and the Gibbs initializer
+        trace, rows, stats = [], None, Counter()
+        if config.mode != "greedy":
+            state = init_state(graph, config, rng)
+            trace.append(state.sigma())
+            for temp in temperatures(config):
+                stats.update(mh_sweep(state, rng, temperature=float(temp),
+                                      doc_anchored=True))
+                trace.append(state.sigma())
+            # its labels replace the start and the Gibbs initializer
             keys = zip(bundles.doc_idx.tolist(), bundles.word_idx.tolist())
             rows = np.array([[state.bundles[(d, w)][(d, D + r)] for r in range(K)]
                              for d, w in keys], dtype=np.int64).reshape(-1, K)
         rows, _, descent, converged = _anchored_restart(
-            bundles, K, ridx, rng, config.n_sweeps, rows=rows)
+            bundles, K, ridx, rng, config.n_sweeps, rows=rows, max_overlap=config.overlap)
         trace += descent
         b, r = np.nonzero(rows)
         final = compress_groups(state_from_label_arrays(
             D, graph.n_words, bundles.doc_idx[b], bundles.word_idx[b], bundles.doc_idx[b],
             D + r, rows[b, r], D + K, [0] * D + [1] * K))
-    elif state is None:
-        final, trace, converged = block_search(graph, config)
-    else:
-        converged = False
-        for _ in range(config.n_sweeps):
-            info = greedy_sweep(state, rng)
-            stats.update(info)
-            trace.append(state.sigma())
-            if info["accepted"] == 0:
-                converged = True
-                break
-        final = compress_groups(state.to_labeled_graph())
     hierarchy, score = grow_hierarchy(final, config.max_levels,
                                       max_overlap=config.overlap)
     trace.append(score.sigma_nats)
@@ -613,22 +557,23 @@ def _fit_one_restart(graph, config: InferenceConfig, ridx: int, seq) -> FitResul
 def fit(graph, config: InferenceConfig) -> FitResult:
     """Best-of-restarts posterior maximization.
 
-    A clustered fit runs `block_search` (merges, then at most `n_sweeps`
-    node-move sweeps), which draws no random number, so a greedy clustered
-    fit ends there after one restart, whatever `n_restarts` says.  Anneal and
-    mcmc fits continue from its state with tempered or constant-temperature
-    unit sweeps, then at most `n_sweeps` greedy unit sweeps.  A per-doc-group
+    A clustered restart is `block_search`: merges, at most `n_sweeps`
+    node-move sweeps and, in anneal and mcmc fits, node-move
+    Metropolis-Hastings sweeps on the group tables followed by a second
+    polish.  A greedy clustered search draws no random number, so that fit
+    ends after one restart, whatever `n_restarts` says.  A per-doc-group
     restart is a `fit_doc_anchored` restart with `n_word_groups` (default 2)
-    and at most `n_sweeps` descent rounds; in anneal and mcmc fits, unit
-    sweeps that keep documents in their own groups replace its start.  Group
-    counts and hierarchy depth are fitted.
+    and at most `n_sweeps` descent rounds, scored under the overlap cap; in
+    anneal and mcmc fits, unit sweeps that keep documents in their own
+    groups replace its start.  Group counts and hierarchy depth are fitted.
 
-    `sigma_trace` holds the sigma after the merges and after each node-move
-    sweep for a greedy clustered fit, otherwise that of the start and after
-    each unit sweep, then the descent's trace; its last entry is the score
-    with the grown hierarchy.  `converged` is False when the last phase used
-    all `n_sweeps` sweeps or rounds and its last one still moved.
-    `acceptance` sums the unit and MH proposal counts (none in greedy fits).
+    `sigma_trace` holds the clustered search's trace, or for a per-doc-group
+    fit the sigma of the unit-sweep start and after each unit sweep (tempered
+    fits only), then the descent's trace; its last entry is the score with
+    the grown hierarchy.  `converged` is False when the last phase used all
+    `n_sweeps` sweeps or rounds and its last one still moved.  `acceptance`
+    sums the node-move or unit MH proposal and acceptance counts (empty in
+    greedy fits).
 
     Restarts use independent seed streams and reduce by minimum description
     length (ties to the lowest restart index); TOPICBLOCKS_THREADS > 1 runs
@@ -709,14 +654,17 @@ def _topic_totals(idx: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
                      for r in range(rows.shape[1])], axis=1)
 
 
-def score_doc_anchored(rows: np.ndarray, bundles: BipartiteMultigraph) -> ModelScore:
-    """Exact description length of the label rows, per-doc-group; bit-identical
-    to scoring the dense tensor, as its `LabeledCounts.from_dense` arrays,
-    in the same (d, w, r) order, are built here."""
+def score_doc_anchored(rows: np.ndarray, bundles: BipartiteMultigraph,
+                       max_overlap=None) -> ModelScore:
+    """Exact description length of the label rows, per-doc-group, under the
+    overlap cap `max_overlap`; without a cap it is bit-identical to scoring
+    the dense tensor by `fixed_label_score`, as its `LabeledCounts.from_dense`
+    arrays, in the same (d, w, r) order, are built here."""
     b, r = np.nonzero(rows)
-    return fixed_label_score(LabeledCounts(bundles.n_docs, bundles.n_words, rows.shape[1],
-                                           bundles.doc_idx[b], bundles.word_idx[b], r,
-                                           rows[b, r]), "per-doc-group")
+    labels = LabeledCounts(bundles.n_docs, bundles.n_words, rows.shape[1],
+                           bundles.doc_idx[b], bundles.word_idx[b], r, rows[b, r])
+    return joint_logp(labels_to_state(labels, "per-doc-group"), max_overlap=max_overlap,
+                      model_id="hsbm", parametrization="per-doc-group")
 
 
 def _gibbs_anneal_anchored(rows, bundles, rng, sweeps=25,
@@ -774,7 +722,8 @@ def _gibbs_anneal_anchored(rows, bundles, rng, sweeps=25,
 
 
 def _anchored_restart(bundles: BipartiteMultigraph, K: int, ridx: int, rng,
-                      max_rounds: int, gibbs_sweeps: int = 25, rows=None):
+                      max_rounds: int, gibbs_sweeps: int = 25, rows=None,
+                      max_overlap=None):
     """One restart of the anchored fitter on the coalesced `bundles`.
 
     Without start `rows`, it draws a random split (word-pure on even
@@ -782,8 +731,9 @@ def _anchored_restart(bundles: BipartiteMultigraph, K: int, ridx: int, rng,
     start.  It then descends greedily: rounds propose whole-word,
     proportional, whole-bundle or single-unit shifts toward the label with
     the best count-ratio gain, and a batch is accepted only if the exact
-    description length drops (a failed batch is retried on the most
-    promising fraction of bundles first).  Returns (rows, sigma, trace,
+    description length, under the overlap cap `max_overlap`, drops (a
+    failed batch is retried on the most promising fraction of bundles
+    first).  Returns (rows, sigma, trace,
     converged); the trace is nonincreasing, and `converged` is False if
     all `max_rounds` rounds moved."""
     if rows is None:
@@ -799,7 +749,7 @@ def _anchored_restart(bundles: BipartiteMultigraph, K: int, ridx: int, rng,
             anneal = dict(sweeps=gibbs_sweeps, t_start=2.0, t_end=0.4)
         if gibbs_sweeps:
             _gibbs_anneal_anchored(rows, bundles, rng, **anneal)
-    sigma = score_doc_anchored(rows, bundles).sigma_nats
+    sigma = score_doc_anchored(rows, bundles, max_overlap).sigma_nats
     trace = [sigma]
     for _ in range(max_rounds):
         improved = False
@@ -807,7 +757,7 @@ def _anchored_restart(bundles: BipartiteMultigraph, K: int, ridx: int, rng,
             cand = _anchored_proposal(rows, bundles, mode)
             if cand is None:
                 continue
-            accepted, sigma = _try_batch(rows, cand, sigma, bundles)
+            accepted, sigma = _try_batch(rows, cand, sigma, bundles, max_overlap)
             if accepted:
                 trace.append(sigma)
                 improved = True
@@ -879,6 +829,50 @@ def block_polish(agg: NonoverlappingAgglomerator, max_sweeps: int = 4) -> float:
         if not moved:
             break
     return total
+
+
+NEW_GROUP_P = 0.05  # epsilon: the chance that a node-move proposal opens a new group
+
+
+def block_mh_sweep(agg: NonoverlappingAgglomerator, rng, temperature: float):
+    """One node-move Metropolis-Hastings sweep on a nonoverlapping state: one
+    proposal per node with edges, each picking such a node uniformly over
+    both sides.  With probability eps = `NEW_GROUP_P` it proposes the lowest
+    unused group id (no move if the node is alone in its group; a search from
+    node singletons always has one otherwise), else a uniform other occupied
+    group of the side (no move if none).  A move of exact delta D passes with
+    probability min(1, exp(-D/T) q_rev/q_fwd); with B groups on the side,
+    q_rev/q_fwd is 1 between existing groups, eps (B-1)/(1-eps) when the
+    source empties and (1-eps)/(B eps) for a new target, so the chain targets
+    exp(-sigma/T) over partitions.  At T <= 0 only D < 0 passes.  Returns
+    (sum of the accepted deltas, proposals, acceptances)."""
+    nodes = [(side, int(v)) for side, assign in ((0, agg.doc_assign), (1, agg.word_assign))
+             for v in np.flatnonzero(assign >= 0)]
+    eps, total, accepted = NEW_GROUP_P, 0.0, 0
+    for _ in nodes:
+        side, node = nodes[int(rng.integers(len(nodes)))]
+        groups = agg.tables[side]
+        src = int((agg.doc_assign, agg.word_assign)[side][node])
+        alone, B = groups[src]["n"] == 1, len(groups)
+        if rng.random() < eps:
+            if alone:
+                continue
+            dst = min(set(range(agg.e_mat.shape[side])) - groups.keys())
+            ratio = (1 - eps) / (B * eps)
+        else:
+            others = [g for g in groups if g != src]
+            if not others:
+                continue
+            dst = others[int(rng.integers(len(others)))]
+            ratio = eps * (B - 1) / (1 - eps) if alone else 1.0
+        part = agg._node_part(side, node)
+        delta = agg._move_delta(side, src, dst, part)
+        if (delta < 0 if temperature <= 0 else
+                rng.random() < math.exp(min(700.0, -delta / temperature)) * ratio):
+            agg._apply_transfer(side, src, dst, part, node)
+            total += delta
+            accepted += 1
+    return total, len(nodes), accepted
 
 
 def _shifted(freq: Counter, extra: dict, sign: int) -> Counter:
@@ -1240,10 +1234,10 @@ def _apply_anchored(rows, cand, bundles, subset):
     return sel, before
 
 
-def _try_batch(rows, cand, sigma, bundles):
+def _try_batch(rows, cand, sigma, bundles, max_overlap=None):
     """Accept the proposal on the full bundle set, halving to the highest
     margin fraction on failure; returns (accepted, sigma) with the rows at
-    the best accepted state."""
+    the best accepted state, scored under the overlap cap `max_overlap`."""
     order = np.argsort(-cand["margin"])
     fraction = 1.0
     while fraction >= 1 / 64:
@@ -1251,7 +1245,7 @@ def _try_batch(rows, cand, sigma, bundles):
         subset = np.zeros(len(rows), dtype=bool)
         subset[take] = True
         sel, before = _apply_anchored(rows, cand, bundles, subset)
-        new_sigma = score_doc_anchored(rows, bundles).sigma_nats
+        new_sigma = score_doc_anchored(rows, bundles, max_overlap).sigma_nats
         if new_sigma < sigma - 1e-9:
             return True, new_sigma
         rows[sel] = before

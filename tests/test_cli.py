@@ -220,6 +220,24 @@ class TestFitPipeline:
                               max_overlap=1)
         assert rescored.sigma_nats == pytest.approx(score["sigma_nats"], abs=1e-9)
 
+    @pytest.mark.parametrize("mode", ["anneal", "mcmc"])
+    def test_tempered_clustered_fit(self, tmp_path, mode):
+        corpus = tmp_path / "corpus"
+        run(["synth", "--K", 2, "--D", 20, "--V", 30, "--m", 20, "--alpha", 0.05,
+             "--beta", 0.05, "--p-w", "uniform", "--seed", 21, "--out", corpus])
+        model = tmp_path / "model"
+        assert run(["fit", "--corpus", corpus, "--mode", mode, "--restarts", 2,
+                    "--sweeps", 10, "--out", model]) == 0
+        state, hierarchy = load_model(model)
+        groups = {}
+        for node, g in zip(np.concatenate([state.i, state.j]),
+                           np.concatenate([state.r, state.s])):
+            groups.setdefault(int(node), set()).add(int(g))
+        assert all(len(gs) == 1 for gs in groups.values())
+        score = json.loads((model / "score.json").read_text())
+        rescored = joint_logp(state, hierarchy if hierarchy.assignments else None)
+        assert rescored.sigma_nats == pytest.approx(score["sigma_nats"], abs=1e-9)
+
     def test_fig2_preset(self, tmp_path):
         sample = tmp_path / "sample"
         run(["synth", "--K", 2, "--D", 10, "--V", 15, "--m", 20, "--seed", 1,

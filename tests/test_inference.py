@@ -3,6 +3,7 @@ import io
 import itertools
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,11 +21,11 @@ from topicblocks.inference import (
     MutableLabeledState,
     NonoverlappingAgglomerator,
     _gibbs_anneal_anchored,
+    block_mh_sweep,
     block_polish,
     fit,
     fit_doc_anchored,
     fixed_label_score,
-    greedy_sweep,
     grow_hierarchy,
     init_state,
     labels_to_state,
@@ -55,6 +56,17 @@ def random_engine_state(rng, n_docs=3, n_words=3, doc_groups=2, word_groups=2):
     return MutableLabeledState(n_docs, n_words, items, group_side)
 
 
+def node_move(state, side, idx, g_from, g_to):
+    """Move one node's g_from half-edges to g_to as one engine batch; returns
+    the delta and the batch that undoes the move (empty if it was refused)."""
+    moves = [(key, pair, (g_to, pair[1]) if side == 0 else (pair[0], g_to), m)
+             for key in sorted(state.bundles) if key[side] == idx
+             for pair, m in sorted(state.bundles[key].items()) if pair[side] == g_from]
+    delta = state._bulk_moves(moves)
+    undo = [(key, target, pair, m) for key, pair, target, m in reversed(moves)]
+    return delta, [] if delta == math.inf else undo
+
+
 class TestEngineDeltaConsistency:
     def test_unit_moves_match_full_recompute(self):
         """After any accepted move the running total equals the from-scratch
@@ -78,9 +90,9 @@ class TestEngineDeltaConsistency:
         rng = np.random.default_rng(9)
         st = random_engine_state(rng, n_docs=4, n_words=4)
         before = st.sigma()
-        delta, log = st.relabel_node(0, 1, 0, 1)
+        delta, undo = node_move(st, 0, 1, 0, 1)
         assert abs((before + delta) - st.score().sigma_nats) < 1e-6
-        st.undo(log)
+        st._bulk_moves(undo)
         assert abs(st.sigma() - before) < 1e-6
 
     def test_side_violation_rejected(self):
@@ -90,6 +102,14 @@ class TestEngineDeltaConsistency:
         pair = sorted(st.bundles[key].keys())[0]
         with pytest.raises(IntegrityError):
             st.unit_move(key[0], key[1], pair, (2, 0))
+
+
+class TestConfig:
+    @pytest.mark.parametrize("field, value", [("mode", "gredy"),
+                                              ("doc_clustering", "bogus")])
+    def test_unknown_mode_rejected(self, field, value):
+        with pytest.raises(ValueError, match=value):
+            InferenceConfig(**{field: value})
 
 
 class TestOverlapCap:
@@ -205,12 +225,12 @@ class TestEngineProperties:
                 idx = node - side * state.n_docs
                 g_from = data.draw(hst.sampled_from(state.node_mixture[node]))
                 g_to = data.draw(hst.sampled_from(side_groups(state, side)))
-                delta, log = state.relabel_node(side, idx, g_from, g_to)
+                delta, undo = node_move(state, side, idx, g_from, g_to)
                 if delta == math.inf:
-                    assert log == [] and state.sigma() == before
+                    assert undo == [] and state.sigma() == before
                     continue
                 assert abs(before + delta - state.sigma()) < 1e-8
-                done.append((before, lambda log=log: state.undo(log)))
+                done.append((before, lambda undo=undo: state._bulk_moves(undo)))
             assert abs(state.sigma() - state.score().sigma_nats) < 1e-8
             cap = state.overlap or math.inf
             assert all(len(mix) <= cap for mix in state.node_mixture.values())
@@ -235,14 +255,6 @@ class TestGreedyFit:
         before = st.sigma()
         mh_sweep(st, rng, temperature=0.0)
         assert st.sigma() <= before + 1e-9
-
-    def test_greedy_sweep_never_increases(self):
-        rng = np.random.default_rng(1)
-        st = random_engine_state(rng, n_docs=4, n_words=4)
-        for _ in range(3):
-            before = st.sigma()
-            greedy_sweep(st, rng)
-            assert st.sigma() <= before + 1e-9
 
     def test_planted_bicliques_recovered(self):
         graph = planted_biclique_graph()
@@ -297,10 +309,17 @@ class TestGreedyFit:
     def test_clustered_start_leaves_isolated_nodes_out(self):
         # document 2 and word 2 have no edges
         graph = BipartiteMultigraph(3, 3, [0, 0, 1], [0, 1, 1], [2, 1, 3])
-        state = init_state(graph, InferenceConfig(doc_clustering="clustered"))
-        assert abs(state.sigma() - state.score().sigma_nats) < 1e-9
-        assert {d for d, _ in state.bundles} == {0, 1}
-        assert {w for _, w in state.bundles} == {0, 1}
+        for mode in ("greedy", "anneal", "mcmc"):
+            result = fit(graph, InferenceConfig(mode=mode, n_restarts=2, n_sweeps=10))
+            st = result.state
+            assert set(st.i.tolist()) == {0, 1} and set((st.j - 3).tolist()) == {0, 1}
+            assert abs(joint_logp(st, result.hierarchy).sigma_nats - result.sigma) < 1e-9
+        ag = NonoverlappingAgglomerator(dense_counts(graph), np.arange(3), np.arange(3))
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            block_mh_sweep(ag, rng, temperature=10.0)
+        assert ag.doc_assign[2] == -1 and ag.word_assign[2] == -1
+        assert sum(t["n"] for side in (0, 1) for t in ag.tables[side].values()) == 4
 
     def test_empty_graph_trivial_model(self):
         graph = BipartiteMultigraph(2, 2, [], [], [])
@@ -372,9 +391,10 @@ class TestBlockSearch:
         assert block_polish(ag, max_sweeps=10) == 0.0
 
     def test_anneal_reaches_the_greedy_state(self, synth_graphs):
-        result = fit(synth_graphs[22], InferenceConfig(mode="anneal", seed=0, n_restarts=2,
-                                                       n_sweeps=10, max_levels=5))
-        assert result.sigma <= 321.0351123879486 + 1e-9
+        for mode in ("anneal", "mcmc"):
+            result = fit(synth_graphs[22], InferenceConfig(mode=mode, seed=0, n_restarts=2,
+                                                           n_sweeps=10, max_levels=5))
+            assert result.sigma <= 321.0351123879486 + 1e-9
 
     def test_trace_is_merges_then_one_entry_per_sweep(self, synth_graphs):
         graph = synth_graphs[21]
@@ -407,10 +427,33 @@ class TestBlockSearch:
 
     def test_greedy_fit_builds_no_unit_engine(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("a greedy clustered fit built the unit-move engine")
+            raise AssertionError("a clustered fit built the unit-move engine")
         monkeypatch.setattr(MutableLabeledState, "__init__", refuse)
-        cfg = InferenceConfig(mode="greedy", seed=0, n_restarts=2, n_sweeps=10)
-        assert np.isfinite(fit(planted_biclique_graph(), cfg).sigma)
+        for mode in ("greedy", "anneal", "mcmc"):
+            cfg = InferenceConfig(mode=mode, seed=0, n_restarts=2, n_sweeps=10)
+            assert np.isfinite(fit(planted_biclique_graph(), cfg).sigma)
+
+    @pytest.mark.parametrize("mode", ["anneal", "mcmc"])
+    def test_tempered_trace_and_counts(self, synth_graphs, mode):
+        """A tempered search's trace is the greedy search's, then one entry
+        per MH sweep and per final polish sweep; it counts one proposal per
+        node with edges and sweep, and never ends above the greedy sigma."""
+        graph = synth_graphs[21]
+        cfg = InferenceConfig(mode=mode, seed=3, n_restarts=1, n_sweeps=10)
+        greedy = fit(graph, InferenceConfig(mode="greedy", n_sweeps=10))
+        result = fit(graph, cfg)
+        n_greedy = len(greedy.sigma_trace) - 1
+        assert result.sigma_trace[:n_greedy] == greedy.sigma_trace[:-1]
+        n_final = len(result.sigma_trace) - 1 - n_greedy - 10
+        assert 1 <= n_final <= 10
+        # a polish sweep without a move adds exactly 0.0
+        assert result.converged == (result.sigma_trace[-2] == result.sigma_trace[-3])
+        n_nodes = len(np.unique(graph.doc_idx)) + len(np.unique(graph.word_idx))
+        assert result.acceptance["proposed"] == 10 * n_nodes
+        assert 0 <= result.acceptance["accepted"] <= result.acceptance["proposed"]
+        assert result.sigma <= greedy.sigma + 1e-9
+        st = result.state
+        assert abs(joint_logp(st, result.hierarchy).sigma_nats - result.sigma) < 1e-9
 
 
 def fit_outcome(result):
@@ -437,6 +480,8 @@ class TestRestarts:
 
     def test_worker_processes_match_the_serial_path(self, monkeypatch):
         configs = (InferenceConfig(mode="anneal", seed=3, n_restarts=2, n_sweeps=5),
+                   InferenceConfig(mode="mcmc", seed=3, n_restarts=2, n_sweeps=5,
+                                   temperature_start=3.0),
                    InferenceConfig(doc_clustering="per-doc-group", n_word_groups=2,
                                    seed=3, n_restarts=3, n_sweeps=20))
         graph = planted_biclique_graph(mult=2)
@@ -484,6 +529,20 @@ class TestPerDocGroupFit:
         cfg = InferenceConfig(doc_clustering="per-doc-group", n_word_groups=3,
                               n_restarts=2, n_sweeps=30, seed=4)
         assert fit_outcome(fit(split, cfg)) == fit_outcome(fit(graph, cfg))
+
+
+    def test_descent_is_scored_under_the_overlap_cap(self, synth_graphs):
+        """The cap shifts sigma by terms the descent's choices do not depend
+        on here, so the labels agree, and the descent ends at the flat score
+        that the fit reports under the same cap."""
+        results = [fit(synth_graphs[22], InferenceConfig(
+            doc_clustering="per-doc-group", n_word_groups=2, n_restarts=1, overlap=cap,
+            max_levels=1)) for cap in (None, 2, 5)]
+        for result in results:
+            assert np.array_equal(result.state.s, results[0].state.s)
+            assert np.array_equal(result.state.m, results[0].state.m)
+            assert abs(result.sigma_trace[-1] - result.sigma_trace[-2]) < 1e-9
+        assert results[1].sigma < results[2].sigma < results[0].sigma
 
 
 class TestTemperedFits:
@@ -877,7 +936,7 @@ def _block_polish_reference(state: MutableLabeledState, max_sweeps: int = 4) -> 
     for _ in range(max_sweeps):
         moved = False
         for side in (0, 1):
-            groups = state.doc_groups() if side == 0 else state.word_groups()
+            groups = sorted(state.sides[side].e_r)
             size = state.n_docs if side == 0 else state.n_words
             for idx in range(size):
                 node = idx if side == 0 else state.n_docs + idx
@@ -886,12 +945,12 @@ def _block_polish_reference(state: MutableLabeledState, max_sweeps: int = 4) -> 
                     for g_to in groups:
                         if g_to == g_from:
                             continue
-                        delta, log = state.relabel_node(side, idx, g_from, g_to)
+                        delta, undo = node_move(state, side, idx, g_from, g_to)
                         if delta < -1e-9 and (best is None or delta < best[0]):
                             best = (delta, g_to)
-                        state.undo(log)
+                        state._bulk_moves(undo)
                     if best is not None:
-                        delta, _ = state.relabel_node(side, idx, g_from, best[1])
+                        delta, _ = node_move(state, side, idx, g_from, best[1])
                         total += delta
                         moved = True
         if not moved:
@@ -1010,3 +1069,51 @@ class TestBlockPolish:
         assert abs(sigma - engine.score().sigma_nats) < 1e-8
         assert abs(total - ref_total) < 1e-8
         assert abs((sigma - before) - total) < 1e-8
+
+
+class TestBlockMHSweep:
+    @given(merge_cases(), hst.sampled_from([0.0, 0.5, 3.0]), hst.sampled_from([None, 1, 2]),
+           hst.integers(0, 2**32 - 1))
+    def test_sweep_delta_matches_joint(self, case, temperature, cap, seed):
+        """From the merged singletons, one sweep's returned delta is the
+        change of the joint under the cap, the tables stay fresh, and at zero
+        temperature sigma never rises."""
+        counts = case[0]
+        ag = NonoverlappingAgglomerator(counts, np.arange(counts.shape[0]),
+                                        np.arange(counts.shape[1]), max_overlap=cap)
+        ag.greedy_merge()
+        before = materialized_sigma(counts, ag)
+        delta, proposed, accepted = block_mh_sweep(ag, np.random.default_rng(seed), temperature)
+        after = materialized_sigma(counts, ag)
+        assert abs((after - before) - delta) < 1e-8
+        assert_tables_fresh(counts, ag)
+        assert proposed == int((counts.sum(axis=1) > 0).sum() + (counts.sum(axis=0) > 0).sum())
+        assert 0 <= accepted <= proposed
+        if temperature == 0.0:
+            assert delta <= 0.0 and after <= before + 1e-8
+
+    @pytest.mark.parametrize("temperature", [3.0, 10.0])
+    def test_chain_samples_the_tempered_posterior(self, temperature):
+        """Over the 10 nonoverlapping partitions of a 2 x 3 count matrix,
+        sweeps from the singletons visit each in proportion to
+        exp(-sigma / T)."""
+        counts = np.array([[1, 1, 0], [0, 1, 1]])
+        doc_parts = ([0, 0], [0, 1])
+        word_parts = ([0, 0, 0], [0, 0, 1], [0, 1, 0], [0, 1, 1], [0, 1, 2])
+        sigma = {(tuple(da), tuple(wa)): materialized_sigma(
+                     counts, NonoverlappingAgglomerator(counts, np.array(da), np.array(wa)))
+                 for da in doc_parts for wa in word_parts}
+        weights = {key: math.exp(-(s - min(sigma.values())) / temperature)
+                   for key, s in sigma.items()}
+        target = {key: w / sum(weights.values()) for key, w in weights.items()}
+        ag = NonoverlappingAgglomerator(counts, np.arange(2), np.arange(3))
+        rng = np.random.default_rng(12)
+        visits = Counter()
+        for i in range(12000):
+            block_mh_sweep(ag, rng, temperature)
+            if i >= 200:
+                visits[(tuple(canonical(ag.doc_assign)), tuple(canonical(ag.word_assign)))] += 1
+        assert set(visits) <= set(target)
+        n = sum(visits.values())
+        tv = 0.5 * sum(abs(visits[key] / n - p) for key, p in target.items())
+        assert tv <= 0.05
