@@ -439,9 +439,8 @@ class TestBlockSearch:
         per MH sweep and per final polish sweep; it counts one proposal per
         node with edges and sweep, and never ends above the greedy sigma."""
         graph = synth_graphs[21]
-        cfg = InferenceConfig(mode=mode, seed=3, n_restarts=1, n_sweeps=10)
         greedy = fit(graph, InferenceConfig(mode="greedy", n_sweeps=10))
-        result = fit(graph, cfg)
+        result = fit(graph, InferenceConfig(mode=mode, seed=3, n_restarts=1, n_sweeps=10))
         n_greedy = len(greedy.sigma_trace) - 1
         assert result.sigma_trace[:n_greedy] == greedy.sigma_trace[:-1]
         n_final = len(result.sigma_trace) - 1 - n_greedy - 10
@@ -452,8 +451,7 @@ class TestBlockSearch:
         assert result.acceptance["proposed"] == 10 * n_nodes
         assert 0 <= result.acceptance["accepted"] <= result.acceptance["proposed"]
         assert result.sigma <= greedy.sigma + 1e-9
-        st = result.state
-        assert abs(joint_logp(st, result.hierarchy).sigma_nats - result.sigma) < 1e-9
+        assert abs(joint_logp(result.state, result.hierarchy).sigma_nats - result.sigma) < 1e-9
 
 
 def fit_outcome(result):
