@@ -70,7 +70,6 @@ from .inference import (
     fit_doc_anchored,
     fixed_label_score,
     grow_hierarchy,
-    init_state,
     labels_to_state,
     refine_doc_clusters,
 )

@@ -448,9 +448,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=10,
                    help="independent restarts (a greedy clustered fit runs one)")
     p.add_argument("--sweeps", type=int, default=200,
-                   help="cap per phase: node-move polish sweeps (clustered), "
+                   help="cap per descent: node-move polish sweeps (clustered), "
                         "descent rounds (per-doc-group); anneal and mcmc fits "
-                        "first run min(sweeps, 20) tempered sweeps")
+                        "then run min(sweeps, 20) tempered sweeps or rounds "
+                        "and descend again")
     p.add_argument("--max-levels", type=int, default=5, dest="max_levels")
     p.add_argument("--preset", default=None, choices=["fig2-mode"],
                    help="fig2-mode: --doc-clustering per-doc-group "

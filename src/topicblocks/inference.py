@@ -5,10 +5,9 @@ The mutable engine keeps sparse count aggregates (bundle counts, labeled
 degrees, group-pair totals, per-side mixture tables).  Every change goes
 through one path, a batch of mass moves inside bundles that returns the
 exact change of the description length; a unit move relabels one half-edge
-pair of one bundle.  A batch that would
-break the overlap cap is refused before anything changes, and the running
-total must match the from-scratch joint.  Tempered (anneal, mcmc)
-per-doc-group fits run their unit Metropolis-Hastings sweeps on this engine.
+pair of one bundle, and the running total must match the from-scratch
+joint.  No fit builds it: it serves `mh_sweep`, the unit Metropolis-Hastings
+chain over overlapping labeled states.
 
 Nonoverlapping states are searched at block level by the agglomerator, whose
 merges and node moves share one closed-form group-table delta.  Every
@@ -23,7 +22,10 @@ Per-doc-group fits (every document pinned to its own group, so mixtures
 read directly as topic proportions) get one vectorized batch optimizer on
 sparse label rows that proposes whole-bundle reassignments from count tables
 and accepts a batch only when the exactly rescored description length drops,
-so greedy traces stay monotone at corpus scale.
+so greedy traces stay monotone at corpus scale.  A tempered per-doc-group
+fit continues with rounds of the same proposals that also accept an uphill
+batch with probability exp(-delta / T), descends again and keeps the better
+of that state and the greedy one.
 """
 from __future__ import annotations
 
@@ -81,6 +83,8 @@ class InferenceConfig:
             raise ValueError(f"unknown doc_clustering mode {self.doc_clustering!r}")
         if self.n_sweeps <= 0 or self.n_restarts <= 0:
             raise ValueError("sweep and restart counts must be positive")
+        if self.max_levels < 0:
+            raise ValueError(f"max_levels must be at least 0, not {self.max_levels}")
         if self.overlap is not None and self.overlap < 1:
             raise ValueError("the overlap cap must be at least 1")
         K = self.n_word_groups
@@ -117,11 +121,10 @@ class MutableLabeledState:
     groups only, matching the compressed from-scratch evaluation.
     """
 
-    def __init__(self, n_docs, n_words, bundle_items, group_side, overlap=None):
+    def __init__(self, n_docs, n_words, bundle_items, group_side):
         self.n_docs = int(n_docs)
         self.n_words = int(n_words)
         self.group_side = list(group_side)
-        self.overlap = overlap
         self.bundles: dict[tuple, Counter] = {}
         self.k: Counter = Counter()          # (node, group) -> labeled degree
         self.e_pair: Counter = Counter()     # (doc group, word group) -> count
@@ -225,7 +228,7 @@ class MutableLabeledState:
         st.n_groups = len(st.e_r)
         term = 0.0
         if st.n_eff:
-            term -= logp_overlap_partition(st, self.overlap)
+            term -= logp_overlap_partition(st)
             term -= logp_degrees_given_mixtures({side: st})
         self._side_terms[side] = term
 
@@ -246,32 +249,11 @@ class MutableLabeledState:
 
     # -- the one mutation path ----------------------------------------------
 
-    def _breaks_cap(self, moves) -> bool:
-        """Whether `moves` would leave some node in more groups than the cap."""
-        shift: dict[int, Counter] = {}
-        for (d, w), pair, target, m in moves:
-            for side, idx in ((0, d), (1, w)):
-                change = shift.setdefault(self._node(side, idx), Counter())
-                change[pair[side]] -= m
-                change[target[side]] += m
-        return any(
-            sum(self.k[(node, g)] + change[g] > 0
-                for g in set(self.node_mixture.get(node, ())) | set(change))
-            > self.overlap
-            for node, change in shift.items()
-        )
-
     def _bulk_moves(self, moves):
         """Apply (bundle key, old pair, new pair, mass) moves, refreshing each
         touched side once; returns the exact delta.  The reversed batch with
-        old and new pairs swapped undoes it.
-
-        This is the only code that changes the state after construction.  A
-        batch that would put some node in more groups than the overlap cap is
-        refused whole: the state stays as it was and the result is +inf.
-        """
-        if self.overlap is not None and self._breaks_cap(moves):
-            return math.inf
+        old and new pairs swapped undoes it.  This is the only code that
+        changes the state after construction."""
         before = self.sigma()
         touched = set()
         for (d, w), pair, target, m in moves:
@@ -308,8 +290,7 @@ class MutableLabeledState:
 
     def unit_move(self, d, w, old_pair, new_pair) -> float:
         """Relabel one half-edge pair of bundle (d, w); returns the exact
-        change in description length (+inf, changing nothing, if the move
-        breaks the overlap cap).  The inverse call undoes the move."""
+        change in description length.  The inverse call undoes the move."""
         return self._bulk_moves([((d, w), old_pair, new_pair, 1)])
 
     # -- conversions ------------------------------------------------------
@@ -324,31 +305,16 @@ class MutableLabeledState:
         )
 
     def score(self) -> ModelScore:
-        return joint_logp(self.to_labeled_graph(), max_overlap=self.overlap)
+        return joint_logp(self.to_labeled_graph())
 
 
-# --- initialization ---------------------------------------------------------
-
-
-def init_state(graph, config: InferenceConfig, rng=None) -> MutableLabeledState:
-    """The start of a tempered per-doc-group fit: document d is pinned to its
-    own group and each bundle's half-edges are spread over `n_word_groups`
-    (default 2) word labels by a uniform multinomial draw.  Clustered fits
-    start from node singletons in `block_search` instead."""
-    rng = np.random.default_rng(config.seed) if rng is None else rng
-    D, V = graph.n_docs, graph.n_words
-    K = config.n_word_groups or 2
-    items = []
-    for d, w, c in zip(graph.doc_idx, graph.word_idx, graph.counts):
-        split = rng.multinomial(int(c), np.full(K, 1.0 / K))
-        for r in np.nonzero(split)[0]:
-            items.append((int(d), int(w), int(d), D + int(r), int(split[r])))
-    return MutableLabeledState(D, V, items, [0] * D + [1] * K, overlap=config.overlap)
+# --- tempering and block search ----------------------------------------------
 
 
 def temperatures(config: InferenceConfig) -> np.ndarray:
-    """A tempered fit's `min(n_sweeps, 20)` sweep temperatures: geometric from
-    `temperature_start` to `temperature_end` (anneal) or constant (mcmc)."""
+    """A tempered fit's `min(n_sweeps, 20)` sweep or round temperatures:
+    geometric from `temperature_start` to `temperature_end` (anneal) or
+    constant (mcmc)."""
     n = min(config.n_sweeps, 20)
     if config.mode == "mcmc":
         return np.full(n, config.temperature_start)
@@ -408,15 +374,15 @@ def block_search(graph, config: InferenceConfig, rng=None):
 
 
 def mh_sweep(state: MutableLabeledState, rng, temperature=1.0,
-             doc_labels=None, word_labels=None, doc_anchored=False) -> dict:
+             doc_labels=None, word_labels=None) -> dict:
     """E Metropolis-Hastings unit proposals at the given temperature.
 
     A unit is picked proportionally to bundle label mass and sent to a
     uniform label pair, so the acceptance carries the count-ratio correction
     that makes the chain target exp(-sigma) over labeled states.  Proposals
     with ratio exactly one are accepted with probability one half; at zero
-    temperature only strict improvements pass.  With `doc_anchored` a
-    proposal keeps the unit's document label and draws only its word label.
+    temperature only strict improvements pass.  No fit runs it; acceptance
+    criterion 9 checks its samples against an enumerated posterior.
     """
     doc_labels = sorted(state.sides[0].e_r) if doc_labels is None else doc_labels
     word_labels = sorted(state.sides[1].e_r) if word_labels is None else word_labels
@@ -430,17 +396,13 @@ def mh_sweep(state: MutableLabeledState, rng, temperature=1.0,
         pairs = sorted(cnt.keys())
         mass = np.array([cnt[p] for p in pairs], dtype=float)
         pair = pairs[int(rng.choice(len(pairs), p=mass / mass.sum()))]
-        new_pair = (
-            pair[0] if doc_anchored else doc_labels[int(rng.integers(len(doc_labels)))],
-            word_labels[int(rng.integers(len(word_labels)))],
-        )
+        new_pair = (doc_labels[int(rng.integers(len(doc_labels)))],
+                    word_labels[int(rng.integers(len(word_labels)))])
         if new_pair == pair:
             continue
         old_c = cnt[pair]
         new_c = cnt.get(new_pair, 0)
         delta = state.unit_move(key[0], key[1], pair, new_pair)
-        if delta == math.inf:
-            continue
         if temperature <= 0:
             ok = delta < 0
         else:
@@ -526,21 +488,9 @@ def _fit_one_restart(graph, config: InferenceConfig, ridx: int, seq) -> FitResul
         final, trace, converged, stats = block_search(graph, config, rng)
     else:
         bundles, K, D = graph.coalesced(), config.n_word_groups or 2, graph.n_docs
-        trace, rows, stats = [], None, Counter()
-        if config.mode != "greedy":
-            state = init_state(graph, config, rng)
-            trace.append(state.sigma())
-            for temp in temperatures(config):
-                stats.update(mh_sweep(state, rng, temperature=float(temp),
-                                      doc_anchored=True))
-                trace.append(state.sigma())
-            # its labels replace the start and the Gibbs initializer
-            keys = zip(bundles.doc_idx.tolist(), bundles.word_idx.tolist())
-            rows = np.array([[state.bundles[(d, w)][(d, D + r)] for r in range(K)]
-                             for d, w in keys], dtype=np.int64).reshape(-1, K)
-        rows, _, descent, converged = _anchored_restart(
-            bundles, K, ridx, rng, config.n_sweeps, rows=rows, max_overlap=config.overlap)
-        trace += descent
+        temps = () if config.mode == "greedy" else temperatures(config)
+        rows, _, trace, converged, stats = _anchored_restart(
+            bundles, K, ridx, rng, config.n_sweeps, max_overlap=config.overlap, temps=temps)
         b, r = np.nonzero(rows)
         final = compress_groups(state_from_label_arrays(
             D, graph.n_words, bundles.doc_idx[b], bundles.word_idx[b], bundles.doc_idx[b],
@@ -562,18 +512,18 @@ def fit(graph, config: InferenceConfig) -> FitResult:
     Metropolis-Hastings sweeps on the group tables followed by a second
     polish.  A greedy clustered search draws no random number, so that fit
     ends after one restart, whatever `n_restarts` says.  A per-doc-group
-    restart is a `fit_doc_anchored` restart with `n_word_groups` (default 2)
-    and at most `n_sweeps` descent rounds, scored under the overlap cap; in
-    anneal and mcmc fits, unit sweeps that keep documents in their own
-    groups replace its start.  Group counts and hierarchy depth are fitted.
+    restart is an `_anchored_restart` with `n_word_groups` (default 2) and
+    at most `n_sweeps` descent rounds per descent, scored under the overlap
+    cap; in anneal and mcmc fits it continues with one tempered round per
+    temperature of `temperatures(config)` and a second descent.  Group
+    counts and hierarchy depth are fitted.
 
-    `sigma_trace` holds the clustered search's trace, or for a per-doc-group
-    fit the sigma of the unit-sweep start and after each unit sweep (tempered
-    fits only), then the descent's trace; its last entry is the score with
-    the grown hierarchy.  `converged` is False when the last phase used all
-    `n_sweeps` sweeps or rounds and its last one still moved.  `acceptance`
-    sums the node-move or unit MH proposal and acceptance counts (empty in
-    greedy fits).
+    `sigma_trace` holds the restart's search trace (see `block_search` and
+    `_anchored_restart`); its last entry is the score with the grown
+    hierarchy.  `converged` is False when the last phase used all `n_sweeps`
+    sweeps or rounds and its last one still moved.  `acceptance` sums the
+    node-move MH proposals or tempered batch proposals and their acceptances
+    (empty in greedy fits).
 
     Restarts use independent seed streams and reduce by minimum description
     length (ties to the lowest restart index); TOPICBLOCKS_THREADS > 1 runs
@@ -649,9 +599,10 @@ def fixed_label_score(sample: LdaSample | LabeledCounts, variant: str,
 
 def _topic_totals(idx: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
     """(n, K) float totals of the rows per index, one bincount per column
-    summed in row order (exact for integer totals below 2**53)."""
+    summed in row order (exact for integer totals below 2**53).  Float also
+    without rows: `bincount` of an empty index returns integers."""
     return np.stack([np.bincount(idx, weights=rows[:, r], minlength=n)
-                     for r in range(rows.shape[1])], axis=1)
+                     for r in range(rows.shape[1])], axis=1).astype(np.float64, copy=False)
 
 
 def score_doc_anchored(rows: np.ndarray, bundles: BipartiteMultigraph,
@@ -722,48 +673,76 @@ def _gibbs_anneal_anchored(rows, bundles, rng, sweeps=25,
 
 
 def _anchored_restart(bundles: BipartiteMultigraph, K: int, ridx: int, rng,
-                      max_rounds: int, gibbs_sweeps: int = 25, rows=None,
-                      max_overlap=None):
+                      max_rounds: int, gibbs_sweeps: int = 25, max_overlap=None,
+                      temps=()):
     """One restart of the anchored fitter on the coalesced `bundles`.
 
-    Without start `rows`, it draws a random split (word-pure on even
-    restarts) and runs tempered bundle resampling to escape the symmetric
-    start.  It then descends greedily: rounds propose whole-word,
-    proportional, whole-bundle or single-unit shifts toward the label with
-    the best count-ratio gain, and a batch is accepted only if the exact
-    description length, under the overlap cap `max_overlap`, drops (a
-    failed batch is retried on the most promising fraction of bundles
-    first).  Returns (rows, sigma, trace,
-    converged); the trace is nonincreasing, and `converged` is False if
-    all `max_rounds` rounds moved."""
-    if rows is None:
-        counts = bundles.counts
-        rows = np.zeros((len(counts), K), dtype=np.int64)
-        if ridx % 2 == 0:
-            # word-pure start: whole columns owned by one topic
-            owner = rng.integers(K, size=bundles.n_words)
-            rows[np.arange(len(counts)), owner[bundles.word_idx]] = counts
-            anneal = dict(sweeps=max(6, gibbs_sweeps // 2), t_start=1.0, t_end=0.3)
-        else:
-            rows[:] = rng.multinomial(counts, np.full(K, 1.0 / K))
-            anneal = dict(sweeps=gibbs_sweeps, t_start=2.0, t_end=0.4)
-        if gibbs_sweeps:
-            _gibbs_anneal_anchored(rows, bundles, rng, **anneal)
+    It draws a random split (word-pure on even restarts) and runs tempered
+    bundle resampling to escape the symmetric start.  It then descends
+    greedily, at most `max_rounds` rounds until a round accepts no batch (see
+    `_anchored_round`); every sigma is scored under the overlap cap
+    `max_overlap`.  With temperatures `temps` (anneal and mcmc fits), it
+    continues with one tempered round per temperature, drawn from `rng`,
+    descends again the same way, and keeps that state only if its sigma is
+    more than 1e-9 below the first descent's; otherwise the first descent's
+    rows come back.  Without `temps` it draws nothing after the resampling.
+
+    Returns (rows, sigma, trace, converged, acceptance).  The trace is the
+    start's sigma, then the sigma after each accepted batch, tempered or
+    not, so it is nonincreasing without `temps`.  `converged` is False if
+    the last descent used all `max_rounds` rounds and its last one still
+    moved.  `acceptance` counts the tempered batch proposals and their
+    acceptances (empty without `temps`)."""
+    counts = bundles.counts
+    rows = np.zeros((len(counts), K), dtype=np.int64)
+    if ridx % 2 == 0:
+        # word-pure start: whole columns owned by one topic
+        owner = rng.integers(K, size=bundles.n_words)
+        rows[np.arange(len(counts)), owner[bundles.word_idx]] = counts
+        anneal = dict(sweeps=max(6, gibbs_sweeps // 2), t_start=1.0, t_end=0.3)
+    else:
+        rows[:] = rng.multinomial(counts, np.full(K, 1.0 / K))
+        anneal = dict(sweeps=gibbs_sweeps, t_start=2.0, t_end=0.4)
+    if gibbs_sweeps:
+        _gibbs_anneal_anchored(rows, bundles, rng, **anneal)
     sigma = score_doc_anchored(rows, bundles, max_overlap).sigma_nats
-    trace = [sigma]
-    for _ in range(max_rounds):
-        improved = False
-        for mode in ("word", "prop", "bundle", "unit"):
-            cand = _anchored_proposal(rows, bundles, mode)
-            if cand is None:
-                continue
-            accepted, sigma = _try_batch(rows, cand, sigma, bundles, max_overlap)
-            if accepted:
-                trace.append(sigma)
-                improved = True
-        if not improved:
-            return rows, sigma, trace, True
-    return rows, sigma, trace, False
+    trace, best = [sigma], None
+    stats = Counter(proposed=0, accepted=0) if len(temps) else Counter()
+    for phase in [()] if len(temps) == 0 else [(), temps]:
+        for temp in phase:
+            sigma, _ = _anchored_round(rows, bundles, sigma, trace, max_overlap,
+                                       float(temp), rng, stats)
+        converged = False
+        for _ in range(max_rounds):
+            sigma, moved = _anchored_round(rows, bundles, sigma, trace, max_overlap)
+            if not moved:
+                converged = True
+                break
+        if best is None or sigma < best[1] - 1e-9:
+            best = rows.copy(), sigma
+    return best[0], best[1], trace, converged, dict(stats)
+
+
+def _anchored_round(rows, bundles, sigma, trace, max_overlap, temperature=0.0,
+                    rng=None, stats=None):
+    """One round of the anchored search: whole-word, proportional,
+    whole-bundle and single-unit shifts toward the label with the best
+    count-ratio gain, each proposed once and passed to `_try_batch` at
+    `temperature`.  Appends the sigma of each accepted batch to `trace` and
+    counts proposals and acceptances in `stats` when given; returns (sigma,
+    whether a batch was accepted)."""
+    moved = False
+    for kind in ("word", "prop", "bundle", "unit"):
+        cand = _anchored_proposal(rows, bundles, kind)
+        if cand is None:
+            continue
+        accepted, sigma = _try_batch(rows, cand, sigma, bundles, max_overlap, temperature, rng)
+        if stats is not None:
+            stats.update(proposed=1, accepted=int(accepted))
+        if accepted:
+            trace.append(sigma)
+            moved = True
+    return sigma, moved
 
 
 def fit_doc_anchored(counts: np.ndarray, n_topics: int, seed: int = 0,
@@ -771,16 +750,20 @@ def fit_doc_anchored(counts: np.ndarray, n_topics: int, seed: int = 0,
                      gibbs_sweeps: int = 25):
     """Fit token labels with documents pinned to their own groups and a
     capped number of word groups: the best (ties to the lowest index) of
-    `n_restarts` runs of `_anchored_restart` with independent seed streams.
-    Returns the (D, V, K) labels, their description length and the winning
-    descent's trace, which is nonincreasing."""
+    `n_restarts` greedy runs of `_anchored_restart` with independent seed
+    streams.  Returns the (D, V, K) labels, their description length and the
+    winning descent's trace, which is nonincreasing."""
+    if n_topics < 1:
+        raise ValueError(f"n_topics must be at least 1, not {n_topics}")
+    if n_restarts < 1:
+        raise ValueError(f"n_restarts must be at least 1, not {n_restarts}")
     counts = np.asarray(counts, dtype=np.int64)
     d_idx, w_idx = np.nonzero(counts)
     bundles = BipartiteMultigraph(*counts.shape, d_idx, w_idx, counts[d_idx, w_idx])
     seeds = np.random.SeedSequence(seed).spawn(n_restarts)
     runs = (_anchored_restart(bundles, n_topics, ridx, np.random.default_rng(seq),
                               max_rounds, gibbs_sweeps) for ridx, seq in enumerate(seeds))
-    rows, sigma, trace, _ = min(runs, key=lambda run: run[1])
+    rows, sigma, trace, *_ = min(runs, key=lambda run: run[1])
     z = np.zeros(counts.shape + (n_topics,), dtype=np.int64)
     z[d_idx, w_idx] = rows
     return z, sigma, trace
@@ -1234,10 +1217,13 @@ def _apply_anchored(rows, cand, bundles, subset):
     return sel, before
 
 
-def _try_batch(rows, cand, sigma, bundles, max_overlap=None):
-    """Accept the proposal on the full bundle set, halving to the highest
-    margin fraction on failure; returns (accepted, sigma) with the rows at
-    the best accepted state, scored under the overlap cap `max_overlap`."""
+def _try_batch(rows, cand, sigma, bundles, max_overlap=None, temperature=0.0, rng=None):
+    """Try the proposal on the full bundle set, then on the highest-margin
+    quarter, sixteenth and sixty-fourth of it.  A batch passes if it lowers
+    sigma, scored under the overlap cap `max_overlap`, by more than 1e-9;
+    at `temperature` > 0 it also passes with probability exp(-delta / T),
+    drawn from `rng` only for such a batch.  Returns (accepted, sigma) with
+    the rows at the accepted state, or unchanged."""
     order = np.argsort(-cand["margin"])
     fraction = 1.0
     while fraction >= 1 / 64:
@@ -1246,7 +1232,8 @@ def _try_batch(rows, cand, sigma, bundles, max_overlap=None):
         subset[take] = True
         sel, before = _apply_anchored(rows, cand, bundles, subset)
         new_sigma = score_doc_anchored(rows, bundles, max_overlap).sigma_nats
-        if new_sigma < sigma - 1e-9:
+        if new_sigma < sigma - 1e-9 or (temperature > 0 and rng.random() < math.exp(
+                min(700.0, (sigma - new_sigma) / temperature))):
             return True, new_sigma
         rows[sel] = before
         fraction /= 4

@@ -225,18 +225,38 @@ class TestFitPipeline:
         corpus = tmp_path / "corpus"
         run(["synth", "--K", 2, "--D", 20, "--V", 30, "--m", 20, "--alpha", 0.05,
              "--beta", 0.05, "--p-w", "uniform", "--seed", 21, "--out", corpus])
-        model = tmp_path / "model"
-        assert run(["fit", "--corpus", corpus, "--mode", mode, "--restarts", 2,
-                    "--sweeps", 10, "--out", model]) == 0
-        state, hierarchy = load_model(model)
-        groups = {}
-        for node, g in zip(np.concatenate([state.i, state.j]),
-                           np.concatenate([state.r, state.s])):
-            groups.setdefault(int(node), set()).add(int(g))
-        assert all(len(gs) == 1 for gs in groups.values())
-        score = json.loads((model / "score.json").read_text())
-        rescored = joint_logp(state, hierarchy if hierarchy.assignments else None)
-        assert rescored.sigma_nats == pytest.approx(score["sigma_nats"], abs=1e-9)
+        for doc_clustering, extra in (("clustered", []), ("per-doc-group", ["--K", 2])):
+            model = tmp_path / doc_clustering
+            assert run(["fit", "--corpus", corpus, "--mode", mode, "--restarts", 2,
+                        "--sweeps", 10, "--doc-clustering", doc_clustering, *extra,
+                        "--out", model]) == 0
+            state, hierarchy = load_model(model)
+            if doc_clustering == "clustered":
+                groups = {}
+                for node, g in zip(np.concatenate([state.i, state.j]),
+                                   np.concatenate([state.r, state.s])):
+                    groups.setdefault(int(node), set()).add(int(g))
+                assert all(len(gs) == 1 for gs in groups.values())
+            else:
+                # documents stay in their own groups
+                assert np.array_equal(state.r, np.flatnonzero(state.group_side == 0)[state.i])
+            score = json.loads((model / "score.json").read_text())
+            rescored = joint_logp(state, hierarchy if hierarchy.assignments else None)
+            assert rescored.sigma_nats == pytest.approx(score["sigma_nats"], abs=1e-9)
+
+    def test_corpus_without_tokens(self, tmp_path):
+        # every word occurs once, so --min-count 5 leaves two empty documents
+        docs = tmp_path / "docs.jsonl"
+        docs.write_text('{"id": "a", "text": "red fox"}\n{"id": "b", "text": "blue owl"}\n')
+        corpus = tmp_path / "corpus"
+        assert run(["ingest", "--input", docs, "--min-count", 5, "--out", corpus]) == 0
+        for name, argv in (("clustered", []),
+                           ("per-doc-group", ["--doc-clustering", "per-doc-group"]),
+                           ("fig2-mode", ["--preset", "fig2-mode", "--K", 2])):
+            model = tmp_path / name
+            assert run(["fit", "--corpus", corpus, *argv, "--restarts", 2,
+                        "--out", model]) == 0
+            assert json.loads((model / "score.json").read_text())["sigma_nats"] == 0.0
 
     def test_fig2_preset(self, tmp_path):
         sample = tmp_path / "sample"
