@@ -58,13 +58,11 @@ from .microcanonical import (
     logp_hierarchy,
     logp_marginal_flat,
     logp_overlap_partition,
-    side_statistics,
 )
 from .partition_counts import count_partitions, log_partitions
 from .inference import (
     FitResult,
     InferenceConfig,
-    MutableLabeledState,
     NonoverlappingAgglomerator,
     fit,
     fit_doc_anchored,

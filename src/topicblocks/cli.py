@@ -41,7 +41,7 @@ from .lda import (
 )
 from .microcanonical import Hierarchy, joint_logp
 from .presets import bimodal_recovery, four_model_curves, hyper_sweep
-from .util import IntegrityError
+from .util import IntegrityError, require_keys
 
 EXIT_USAGE = 2
 EXIT_INTEGRITY = 3
@@ -247,9 +247,27 @@ def load_model(model_dir):
     if os.path.exists(hpath):
         with open(hpath, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-        hierarchy = Hierarchy([np.asarray(a, dtype=np.int64)
-                               for a in payload.get("assignments", [])])
+        require_keys(payload, ("assignments",), "the hierarchy file")
+        hierarchy = Hierarchy([np.asarray(a, dtype=np.int64) for a in payload["assignments"]])
+    _check_levels(hierarchy, state.n_groups)
     return state, hierarchy
+
+
+def _check_levels(hierarchy: Hierarchy, n_groups: int) -> None:
+    """Each level must map every group of the level below it onto ids
+    0..n-1, each used."""
+    below = n_groups
+    for level, assignment in enumerate(hierarchy.assignments, start=2):
+        if assignment.ndim != 1:
+            raise IntegrityError(f"hierarchy level {level} is not a flat list of group ids")
+        if assignment.size != below:
+            raise IntegrityError(f"hierarchy level {level} assigns {assignment.size} groups, "
+                                 f"but level {level - 1} has {below}")
+        n = int(assignment.max(initial=-1)) + 1
+        if not np.array_equal(np.unique(assignment), np.arange(n)):
+            raise IntegrityError(f"hierarchy level {level} group ids are not exactly "
+                                 f"0..{n - 1}, each used")
+        below = n
 
 
 def cmd_compare(args):
@@ -269,6 +287,7 @@ def cmd_compare(args):
     elif args.spec:
         with open(args.spec, "r", encoding="utf-8") as fh:
             spec = json.load(fh)
+        require_keys(spec, ("labels", "models"), "the spec file")
         labels, _, _ = _read_labels_tsv(spec["labels"])
         from .evaluation import compare_models
         table = compare_models(labels, spec["models"], baseline_id=spec.get("baseline"))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Corpus
-from .util import IntegrityError, log_factorial
+from .util import IntegrityError, log_factorial, require_keys
 
 
 class BipartiteMultigraph:
@@ -264,6 +264,8 @@ def state_to_dict(state: LabeledGraph, n_docs: int) -> dict:
 
 
 def state_from_dict(payload: dict) -> LabeledGraph:
+    require_keys(payload, ("n_docs", "n_words", "n_groups", "group_side", "bundles"),
+                 "the state file")
     d, w, r, s, m = np.array(payload["bundles"], dtype=np.int64).reshape(-1, 5).T
     return state_from_label_arrays(
         payload["n_docs"], payload["n_words"], d, w, r, s, m,

@@ -1,14 +1,6 @@
 """Search over labeled states: greedy descent, simulated annealing, and
 Metropolis-Hastings sampling.
 
-The mutable engine keeps sparse count aggregates (bundle counts, labeled
-degrees, group-pair totals, per-side mixture tables).  Every change goes
-through one path, a batch of mass moves inside bundles that returns the
-exact change of the description length; a unit move relabels one half-edge
-pair of one bundle, and the running total must match the from-scratch
-joint.  No fit builds it: it serves `mh_sweep`, the unit Metropolis-Hastings
-chain over overlapping labeled states.
-
 Nonoverlapping states are searched at block level by the agglomerator, whose
 merges and node moves share one closed-form group-table delta.  Every
 clustered fit runs on it: greedy merges of the node singletons, then
@@ -26,6 +18,10 @@ so greedy traces stay monotone at corpus scale.  A tempered per-doc-group
 fit continues with rounds of the same proposals that also accept an uphill
 batch with probability exp(-delta / T), descends again and keeps the better
 of that state and the greedy one.
+
+Overlapping states are sampled by `mh_sweep`, a Metropolis-Hastings chain of
+unit relabelings that scores every proposal with the oracle `joint_logp`.
+No fit runs it.
 """
 from __future__ import annotations
 
@@ -43,13 +39,10 @@ from .lda import LabeledCounts, LdaSample
 from .microcanonical import (
     CountTables,
     Hierarchy,
-    SideStats,
     compress_groups,
     joint_logp,
-    logp_degrees_given_mixtures,
     logp_geometric,
     logp_hierarchy,
-    logp_overlap_partition,
     top_level_density,
 )
 from .partition_counts import log_partitions
@@ -111,201 +104,6 @@ class FitResult:
     @property
     def sigma(self) -> float:
         return self.score.sigma_nats
-
-
-class MutableLabeledState:
-    """Bipartite labeled state with exact incremental description length.
-
-    Group ids are global; `group_side[g]` is 0 for document groups and 1 for
-    word groups.  Groups may be empty transiently; every score uses occupied
-    groups only, matching the compressed from-scratch evaluation.
-    """
-
-    def __init__(self, n_docs, n_words, bundle_items, group_side):
-        self.n_docs = int(n_docs)
-        self.n_words = int(n_words)
-        self.group_side = list(group_side)
-        self.bundles: dict[tuple, Counter] = {}
-        self.k: Counter = Counter()          # (node, group) -> labeled degree
-        self.e_pair: Counter = Counter()     # (doc group, word group) -> count
-        self.E = 0
-        self.sides = (SideStats(n_groups=0), SideStats(n_groups=0))
-        self.node_mixture: dict[int, tuple] = {}
-        self._log_xi = 0.0        # sum lg k! - sum lg m!
-        self._log_omega = 0.0     # sum lg e_r! - sum lg e_rs!
-        self._side_terms = [0.0, 0.0]
-        for (d, w, rd, rw, m) in bundle_items:
-            self._bundle_add(int(d), int(w), int(rd), int(rw), int(m))
-        for side in (0, 1):
-            self._refresh_side(side)
-
-    # -- low-level bookkeeping ------------------------------------------
-
-    def _node(self, side, idx):
-        return idx if side == 0 else self.n_docs + idx
-
-    def _bundle_add(self, d, w, rd, rw, m):
-        if self.group_side[rd] != 0 or self.group_side[rw] != 1:
-            raise IntegrityError("bundle labels must be (document group, word group)")
-        cnt = self.bundles.setdefault((d, w), Counter())
-        old = cnt[(rd, rw)]
-        cnt[(rd, rw)] = old + m
-        self._log_xi -= float(log_factorial(old + m) - log_factorial(old))
-        old_e = self.e_pair[(rd, rw)]
-        self.e_pair[(rd, rw)] = old_e + m
-        self._log_omega -= float(log_factorial(old_e + m) - log_factorial(old_e))
-        self.E += m
-        self._degree_change(0, d, rd, m)
-        self._degree_change(1, w, rw, m)
-
-    def _degree_change(self, side, idx, group, dk):
-        """Adjust one labeled degree, keeping the mixture tables consistent by
-        detaching the node, applying the change, and reattaching it."""
-        node = self._node(side, idx)
-        st = self.sides[side]
-        old_mix = self.node_mixture.get(node, ())
-        if old_mix:
-            st.n_eff -= 1
-            st.size_hist[len(old_mix)] -= 1
-            if st.size_hist[len(old_mix)] == 0:
-                del st.size_hist[len(old_mix)]
-            st.mixture_count[old_mix] -= 1
-            if st.mixture_count[old_mix] == 0:
-                del st.mixture_count[old_mix]
-                for g in old_mix:
-                    st.m_r[g] -= 1
-                    if st.m_r[g] == 0:
-                        del st.m_r[g]
-            for g in old_mix:
-                kv = self.k[(node, g)]
-                st.e_mix[(old_mix, g)] -= kv
-                if st.e_mix[(old_mix, g)] == 0:
-                    del st.e_mix[(old_mix, g)]
-                freq = st.deg_freq[(old_mix, g)]
-                freq[kv] -= 1
-                if freq[kv] == 0:
-                    del freq[kv]
-                if not freq:
-                    del st.deg_freq[(old_mix, g)]
-                st.members_with[g] -= 1
-                if st.members_with[g] == 0:
-                    del st.members_with[g]
-        old_k = self.k[(node, group)]
-        new_k = old_k + dk
-        if new_k < 0:
-            raise IntegrityError(f"labeled degree of node {node} went negative")
-        self._log_xi += float(log_factorial(new_k) - log_factorial(old_k))
-        if new_k == 0:
-            del self.k[(node, group)]
-        else:
-            self.k[(node, group)] = new_k
-        old_er = st.e_r.get(group, 0)
-        new_er = old_er + dk
-        self._log_omega += float(log_factorial(new_er) - log_factorial(old_er))
-        if new_er == 0:
-            st.e_r.pop(group, None)
-        else:
-            st.e_r[group] = new_er
-        new_mix = tuple(sorted(g for g in set(old_mix) | {group} if self.k[(node, g)] > 0))
-        if new_mix:
-            self.node_mixture[node] = new_mix
-            st.n_eff += 1
-            st.size_hist[len(new_mix)] += 1
-            if st.mixture_count[new_mix] == 0:
-                for g in new_mix:
-                    st.m_r[g] += 1
-            st.mixture_count[new_mix] += 1
-            for g in new_mix:
-                kv = self.k[(node, g)]
-                st.e_mix[(new_mix, g)] = st.e_mix.get((new_mix, g), 0) + kv
-                st.deg_freq.setdefault((new_mix, g), Counter())[kv] += 1
-                st.members_with[g] += 1
-        else:
-            self.node_mixture.pop(node, None)
-
-    def _refresh_side(self, side):
-        st = self.sides[side]
-        st.n_groups = len(st.e_r)
-        term = 0.0
-        if st.n_eff:
-            term -= logp_overlap_partition(st)
-            term -= logp_degrees_given_mixtures({side: st})
-        self._side_terms[side] = term
-
-    # -- description length ----------------------------------------------
-
-    def occupied(self) -> int:
-        return len(self.sides[0].e_r) + len(self.sides[1].e_r)
-
-    def sigma(self) -> float:
-        B = self.occupied()
-        return (
-            self._log_omega
-            - self._log_xi
-            + self._side_terms[0]
-            + self._side_terms[1]
-            - logp_geometric(self.E, B, top_level_density(self.E, B))
-        )
-
-    # -- the one mutation path ----------------------------------------------
-
-    def _bulk_moves(self, moves):
-        """Apply (bundle key, old pair, new pair, mass) moves, refreshing each
-        touched side once; returns the exact delta.  The reversed batch with
-        old and new pairs swapped undoes it.  This is the only code that
-        changes the state after construction."""
-        before = self.sigma()
-        touched = set()
-        for (d, w), pair, target, m in moves:
-            if pair == target:
-                continue
-            cnt = self.bundles[(d, w)]
-            old_c, new_c = cnt[pair], cnt[target]
-            if old_c < m:
-                raise IntegrityError(f"bundle ({d}, {w}) holds no {m} x {pair}")
-            if self.group_side[target[0]] != 0 or self.group_side[target[1]] != 1:
-                raise IntegrityError("target labels must respect node sides")
-            self._log_xi -= (
-                log_factorial(old_c - m) - log_factorial(old_c)
-                + log_factorial(new_c + m) - log_factorial(new_c)
-            )
-            cnt[pair] = old_c - m
-            if cnt[pair] == 0:
-                del cnt[pair]
-            cnt[target] = new_c + m
-            for p, delta in ((pair, -m), (target, +m)):
-                old_e = self.e_pair[p]
-                self._log_omega -= log_factorial(old_e + delta) - log_factorial(old_e)
-                self.e_pair[p] = old_e + delta
-                if self.e_pair[p] == 0:
-                    del self.e_pair[p]
-            for side, idx in ((0, d), (1, w)):
-                if pair[side] != target[side]:
-                    self._degree_change(side, idx, pair[side], -m)
-                    self._degree_change(side, idx, target[side], +m)
-                    touched.add(side)
-        for side in sorted(touched):
-            self._refresh_side(side)
-        return self.sigma() - before
-
-    def unit_move(self, d, w, old_pair, new_pair) -> float:
-        """Relabel one half-edge pair of bundle (d, w); returns the exact
-        change in description length.  The inverse call undoes the move."""
-        return self._bulk_moves([((d, w), old_pair, new_pair, 1)])
-
-    # -- conversions ------------------------------------------------------
-
-    def to_labeled_graph(self) -> LabeledGraph:
-        rows = [(d, w, rd, rw, m) for (d, w), cnt in sorted(self.bundles.items())
-                for (rd, rw), m in sorted(cnt.items()) if m > 0]
-        d, w, rd, rw, m = np.array(rows, dtype=np.int64).reshape(-1, 5).T
-        return state_from_label_arrays(
-            self.n_docs, self.n_words, d, w, rd, rw, m,
-            len(self.group_side), np.asarray(self.group_side, dtype=np.int64),
-        )
-
-    def score(self) -> ModelScore:
-        return joint_logp(self.to_labeled_graph())
 
 
 # --- tempering and block search ----------------------------------------------
@@ -373,36 +171,57 @@ def block_search(graph, config: InferenceConfig, rng=None):
 # --- sweeps ------------------------------------------------------------------
 
 
-def mh_sweep(state: MutableLabeledState, rng, temperature=1.0,
-             doc_labels=None, word_labels=None) -> dict:
-    """E Metropolis-Hastings unit proposals at the given temperature.
+def mh_sweep(state: LabeledGraph, rng, temperature=1.0, doc_labels=None, word_labels=None):
+    """E Metropolis-Hastings unit proposals on a bipartite labeled state at
+    the given temperature; returns the new state and the proposal and
+    acceptance counts.
 
-    A unit is picked proportionally to bundle label mass and sent to a
-    uniform label pair, so the acceptance carries the count-ratio correction
-    that makes the chain target exp(-sigma) over labeled states.  Proposals
-    with ratio exactly one are accepted with probability one half; at zero
-    temperature only strict improvements pass.  No fit runs it; acceptance
-    criterion 9 checks its samples against an enumerated posterior.
+    A unit is picked proportionally to bundle label mass and sent to a uniform
+    (document label, word label) pair, each side's occupied groups by default;
+    the count-ratio correction makes the chain target exp(-sigma).  Every
+    proposal is scored by `joint_logp`, so a ratio of exactly one (a symmetric
+    move) is accepted with probability one half; at zero temperature only
+    strict improvements pass.  No fit runs it; acceptance criterion 9 checks
+    its samples against an enumerated posterior.
     """
-    doc_labels = sorted(state.sides[0].e_r) if doc_labels is None else doc_labels
-    word_labels = sorted(state.sides[1].e_r) if word_labels is None else word_labels
-    accepted = 0
-    keys = sorted(state.bundles.keys())
-    totals = np.array([sum(state.bundles[k].values()) for k in keys], dtype=float)
+    n_docs = int(np.count_nonzero(state.side == 0))
+    doc_labels = sorted(set(state.r.tolist())) if doc_labels is None else doc_labels
+    word_labels = sorted(set(state.s.tolist())) if word_labels is None else word_labels
+    for side, labels in ((0, doc_labels), (1, word_labels)):
+        if any(not 0 <= g < state.n_groups or state.group_side[g] != side for g in labels):
+            raise IntegrityError("target labels must respect node sides")
+    bundles: dict[tuple, Counter] = {}  # (doc, word) -> Counter{(doc label, word label): m}
+    for d, j, rd, rw, m in zip(*(a.tolist() for a in (state.i, state.j, state.r, state.s, state.m))):
+        bundles.setdefault((d, j - n_docs), Counter())[(rd, rw)] += m
+
+    def shift(cnt, pair, target):
+        cnt[pair] -= 1
+        if not cnt[pair]:
+            del cnt[pair]
+        cnt[target] += 1
+
+    E, accepted = state.n_edges, 0
+    sigma = joint_logp(state).sigma_nats
+    keys = sorted(bundles)
+    totals = np.array([sum(bundles[k].values()) for k in keys], dtype=float)
     cum = np.cumsum(totals / totals.sum())
-    for _ in range(state.E):
-        key = keys[int(np.searchsorted(cum, rng.random(), side="right"))]
-        cnt = state.bundles[key]
-        pairs = sorted(cnt.keys())
+    for _ in range(E):
+        cnt = bundles[keys[int(np.searchsorted(cum, rng.random(), side="right"))]]
+        pairs = sorted(cnt)
         mass = np.array([cnt[p] for p in pairs], dtype=float)
         pair = pairs[int(rng.choice(len(pairs), p=mass / mass.sum()))]
         new_pair = (doc_labels[int(rng.integers(len(doc_labels)))],
                     word_labels[int(rng.integers(len(word_labels)))])
         if new_pair == pair:
             continue
-        old_c = cnt[pair]
-        new_c = cnt.get(new_pair, 0)
-        delta = state.unit_move(key[0], key[1], pair, new_pair)
+        old_c, new_c = cnt[pair], cnt[new_pair]
+        shift(cnt, pair, new_pair)
+        rows = [(*key, *p, m) for key, c in sorted(bundles.items()) for p, m in sorted(c.items())]
+        proposal = state_from_label_arrays(n_docs, state.n_nodes - n_docs,
+                                           *np.array(rows, dtype=np.int64).reshape(-1, 5).T,
+                                           state.n_groups, state.group_side)
+        new_sigma = joint_logp(proposal).sigma_nats
+        delta = new_sigma - sigma
         if temperature <= 0:
             ok = delta < 0
         else:
@@ -410,9 +229,10 @@ def mh_sweep(state: MutableLabeledState, rng, temperature=1.0,
             ok = (rng.random() < 0.5) if ratio == 1.0 else (rng.random() < min(1.0, ratio))
         if ok:
             accepted += 1
+            state, sigma = proposal, new_sigma
         else:
-            state.unit_move(key[0], key[1], new_pair, pair)
-    return {"proposed": state.E, "accepted": accepted}
+            shift(cnt, new_pair, pair)
+    return state, {"proposed": E, "accepted": accepted}
 
 
 # --- hierarchy search --------------------------------------------------------

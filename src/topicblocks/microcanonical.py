@@ -24,10 +24,10 @@ labeled degrees into node runs, mixtures and (mixture, group) pairs, each
 numbered in order of first occurrence by node.  `joint_logp` scores the
 degree and partition priors straight from these integer arrays
 (`logp_degrees_array`, `logp_partition_array`, with restricted-partition
-counts from `partition_counts.log_partitions_array`).  `side_statistics`
-is a dict view of the same arrays, in the layout of the incremental
-engine's tables, which `logp_degrees_given_mixtures` and
-`logp_overlap_partition` score.
+counts from `partition_counts.log_partitions_array`).  The dict scorers
+`logp_degrees_given_mixtures` and `logp_overlap_partition` score the same
+priors from per-side `SideStats` dicts; they are the reference the tests
+check the array path against, built node by node.
 
 Both paths add the same float terms in the same order, the order a
 node-by-node visit gives, so they agree bit for bit and scores are
@@ -84,15 +84,6 @@ def _first_occurrence_counts(key: np.ndarray):
     uniq, first, counts = np.unique(key, return_index=True, return_counts=True)
     order = np.argsort(first)
     return uniq[order], counts[order]
-
-
-def _counter(items) -> Counter:
-    """A Counter of the (key, count) `items` in their order, built without
-    `Counter.__init__`, whose Python-level update dominates when one is
-    built per (mixture, group)."""
-    out = Counter.__new__(Counter)
-    dict.update(out, items)
-    return out
 
 
 class CountTables:
@@ -244,7 +235,7 @@ class MixtureTables:
     group's place in the mixture; within a pair, distinct degrees are kept in
     order of first occurrence by node.  These are the orders in which a
     node-by-node visit meets the keys, so every float sum over them below, and
-    over the dicts of `side_statistics`, runs in one fixed order.
+    over `SideStats` dicts filled node by node, runs in one fixed order.
 
     Built from the tables' (node, group)-sorted labeled degrees: node runs
     from one `flatnonzero`, mixture ids from one `lexsort` of the nodes of
@@ -343,50 +334,6 @@ def _run_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     out = np.empty_like(acc)
     out[by_len] = acc
     return out
-
-
-def side_statistics(state: LabeledGraph, tables: CountTables | None = None):
-    """Per-side mixture statistics derived from the nonzero labeled degrees.
-
-    Nodes with no half-edges carry an empty mixture and do not enter the
-    partition support.  Groups are re-expressed per side but keep their
-    global indices.
-
-    A dict view of `MixtureTables` in the layout of the incremental engine's
-    tables; `joint_logp` scores the arrays directly.  Each dict is filled
-    once per distinct key, in order of first occurrence by node (by labeled
-    degree within a node; e_r by ascending group), so `size_hist`,
-    `mixture_count`, `e_mix` and every `deg_freq` Counter iterate as if the
-    nodes had been visited one by one, and the sums over them are
-    reproducible to the bit.
-    """
-    mix = MixtureTables(state, tables)
-    sides = {sd: SideStats(n_groups=mix.side_groups[sd]) for sd in mix.sides}
-    pair_group = mix.pair_group.tolist()
-    bounds = [0] + np.cumsum(mix.mix_size).tolist()
-    mixtures = [tuple(pair_group[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-    for sd, mixture, nb in zip(mix.mix_side.tolist(), mixtures, mix.mix_count.tolist()):
-        sides[sd].n_eff += nb
-        sides[sd].mixture_count[mixture] = nb
-    freq_k, freq_count = mix.freq_k.tolist(), mix.freq_count.tolist()
-    fb = mix.freq_start.tolist()
-    for sd, m_id, g, esum, lo, hi in zip(mix.pair_side.tolist(), mix.pair_mix.tolist(), pair_group,
-                                        mix.pair_esum.tolist(), fb, fb[1:]):
-        key = (mixtures[m_id], g)
-        sides[sd].e_mix[key] = esum
-        sides[sd].deg_freq[key] = _counter(zip(freq_k[lo:hi], freq_count[lo:hi]))
-    for sd, q, n_q in zip(mix.hist_side.tolist(), mix.hist_q.tolist(), mix.hist_count.tolist()):
-        sides[sd].size_hist[q] = n_q
-    t = mix.tables
-    span = len(t.e_r) + 1
-    for name, key_side, key in (("members_with", mix.entry_side, t.k_group),
-                                ("m_r", mix.pair_side, mix.pair_group)):
-        uniq, counts = _first_occurrence_counts(key_side * span + key)
-        for u, c in zip(uniq.tolist(), counts.tolist()):
-            getattr(sides[u // span], name)[u % span] = c
-    for r in np.flatnonzero(t.e_r).tolist():
-        sides[int(mix.group_side[r])].e_r[r] = int(t.e_r[r])
-    return sides
 
 
 def _partition_head(n_eff: int, n_groups: int, size_hist, max_overlap: int | None):

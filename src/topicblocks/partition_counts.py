@@ -198,9 +198,10 @@ def log_partitions(m: int, n: int, exact_limit: int | None = None) -> float:
     beyond it, which stays within 0.03 nats of the exact value near the
     default limit.  Returns -inf where p(m, n) = 0.  Values are memoized.
 
-    One scalar per call, for the incremental engines; the exact oracle scores
-    all its (mixture, group) pairs at once with `log_partitions_array`, which
-    returns the same values bit for bit.
+    One scalar per call, for the agglomerator's group tables and the dict
+    reference scorers; the exact oracle scores all its (mixture, group) pairs
+    at once with `log_partitions_array`, which returns the same values bit
+    for bit.
     """
     limit = EXACT_LIMIT if exact_limit is None else exact_limit
     return _log_partitions_cached(int(m), int(n), int(limit))

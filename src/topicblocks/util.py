@@ -15,6 +15,15 @@ class IntegrityError(Exception):
     """A state object violates one of its internal consistency invariants."""
 
 
+def require_keys(payload, keys, what: str) -> None:
+    """Refuse a parsed JSON file that is not an object holding every key."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"{what} must hold a JSON object")
+    for key in keys:
+        if key not in payload:
+            raise ValueError(f"{what} lacks the key {key!r}")
+
+
 def lgamma(x):
     """Vectorized log-gamma that accepts scalars or arrays."""
     return gammaln(x)

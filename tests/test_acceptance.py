@@ -19,12 +19,7 @@ from topicblocks.evaluation import (
     shuffled_dissemination_medians,
 )
 from topicblocks.graph import LabeledGraph, state_from_label_arrays
-from topicblocks.inference import (
-    InferenceConfig,
-    MutableLabeledState,
-    fit,
-    mh_sweep,
-)
+from topicblocks.inference import InferenceConfig, fit, mh_sweep
 from topicblocks.lda import (
     LabeledCounts,
     double_power_law_base,
@@ -431,22 +426,24 @@ def test_criterion_9_inference_sanity():
     p_exact = {k: v / tot for k, v in canon_w.items()}
 
     def state_key(st):
-        return canonical(tuple(sorted(
-            (k, tuple(sorted((p, m) for p, m in c.items() if m > 0)))
-            for k, c in st.bundles.items())))
+        bk = {}
+        for d, j, rd, rw, m in zip(st.i, st.j, st.r, st.s, st.m):
+            bk.setdefault((int(d), int(j) - 3), Counter())[(int(rd), int(rw))] += int(m)
+        return canonical(tuple(sorted((k, tuple(sorted(v.items()))) for k, v in bk.items())))
 
     counts = {}
     n_chains, n_sweeps, burn = 8, 1500, 150
     for chain in range(n_chains):
-        st = MutableLabeledState(
-            3, 3, [(d, w, 0, 2, 1) for (d, w) in edges], [0, 0, 1, 1])
+        st = state_from_label_arrays(
+            3, 3, [e[0] for e in edges], [e[1] for e in edges], [0] * len(edges),
+            [2] * len(edges), [1] * len(edges), 4, np.array([0, 0, 1, 1]))
         rng = np.random.default_rng(9000 + chain)
         for _ in range(20):
-            mh_sweep(st, rng, temperature=10.0, doc_labels=DOC_LABELS,
-                     word_labels=WORD_LABELS)
+            st, _ = mh_sweep(st, rng, temperature=10.0, doc_labels=DOC_LABELS,
+                             word_labels=WORD_LABELS)
         for i in range(n_sweeps):
-            mh_sweep(st, rng, temperature=1.0, doc_labels=DOC_LABELS,
-                     word_labels=WORD_LABELS)
+            st, _ = mh_sweep(st, rng, temperature=1.0, doc_labels=DOC_LABELS,
+                             word_labels=WORD_LABELS)
             if i >= burn:
                 k = state_key(st)
                 counts[k] = counts.get(k, 0) + 1

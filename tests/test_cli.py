@@ -98,6 +98,59 @@ class TestDispatch:
         assert "side" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def two_group_model(tmp_path_factory):
+    """A fitted model with one document group and one word group, and its
+    corpus."""
+    root = tmp_path_factory.mktemp("two_group")
+    run(["synth", "--K", 2, "--D", 4, "--V", 6, "--m", 5, "--out", root / "corpus"])
+    run(["fit", "--corpus", root / "corpus", "--restarts", 2, "--sweeps", 10,
+         "--out", root / "model"])
+    state, hierarchy = load_model(root / "model")
+    assert state.n_groups == 2 and not hierarchy.assignments
+    return root
+
+
+def drop_key(payload, key):
+    return {k: v for k, v in payload.items() if k != key}
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize("name, edit, command, code, message", [
+        ("hierarchy.json", lambda p: {"assignments": [[0] * 9]}, "export", 3,
+         "hierarchy level 2 assigns 9 groups, but level 1 has 2"),
+        ("hierarchy.json", lambda p: {"assignments": [[0, 5]]}, "export", 3,
+         "hierarchy level 2 group ids are not exactly 0..5, each used"),
+        ("hierarchy.json", lambda p: {"assignments": [[[0], [0]]]}, "export", 3,
+         "hierarchy level 2 is not a flat list of group ids"),
+        ("hierarchy.json", lambda p: [[0, 1]], "summarize", 2,
+         "the hierarchy file must hold a JSON object"),
+        ("state.json", lambda p: drop_key(p, "n_words"), "summarize", 2,
+         "the state file lacks the key 'n_words'"),
+        ("state.json", lambda p: drop_key(p, "n_words"), "export", 2,
+         "the state file lacks the key 'n_words'"),
+        ("spec.json", lambda p: {"models": []}, "compare", 2,
+         "the spec file lacks the key 'labels'"),
+    ])
+    def test_refused_with_one_line(self, two_group_model, tmp_path, capsys,
+                                   name, edit, command, code, message):
+        model = tmp_path / "model"
+        model.mkdir()
+        for stored in ("state.json", "hierarchy.json"):
+            (model / stored).write_text((two_group_model / "model" / stored).read_text())
+        path = tmp_path / "spec.json" if name == "spec.json" else model / name
+        payload = json.loads(path.read_text()) if path.exists() else {}
+        path.write_text(json.dumps(edit(payload)))
+        argv = {"export": ["export", "--model", model, "--out", tmp_path / "out"],
+                "summarize": ["summarize", "--model", model,
+                              "--corpus", two_group_model / "corpus"],
+                "compare": ["compare", "--spec", path]}[command]
+        capsys.readouterr()
+        assert run(argv) == code
+        err = capsys.readouterr().err
+        assert err.strip() == f"{'integrity error' if code == 3 else 'error'}: {message}"
+
+
 class TestIngestStats:
     def test_ingest_writes_corpus_and_manifest(self, docs_jsonl, tmp_path):
         out = tmp_path / "corpus"

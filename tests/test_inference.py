@@ -18,7 +18,6 @@ from topicblocks.evaluation import adjusted_rand_index
 from topicblocks.graph import BipartiteMultigraph, from_counts, state_from_label_arrays
 from topicblocks.inference import (
     InferenceConfig,
-    MutableLabeledState,
     NonoverlappingAgglomerator,
     _gibbs_anneal_anchored,
     block_mh_sweep,
@@ -38,68 +37,9 @@ from topicblocks.lda import (
     sample_corpus,
     sample_mixture_corpus,
 )
-from topicblocks.microcanonical import CountTables, joint_logp, side_statistics
+from topicblocks.microcanonical import CountTables, joint_logp
 from topicblocks.partition_counts import log_partitions
 from topicblocks.util import IntegrityError, log_factorial
-
-
-def random_engine_state(rng, n_docs=3, n_words=3, doc_groups=2, word_groups=2):
-    group_side = [0] * doc_groups + [1] * word_groups
-    items = []
-    for d in range(n_docs):
-        for w in range(n_words):
-            c = int(rng.integers(0, 3))
-            if c:
-                items.append((d, w, int(rng.integers(doc_groups)),
-                              doc_groups + int(rng.integers(word_groups)), c))
-    return MutableLabeledState(n_docs, n_words, items, group_side)
-
-
-def node_move(state, side, idx, g_from, g_to):
-    """Move one node's g_from half-edges to g_to as one engine batch; returns
-    the delta and the batch that undoes the move."""
-    moves = [(key, pair, (g_to, pair[1]) if side == 0 else (pair[0], g_to), m)
-             for key in sorted(state.bundles) if key[side] == idx
-             for pair, m in sorted(state.bundles[key].items()) if pair[side] == g_from]
-    delta = state._bulk_moves(moves)
-    return delta, [(key, target, pair, m) for key, pair, target, m in reversed(moves)]
-
-
-class TestEngineDeltaConsistency:
-    def test_unit_moves_match_full_recompute(self):
-        """After any accepted move the running total equals the from-scratch
-        joint within tight tolerance."""
-        rng = np.random.default_rng(7)
-        st = random_engine_state(rng)
-        worst = 0.0
-        for _ in range(200):
-            keys = sorted(st.bundles.keys())
-            key = keys[int(rng.integers(len(keys)))]
-            pairs = [p for p, m in st.bundles[key].items() if m > 0]
-            pair = pairs[int(rng.integers(len(pairs)))]
-            new = (int(rng.integers(2)), 2 + int(rng.integers(2)))
-            before = st.sigma()
-            delta = st.unit_move(key[0], key[1], pair, new)
-            exact = st.score().sigma_nats
-            worst = max(worst, abs(st.sigma() - exact), abs(before + delta - exact))
-        assert worst < 1e-6
-
-    def test_node_move(self):
-        rng = np.random.default_rng(9)
-        st = random_engine_state(rng, n_docs=4, n_words=4)
-        before = st.sigma()
-        delta, undo = node_move(st, 0, 1, 0, 1)
-        assert abs((before + delta) - st.score().sigma_nats) < 1e-6
-        st._bulk_moves(undo)
-        assert abs(st.sigma() - before) < 1e-6
-
-    def test_side_violation_rejected(self):
-        rng = np.random.default_rng(10)
-        st = random_engine_state(rng)
-        key = sorted(st.bundles.keys())[0]
-        pair = sorted(st.bundles[key].keys())[0]
-        with pytest.raises(IntegrityError):
-            st.unit_move(key[0], key[1], pair, (2, 0))
 
 
 class TestConfig:
@@ -158,69 +98,22 @@ def side_groups(state, side):
 
 
 @hst.composite
-def engine_starts(draw):
-    """A small nonoverlapping engine."""
-    n_docs, n_words = draw(hst.integers(1, 4)), draw(hst.integers(1, 4))
+def labeled_states(draw):
+    """A small overlapping bipartite labeled state: every unit of a count
+    matrix gets its own (document group, word group) pair."""
+    n_docs, n_words = draw(hst.integers(1, 3)), draw(hst.integers(1, 3))
     n_dg, n_wg = draw(hst.integers(1, 3)), draw(hst.integers(1, 3))
-    counts = draw(arrays(np.int64, (n_docs, n_words), elements=hst.integers(0, 3)))
+    counts = draw(arrays(np.int64, (n_docs, n_words), elements=hst.integers(0, 2)))
     counts[0, 0] = max(counts[0, 0], 1)
-    doc_assign = draw(arrays(np.int64, n_docs, elements=hst.integers(0, n_dg - 1)))
-    word_assign = draw(arrays(np.int64, n_words, elements=hst.integers(0, n_wg - 1)))
-    items = [(d, w, int(doc_assign[d]), n_dg + int(word_assign[w]), int(counts[d, w]))
-             for d, w in zip(*np.nonzero(counts))]
-    return MutableLabeledState(n_docs, n_words, items, [0] * n_dg + [1] * n_wg)
-
-
-def assert_sides_match_oracle(state: MutableLabeledState):
-    """The engine's incremental side tables equal `side_statistics` of its
-    labeled graph, compared as dicts (so a stale zero entry fails too)."""
-    oracle = side_statistics(state.to_labeled_graph())
-    for side in (0, 1):
-        got, want = state.sides[side], oracle[side]
-        assert got.n_eff == want.n_eff
-        for name in ("size_hist", "mixture_count", "e_mix", "members_with", "m_r", "e_r"):
-            assert dict(getattr(got, name)) == dict(getattr(want, name)), name
-        assert {key: dict(freq) for key, freq in got.deg_freq.items()} == \
-            {key: dict(freq) for key, freq in want.deg_freq.items()}
-
-
-class TestEngineProperties:
-    @given(engine_starts(), hst.data())
-    def test_random_move_sequences_stay_exact(self, state, data):
-        """After every unit move, node move or undo, the running total equals
-        the oracle, the side tables equal the oracle's, and an undo restores
-        the sigma from before its move."""
-        done = []    # (sigma before, how to revert), most recent last
-        for _ in range(data.draw(hst.integers(1, 12))):
-            assert_sides_match_oracle(state)
-            before = state.sigma()
-            op = data.draw(hst.sampled_from(["unit", "node", "undo"]))
-            if op == "undo":
-                if not done:
-                    continue
-                sigma_then, revert = done.pop()
-                revert()
-                assert abs(state.sigma() - sigma_then) < 1e-8
-            elif op == "unit":
-                key = data.draw(hst.sampled_from(sorted(state.bundles)))
-                pair = data.draw(hst.sampled_from(sorted(state.bundles[key])))
-                target = (data.draw(hst.sampled_from(side_groups(state, 0))),
-                          data.draw(hst.sampled_from(side_groups(state, 1))))
-                delta = state.unit_move(*key, pair, target)
-                assert abs(before + delta - state.sigma()) < 1e-8
-                done.append((before, lambda k=key, p=pair, t=target:
-                             state.unit_move(*k, t, p)))
-            else:
-                node = data.draw(hst.sampled_from(sorted(state.node_mixture)))
-                side = int(node >= state.n_docs)
-                idx = node - side * state.n_docs
-                g_from = data.draw(hst.sampled_from(state.node_mixture[node]))
-                g_to = data.draw(hst.sampled_from(side_groups(state, side)))
-                delta, undo = node_move(state, side, idx, g_from, g_to)
-                assert abs(before + delta - state.sigma()) < 1e-8
-                done.append((before, lambda undo=undo: state._bulk_moves(undo)))
-            assert abs(state.sigma() - state.score().sigma_nats) < 1e-8
-        assert_sides_match_oracle(state)
+    bundles = Counter()
+    for d, w in zip(*np.nonzero(counts)):
+        for _ in range(counts[d, w]):
+            bundles[(int(d), int(w), draw(hst.integers(0, n_dg - 1)),
+                     n_dg + draw(hst.integers(0, n_wg - 1)))] += 1
+    d, w, rd, rw = np.array(sorted(bundles)).T
+    return state_from_label_arrays(n_docs, n_words, d, w, rd, rw,
+                                   [bundles[k] for k in sorted(bundles)],
+                                   n_dg + n_wg, [0] * n_dg + [1] * n_wg)
 
 
 def planted_biclique_graph(mult=3):
@@ -235,12 +128,34 @@ def planted_biclique_graph(mult=3):
 
 
 class TestGreedyFit:
-    def test_zero_temperature_rejects_uphill(self):
-        rng = np.random.default_rng(0)
-        st = random_engine_state(rng)
-        before = st.sigma()
-        mh_sweep(st, rng, temperature=0.0)
-        assert st.sigma() <= before + 1e-9
+    @given(labeled_states(), hst.sampled_from([0.0, 1.0, 10.0]), hst.booleans(),
+           hst.integers(0, 2**32 - 1))
+    def test_zero_temperature_rejects_uphill(self, state, temperature, every_group, seed):
+        """An `mh_sweep` keeps the graph, labels half-edges only from the
+        given label sets (each side's occupied groups by default), proposes
+        one move per edge, and at zero temperature never raises sigma."""
+        n_docs = int((state.side == 0).sum())
+        graph = BipartiteMultigraph(n_docs, state.n_nodes - n_docs, state.i,
+                                    state.j - n_docs, state.m).coalesced()
+        if every_group:
+            doc_labels, word_labels = side_groups(state, 0), side_groups(state, 1)
+            out, stats = mh_sweep(state, np.random.default_rng(seed), temperature,
+                                  doc_labels, word_labels)
+        else:
+            doc_labels, word_labels = set(state.r.tolist()), set(state.s.tolist())
+            out, stats = mh_sweep(state, np.random.default_rng(seed), temperature)
+        out.check_against(graph)
+        assert set(out.r.tolist()) <= set(doc_labels)
+        assert set(out.s.tolist()) <= set(word_labels)
+        assert 0 <= stats["accepted"] <= stats["proposed"] == state.n_edges
+        if temperature == 0.0:
+            assert joint_logp(out).sigma_nats <= joint_logp(state).sigma_nats
+
+    def test_side_violation_rejected(self):
+        state = state_from_label_arrays(2, 2, [0, 1], [0, 1], [0, 1], [2, 3], [2, 1], 4,
+                                        [0, 0, 1, 1])
+        with pytest.raises(IntegrityError, match="side"):
+            mh_sweep(state, np.random.default_rng(10), doc_labels=[0, 2])
 
     def test_planted_bicliques_recovered(self):
         graph = planted_biclique_graph()
@@ -401,16 +316,6 @@ class TestBlockSearch:
             result = fit(graph, cfg)
             assert result.converged == converged
             assert len(result.sigma_trace) == n_moving + 2 + converged
-
-    def test_greedy_fit_builds_no_unit_engine(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a fit built the unit-move engine")
-        monkeypatch.setattr(MutableLabeledState, "__init__", refuse)
-        for mode, doc_clustering in itertools.product(("greedy", "anneal", "mcmc"),
-                                                      ("clustered", "per-doc-group")):
-            cfg = InferenceConfig(mode=mode, doc_clustering=doc_clustering, seed=0,
-                                  n_restarts=2, n_sweeps=10)
-            assert np.isfinite(fit(planted_biclique_graph(), cfg).sigma)
 
     @pytest.mark.parametrize("mode", ["anneal", "mcmc"])
     def test_tempered_trace_and_counts(self, synth_graphs, mode):
@@ -766,17 +671,22 @@ class TestGibbsInitializer:
         assert state == state_ref
 
 
+def assignment_sigma(counts, doc, word, max_overlap=None):
+    """joint_logp of the nonoverlapping state of (doc, word) group arrays,
+    -1 for no group, under the overlap cap."""
+    d_idx, w_idx = np.nonzero(counts)
+    gd, gw = doc.max(initial=-1) + 1, word.max(initial=-1) + 1
+    gs = np.concatenate([np.zeros(gd, np.int64), np.ones(gw, np.int64)])
+    st = state_from_label_arrays(*counts.shape, d_idx, w_idx, doc[d_idx],
+                                 gd + word[w_idx], counts[d_idx, w_idx],
+                                 gd + gw, gs)
+    return joint_logp(st, max_overlap=max_overlap).sigma_nats
+
+
 def materialized_sigma(counts, ag):
     """joint_logp of the nonoverlapping state an agglomerator describes,
     under the agglomerator's overlap cap."""
-    da, wa = ag.materialize()
-    d_idx, w_idx = np.nonzero(counts)
-    gd, gw = da.max(initial=-1) + 1, wa.max(initial=-1) + 1
-    gs = np.concatenate([np.zeros(gd, np.int64), np.ones(gw, np.int64)])
-    st = state_from_label_arrays(*counts.shape, d_idx, w_idx, da[d_idx],
-                                 gd + wa[w_idx], counts[d_idx, w_idx],
-                                 gd + gw, gs)
-    return joint_logp(st, max_overlap=ag.max_overlap).sigma_nats
+    return assignment_sigma(counts, *ag.materialize(), max_overlap=ag.max_overlap)
 
 
 @hst.composite
@@ -945,50 +855,37 @@ class TestRefineDocClusters:
         assert abs(sigma - score.sigma_nats) < 1e-9
 
 
-def _block_polish_reference(state: MutableLabeledState, max_sweeps: int = 4) -> float:
-    """Node-move polish on the mutable engine: every candidate move is
-    applied, scored from the engine's running total, and undone."""
-    total = 0.0
+def _block_polish_reference(counts, doc_assign, word_assign, max_sweeps: int = 4):
+    """Node-move polish over assignment arrays: each node in turn takes the
+    candidate group, among its side's groups occupied when the side's pass
+    began, whose `joint_logp` is lowest, if that lowers sigma by more than
+    1e-9.  Returns the (doc, word) arrays, -1 for nodes without edges, and
+    the summed change of sigma."""
+    assign = [np.where(counts.sum(axis=1) > 0, doc_assign, -1),
+              np.where(counts.sum(axis=0) > 0, word_assign, -1)]
+    sigma, total = assignment_sigma(counts, *assign), 0.0
     for _ in range(max_sweeps):
         moved = False
         for side in (0, 1):
-            groups = sorted(state.sides[side].e_r)
-            size = state.n_docs if side == 0 else state.n_words
-            for idx in range(size):
-                node = idx if side == 0 else state.n_docs + idx
-                for g_from in tuple(state.node_mixture.get(node, ())):
-                    best = None
-                    for g_to in groups:
-                        if g_to == g_from:
-                            continue
-                        delta, undo = node_move(state, side, idx, g_from, g_to)
-                        if delta < -1e-9 and (best is None or delta < best[0]):
-                            best = (delta, g_to)
-                        state._bulk_moves(undo)
-                    if best is not None:
-                        delta, _ = node_move(state, side, idx, g_from, best[1])
-                        total += delta
-                        moved = True
+            groups = sorted(set(assign[side][assign[side] >= 0].tolist()))
+            for node, g_from in enumerate(assign[side].tolist()):
+                best = None
+                for g_to in groups if g_from >= 0 else ():
+                    if g_to == g_from:
+                        continue
+                    assign[side][node] = g_to
+                    moved_sigma = assignment_sigma(counts, *assign)
+                    delta = moved_sigma - sigma
+                    if delta < -1e-9 and (best is None or delta < best[0]):
+                        best = (delta, g_to, moved_sigma)
+                    assign[side][node] = g_from
+                if best is not None:
+                    assign[side][node], sigma = best[1], best[2]
+                    total += best[0]
+                    moved = True
         if not moved:
             break
-    return total
-
-
-def engine_from_agglomerator(counts, ag):
-    """The mutable engine holding the agglomerator's current state, with the
-    same group ids (word group g becomes engine group Gd + g)."""
-    d_idx, w_idx = np.nonzero(counts)
-    items = zip(d_idx.tolist(), w_idx.tolist(), ag.doc_assign[d_idx].tolist(),
-                (ag.Gd + ag.word_assign[w_idx]).tolist(), counts[d_idx, w_idx].tolist())
-    return MutableLabeledState(*counts.shape, items, [0] * ag.Gd + [1] * ag.Gw)
-
-
-def engine_assignments(state):
-    """(doc, word) group arrays of a nonoverlapping engine, -1 for no group."""
-    labels = [-1] * (state.n_docs + state.n_words)
-    for node, mix in state.node_mixture.items():
-        (labels[node],) = mix
-    return np.array(labels[:state.n_docs]), np.array(labels[state.n_docs:])
+    return assign[0], assign[1], total
 
 
 def canonical(labels):
@@ -1069,20 +966,19 @@ class TestBlockPolish:
         assert abs((materialized_sigma(counts, ag) - before) - total) < 1e-8
 
     @given(merge_cases(), hst.integers(1, 3))
-    def test_matches_engine_reference(self, case, max_sweeps):
-        """Polish on the group tables ends in the partition the mutable
-        engine's apply-and-undo polish reaches, with the same sigma."""
+    def test_matches_oracle_reference(self, case, max_sweeps):
+        """Polish on the group tables ends in the partition an oracle-scored
+        polish over assignment arrays reaches, with the same sigma."""
         counts, doc_assign, word_assign = case
         ag = NonoverlappingAgglomerator(counts, doc_assign, word_assign)
-        engine = engine_from_agglomerator(counts, ag)
         before = materialized_sigma(counts, ag)
         total = block_polish(ag, max_sweeps=max_sweeps)
-        ref_total = _block_polish_reference(engine, max_sweeps=max_sweeps)
-        ref_doc, ref_word = engine_assignments(engine)
+        ref_doc, ref_word, ref_total = _block_polish_reference(counts, doc_assign, word_assign,
+                                                               max_sweeps=max_sweeps)
         assert canonical(ag.doc_assign) == canonical(ref_doc)
         assert canonical(ag.word_assign) == canonical(ref_word)
         sigma = materialized_sigma(counts, ag)
-        assert abs(sigma - engine.score().sigma_nats) < 1e-8
+        assert abs(sigma - assignment_sigma(counts, ref_doc, ref_word)) < 1e-8
         assert abs(total - ref_total) < 1e-8
         assert abs((sigma - before) - total) < 1e-8
 

@@ -33,7 +33,6 @@ from topicblocks.microcanonical import (
     logp_marginal_flat,
     logp_overlap_partition,
     logp_partition_array,
-    side_statistics,
     top_level_density,
 )
 from topicblocks.util import IntegrityError, log_factorial_table
@@ -322,7 +321,7 @@ class TestBipartitePartition:
         st = state_from_label_arrays(2, 2, [0, 1], [0, 1], [0, 0], [1, 1],
                                      [1, 1], 2, [0, 1])
         got = logp_partition_array(MixtureTables(st))
-        stats = side_statistics(st)
+        stats = side_statistics_reference(st)
         expected = sum(logp_overlap_partition(s) for s in stats.values())
         assert abs(got - expected) < 1e-12
 
@@ -336,7 +335,7 @@ class TestBipartitePartition:
         st = state_from_label_arrays(
             3, 3, [0, 1, 2, 0], [0, 1, 2, 2], [0, 1, 0, 0], [2, 3, 3, 2],
             [2, 1, 1, 1], 4, [0, 0, 1, 1])
-        stats = side_statistics(st)
+        stats = side_statistics_reference(st)
         total = logp_partition_array(MixtureTables(st))
         assert abs(total - sum(logp_overlap_partition(s) for s in stats.values())) < 1e-12
 
@@ -612,22 +611,6 @@ def assert_same_tables(got, want):
         assert x.dtype == y.dtype and np.array_equal(x, y), name
 
 
-def assert_same_stats(got, want):
-    """Equal side stats, with the same side order and the same insertion
-    order in every dict that a score iterates."""
-    assert list(got) == list(want)
-    for sd in want:
-        g, w = got[sd], want[sd]
-        assert (g.n_groups, g.n_eff) == (w.n_groups, w.n_eff)
-        for name in ("size_hist", "mixture_count", "e_mix", "e_r"):
-            assert list(getattr(g, name).items()) == list(getattr(w, name).items()), name
-        assert [(k, list(v.items())) for k, v in g.deg_freq.items()] == \
-            [(k, list(v.items())) for k, v in w.deg_freq.items()]
-        assert all(type(v) is Counter for v in g.deg_freq.values())
-        for name in ("members_with", "m_r"):
-            assert dict(getattr(g, name)) == dict(getattr(w, name)), name
-
-
 class TestArrayAggregates:
     """The array builds equal the loop references exactly, including the
     dict insertion order that fixes the order of every float sum."""
@@ -637,7 +620,6 @@ class TestArrayAggregates:
         for st in (state, compress_groups_reference(state)):
             tables = CountTables(st)
             assert_same_tables(tables, CountTablesReference(st))
-            assert_same_stats(side_statistics(st, tables), side_statistics_reference(st))
         assert joint_logp(state).breakdown == joint_breakdown_reference(state)
 
     @given(general_states())
@@ -652,7 +634,6 @@ class TestArrayAggregates:
         empty = np.zeros(0, np.int64)
         self.check(LabeledGraph(3, empty, empty, empty, empty, empty, 2))
         self.check(state_from_label_arrays(2, 3, empty, empty, empty, empty, empty, 3, [0, 1, 1]))
-        assert side_statistics(LabeledGraph(1, empty, empty, empty, empty, empty, 0)) == {}
         assert joint_logp(LabeledGraph(1, empty, empty, empty, empty, empty, 0)).sigma_nats == 0.0
 
 
@@ -700,7 +681,6 @@ class TestOrderSensitiveSums:
         assert np.diff(mix.freq_start).max() >= 9
         assert np.bincount(mix.pair_side).min() >= 9  # on both sides
         assert mix.mix_size.max() >= 2  # overlapping mixtures
-        assert_same_stats(side_statistics(state), side_statistics_reference(state))
 
     @pytest.mark.parametrize("variant", ["per-doc-group", "doc-clustering"])
     @pytest.mark.parametrize("n_topics", [2, 4])
@@ -780,7 +760,7 @@ class TestArrayErrorPaths:
         if faults["k_val"]:  # document 2 alone in its mixture, degree 0 in group 1
             tables.k_val[(tables.k_node == 2) & (tables.k_group == 1)] = 0
         got = outcome(logp_degrees_array, MixtureTables(st, tables))
-        assert got == outcome(logp_degrees_given_mixtures, side_statistics(st, tables))
+        assert got == outcome(logp_degrees_given_mixtures, side_statistics_reference(st, tables))
         assert got[0] is IntegrityError and match in got[1]
 
     def test_inconsistent_group_total(self):
@@ -790,7 +770,7 @@ class TestArrayErrorPaths:
         with pytest.raises(IntegrityError, match="inconsistent"):
             logp_degrees_array(MixtureTables(st, tables))
         with pytest.raises(IntegrityError, match="inconsistent"):
-            logp_degrees_given_mixtures(side_statistics(st, tables))
+            logp_degrees_given_mixtures(side_statistics_reference(st, tables))
 
     def test_degree_sum_that_cannot_split(self):
         st = self.small_state()
