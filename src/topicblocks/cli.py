@@ -41,7 +41,7 @@ from .lda import (
 )
 from .microcanonical import Hierarchy, joint_logp
 from .presets import bimodal_recovery, four_model_curves, hyper_sweep
-from .util import IntegrityError, require_keys
+from .util import IntegrityError, require_keys, whole_numbers
 
 EXIT_USAGE = 2
 EXIT_INTEGRITY = 3
@@ -102,13 +102,17 @@ def _read_labels_tsv(path):
     doc_ids, words = {}, {}
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             doc_id, word, r, c = line.rstrip("\n").split("\t")
+            if int(r) < 0:
+                raise ValueError(f"{path} line {lineno}: topic {r} is negative")
             d = doc_ids.setdefault(doc_id, len(doc_ids))
             w = words.setdefault(word, len(words))
             rows.append((d, w, int(r), int(c)))
+    if not rows:
+        raise ValueError(f"{path} holds no labels")
     d, w, r, c = (np.asarray(col, dtype=np.int64) for col in zip(*rows))
     labels = LabeledCounts(len(doc_ids), len(words), int(r.max()) + 1, d, w, r, c)
     return labels, list(doc_ids), list(words)
@@ -248,7 +252,8 @@ def load_model(model_dir):
         with open(hpath, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
         require_keys(payload, ("assignments",), "the hierarchy file")
-        hierarchy = Hierarchy([np.asarray(a, dtype=np.int64) for a in payload["assignments"]])
+        hierarchy = Hierarchy([whole_numbers(a, "the hierarchy file's 'assignments'")
+                               for a in payload["assignments"]])
     _check_levels(hierarchy, state.n_groups)
     return state, hierarchy
 

@@ -277,10 +277,12 @@ def read_corpus_tsv(edges_path, vocab_path=None, docs_path=None) -> Corpus:
                     raise ValueError(f"vocabulary ids not contiguous at {word!r}")
     doc_tokens: dict[str, list[int]] = {}
     with open(edges_path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             doc_id, word, cnt = line.rstrip("\n").split("\t")
+            if int(cnt) < 1:
+                raise ValueError(f"{edges_path} line {lineno}: count {cnt} is below 1")
             wid = vocab.add(word)
             doc_tokens.setdefault(doc_id, []).extend([wid] * int(cnt))
     if docs_path is not None:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Corpus
-from .util import IntegrityError, log_factorial, require_keys
+from .util import IntegrityError, log_factorial, require_keys, whole_numbers
 
 
 class BipartiteMultigraph:
@@ -264,10 +264,21 @@ def state_to_dict(state: LabeledGraph, n_docs: int) -> dict:
 
 
 def state_from_dict(payload: dict) -> LabeledGraph:
-    require_keys(payload, ("n_docs", "n_words", "n_groups", "group_side", "bundles"),
-                 "the state file")
-    d, w, r, s, m = np.array(payload["bundles"], dtype=np.int64).reshape(-1, 5).T
-    return state_from_label_arrays(
-        payload["n_docs"], payload["n_words"], d, w, r, s, m,
-        payload["n_groups"], np.asarray(payload["group_side"], dtype=np.int64),
-    )
+    """The state `state_to_dict` wrote.  A value that is not a whole number
+    raises ValueError naming its key; a node id, group id or group side out
+    of range raises IntegrityError naming its bundle or group."""
+    keys = ("n_docs", "n_words", "n_groups", "group_side", "bundles")
+    require_keys(payload, keys, "the state file")
+    n_docs, n_words, n_groups, group_side, bundles = (
+        whole_numbers(payload[key], f"the state file's {key!r}", ndim)
+        for key, ndim in zip(keys, (0, 0, 0, 1, None)))
+    d, w, r, s, m = bundles.reshape(-1, 5).T
+    for where, what, ids, n in (("bundle", "document", d, n_docs), ("bundle", "word", w, n_words),
+                                ("bundle", "group", r, n_groups), ("bundle", "group", s, n_groups),
+                                ("group", "side", group_side, 2)):
+        bad = np.flatnonzero((ids < 0) | (ids >= n))
+        if len(bad):
+            raise IntegrityError(f"{where} {bad[0]} has {what} {ids[bad[0]]}, outside 0..{n - 1}")
+    if len(group_side) != n_groups:
+        raise IntegrityError(f"group_side has {len(group_side)} entries for {n_groups} groups")
+    return state_from_label_arrays(n_docs, n_words, d, w, r, s, m, n_groups, group_side)

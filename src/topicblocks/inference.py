@@ -47,13 +47,7 @@ from .microcanonical import (
 )
 from .partition_counts import log_partitions
 from .scores import ModelScore
-from .util import (
-    IntegrityError,
-    log_factorial,
-    log_factorial_table,
-    log_num_compositions,
-    log_num_compositions_large,
-)
+from .util import IntegrityError, log_factorial_table, log_num_compositions_large
 
 
 @dataclass
@@ -702,9 +696,10 @@ class NonoverlappingAgglomerator:
     changes a side's group count.  Each delta equals the change of
     `joint_logp` between the materialized states, under the overlap cap
     `max_overlap` when one is given.  Degree-0 nodes belong to
-    no group and are marked -1.  Log-factorials come from
-    `util.log_factorial_table` and an empty group's terms are exact zeros, so
-    merge deltas are bit-identical to scoring the merged group cell by cell.
+    no group and are marked -1.  Log-factorials are lookups in
+    `util.log_factorial_table`, equal to `log_factorial` of the same count,
+    and an empty group's terms are exact zeros, so merge deltas are
+    bit-identical to scoring the merged group cell by cell.
     """
 
     def __init__(self, counts: np.ndarray, doc_assign, word_assign, max_overlap=None):
@@ -718,7 +713,7 @@ class NonoverlappingAgglomerator:
         self.Gd = int(self.doc_assign.max(initial=-1)) + 1
         self.Gw = int(self.word_assign.max(initial=-1)) + 1
         self.E = int(self.counts.sum())
-        self._log_fact = log_factorial_table(self.E)  # no cell ever exceeds E
+        self._log_fact = log_factorial_table(self.E + sum(self.counts.shape))  # n_eff + Q <= E + N
         self.e_mat = np.zeros((self.Gd, self.Gw), dtype=np.int64)
         d_idx, w_idx = np.nonzero(self.counts)
         np.add.at(self.e_mat, (self.doc_assign[d_idx], self.word_assign[w_idx]),
@@ -751,12 +746,13 @@ class NonoverlappingAgglomerator:
         B = len(self.tables[side]) + change
         B_all = len(self.tables[0]) + len(self.tables[1]) + change
         Q = B if self.max_overlap is None else min(self.max_overlap, B)
+        lf = self._log_fact
         out = 0.0
         if n_eff:
-            out = float(log_num_compositions(int(n_eff), int(Q)))      # -log P(n)
+            out = float(lf[n_eff + Q - 1] - lf[n_eff] - lf[Q - 1])      # -log P(n)
             # all mixtures have size one: P(q | n) = 1
             out += log_num_compositions_large(float(np.log(B)), n_eff)  # -log P(n_b | n_q)
-            out += log_factorial(n_eff)                                 # -log P(b | n_b): / n_q!
+            out += float(lf[n_eff])                                     # -log P(b | n_b): / n_q!
         return out - logp_geometric(self.E, B_all, top_level_density(self.E, B_all))
 
     # -- moves: a part (n, e, freq, row) is a node count, a degree total, a

@@ -17,10 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaln
 
 from .graph import BipartiteMultigraph
 from .scores import ModelScore
-from .util import IntegrityError, log_factorial, lgamma
+from .util import IntegrityError, log_factorial
 
 
 @dataclass
@@ -302,18 +303,18 @@ def lda_marginal_loglik(labels: LabeledCounts, hyper: DirichletHyper, eta_d=None
 
     alpha = hyper.alpha_row
     a_sum = float(alpha.sum())
-    ll += float((lgamma(a_sum) - lgamma(k_d + a_sum)).sum())
+    ll += float((gammaln(a_sum) - gammaln(k_d + a_sum)).sum())
     ndr = labels.doc_topic_counts()
     d_nz, r_nz = np.nonzero(ndr)
-    ll += float((lgamma(ndr[d_nz, r_nz] + alpha[r_nz]) - lgamma(alpha[r_nz])).sum())
+    ll += float((gammaln(ndr[d_nz, r_nz] + alpha[r_nz]) - gammaln(alpha[r_nz])).sum())
 
     beta = hyper.beta_row
     b_sum = float(beta.sum())
     n_r = labels.topic_totals()
-    ll += float((lgamma(b_sum) - lgamma(n_r + b_sum)).sum())
+    ll += float((gammaln(b_sum) - gammaln(n_r + b_sum)).sum())
     nwr = labels.word_topic_counts()
     w_nz, r_nz = np.nonzero(nwr)
-    ll += float((lgamma(nwr[w_nz, r_nz] + beta[w_nz]) - lgamma(beta[w_nz])).sum())
+    ll += float((gammaln(nwr[w_nz, r_nz] + beta[w_nz]) - gammaln(beta[w_nz])).sum())
     return ll
 
 

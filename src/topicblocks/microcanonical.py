@@ -34,8 +34,9 @@ node-by-node visit gives, so they agree bit for bit and scores are
 reproducible to the bit.  The array path adds floats left to right (a
 sequential `cumsum`, or one vectorized add per column across runs), never
 with `.sum()` or `reduceat`, which add pairwise from eight terms up.  Integer
-log-factorials come from `util.log_factorial_table`, which equals the scalar
-`log_factorial` bit for bit.
+log-factorials and composition counts come from `util`, whose scalar calls,
+array calls and `log_factorial_table` lookups give the same float for the
+same n.
 """
 from __future__ import annotations
 
@@ -438,15 +439,14 @@ def logp_degrees_array(mix: MixtureTables) -> float:
         rs = np.flatnonzero((t.e_r > 0) & (mix.group_side == sd))
         members = np.bincount(t.k_group[mix.entry_side == sd], minlength=B)[rs]
         mixtures = np.bincount(mix.pair_group[mix.pair_side == sd], minlength=B)[rs]
-        group_terms = []
-        for r, er, sr, mr in zip(rs.tolist(), t.e_r[rs].tolist(), members.tolist(),
-                                 mixtures.tolist()):
-            if mr == 0 or er < sr:
-                raise IntegrityError(
-                    f"group {r} degree total {er} inconsistent with its {sr} members"
-                )
-            group_terms.append(-float(log_num_compositions(er - sr, mr)))
-        terms.append(np.array(group_terms, dtype=float))
+        er = t.e_r[rs]
+        bad = np.flatnonzero((mixtures == 0) | (er < members))
+        if len(bad):
+            g = bad[0]
+            raise IntegrityError(
+                f"group {rs[g]} degree total {er[g]} inconsistent with its {members[g]} members"
+            )
+        terms.append(-log_num_compositions(er - members, mixtures))
         bad = np.flatnonzero((lp == -np.inf) & (mix.pair_side == sd))
         if len(bad):
             raise IntegrityError(
@@ -505,14 +505,13 @@ def logp_level_matrix(e_fine: np.ndarray, assignment: np.ndarray, n_coarse: int,
     agg = aggregate_matrix(e_fine, assignment, n_coarse)
     if e_coarse is not None and not np.array_equal(agg, e_coarse):
         raise IntegrityError("stored coarse matrix does not aggregate from the fine one")
-    out = 0.0
-    for r in range(n_coarse):
-        if agg[r, r] % 2 != 0:
-            raise IntegrityError("odd within-group total at a coarse diagonal")
-        out -= float(log_num_compositions(agg[r, r] // 2, sizes[r] * (sizes[r] + 1) // 2))
-        for s in range(r + 1, n_coarse):
-            out -= float(log_num_compositions(agg[r, s], sizes[r] * sizes[s]))
-    return out
+    if np.any(np.diagonal(agg) % 2 != 0):
+        raise IntegrityError("odd within-group total at a coarse diagonal")
+    r, s = np.triu_indices(n_coarse)  # each coarse pair once, row by row
+    diag = r == s
+    totals = np.where(diag, agg[r, s] // 2, agg[r, s])
+    cells = np.where(diag, sizes[r] * (sizes[r] + 1) // 2, sizes[r] * sizes[s])
+    return float(np.cumsum(np.concatenate(([0.0], -log_num_compositions(totals, cells))))[-1])
 
 
 def logp_level_partition(assignment: np.ndarray, group_side=None) -> float:

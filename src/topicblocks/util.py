@@ -2,6 +2,10 @@
 
 Every probability in the package is handled as a natural logarithm; no
 routine ever materializes a probability as a raw floating-point product.
+
+Every integer log-factorial, binomial and composition count has one
+definition, scipy's `gammaln`, reached by one code path for a scalar and an
+array alike, so the same n gives the same float wherever it is computed.
 """
 from __future__ import annotations
 
@@ -24,15 +28,18 @@ def require_keys(payload, keys, what: str) -> None:
             raise ValueError(f"{what} lacks the key {key!r}")
 
 
-def lgamma(x):
-    """Vectorized log-gamma that accepts scalars or arrays."""
-    return gammaln(x)
+def whole_numbers(values, what: str, ndim=None) -> np.ndarray:
+    """Parsed JSON numbers as an int64 array with `ndim` dimensions (any when
+    None); anything else raises a ValueError that names `what`."""
+    arr = np.asarray(values)
+    if ((ndim is not None and arr.ndim != ndim) or arr.dtype.kind not in "iuf"
+            or not np.all(np.isfinite(arr) & (arr == np.trunc(arr)))):
+        raise ValueError(f"{what} must be {'one whole number' if ndim == 0 else 'whole numbers'}")
+    return arr.astype(np.int64)
 
 
 def log_factorial(n):
-    """log n! for nonnegative integer scalars or arrays."""
-    if isinstance(n, (int, float, np.integer, np.floating)):
-        return math.lgamma(float(n) + 1.0)
+    """log n! for a nonnegative integer n, or elementwise for an array."""
     return gammaln(np.asarray(n, dtype=float) + 1.0)
 
 
@@ -42,16 +49,12 @@ _LOG_FACTORIAL_TABLE.flags.writeable = False
 
 def log_factorial_table(n_max: int) -> np.ndarray:
     """Read-only table of log n! for 0 <= n <= n_max (at least), shared by
-    the whole process and grown by doubling when a caller needs more.
-
-    Entries are `math.lgamma(n + 1.0)`, so a lookup equals the scalar path of
-    `log_factorial` bit for bit (scipy's `gammaln` differs from it by 1 ulp
-    on about half of all n)."""
+    the whole process and grown by doubling when a caller needs more: a memo
+    of `log_factorial`, so a lookup equals its scalar and array values."""
     global _LOG_FACTORIAL_TABLE
     size = len(_LOG_FACTORIAL_TABLE)
     if n_max >= size:
-        size = max(n_max + 1, 2 * size)
-        table = np.array([math.lgamma(i + 1.0) for i in range(size)])
+        table = log_factorial(np.arange(max(n_max + 1, 2 * size)))
         table.flags.writeable = False
         _LOG_FACTORIAL_TABLE = table
     return _LOG_FACTORIAL_TABLE
@@ -67,38 +70,20 @@ def log_double_factorial_even(n):
 
 def log_binom(n, k):
     """log of the binomial coefficient C(n, k), elementwise."""
-    if isinstance(n, (int, float, np.integer, np.floating)) and isinstance(
-        k, (int, float, np.integer, np.floating)
-    ):
-        return (math.lgamma(float(n) + 1.0) - math.lgamma(float(k) + 1.0)
-                - math.lgamma(float(n) - float(k) + 1.0))
-    n = np.asarray(n, dtype=float)
-    k = np.asarray(k, dtype=float)
-    return gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
+    return log_factorial(n) - log_factorial(k) - log_factorial(np.subtract(n, k))
 
 
 def log_num_compositions(total, parts):
     """log of the number of ways to write `total` as an ordered sum of
-    `parts` nonnegative integers, i.e. log C(total + parts - 1, parts - 1).
-
-    `parts` == 0 is legal only with `total` == 0 (the empty composition).
-    """
-    if isinstance(total, (int, np.integer)) and isinstance(parts, (int, np.integer)):
-        if parts == 0:
-            if total == 0:
-                return 0.0
-            raise IntegrityError("cannot compose a positive total into 0 parts")
-        t, p = float(total), float(parts)
-        return (math.lgamma(t + p) - math.lgamma(t + 1.0) - math.lgamma(p))
-    total = np.asarray(total, dtype=float)
-    parts = np.asarray(parts, dtype=float)
-    out = log_binom(total + parts - 1.0, parts - 1.0)
-    zero = parts == 0
-    if np.any(zero):
-        out = np.where(zero & (total == 0), 0.0, out)
-        if np.any(zero & (total != 0)):
-            raise IntegrityError("cannot compose a positive total into 0 parts")
-    return out
+    `parts` nonnegative integers, log C(total + parts - 1, parts - 1),
+    elementwise; `parts` == 0 is legal only with `total` == 0 (the empty
+    composition)."""
+    total, parts = np.asarray(total), np.asarray(parts)
+    empty = parts == 0
+    if np.any(empty & (total != 0)):
+        raise IntegrityError("cannot compose a positive total into 0 parts")
+    parts = np.where(empty, 1, parts)  # one composition either way: 0 into one part
+    return log_factorial(total + parts - 1) - log_factorial(total) - log_factorial(parts - 1)
 
 
 def log_num_compositions_large(log_parts, total):

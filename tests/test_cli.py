@@ -115,6 +115,12 @@ def drop_key(payload, key):
     return {k: v for k, v in payload.items() if k != key}
 
 
+def edit_bundle(payload, column, value):
+    bundles = [list(b) for b in payload["bundles"]]
+    bundles[0][column] = value
+    return {**payload, "bundles": bundles}
+
+
 class TestMalformedFiles:
     @pytest.mark.parametrize("name, edit, command, code, message", [
         ("hierarchy.json", lambda p: {"assignments": [[0] * 9]}, "export", 3,
@@ -131,24 +137,49 @@ class TestMalformedFiles:
          "the state file lacks the key 'n_words'"),
         ("spec.json", lambda p: {"models": []}, "compare", 2,
          "the spec file lacks the key 'labels'"),
+        ("state.json", lambda p: edit_bundle(p, 4, 3.7), "export", 2,
+         "the state file's 'bundles' must be whole numbers"),
+        ("state.json", lambda p: {**p, "n_groups": 2.5}, "summarize", 2,
+         "the state file's 'n_groups' must be one whole number"),
+        ("state.json", lambda p: {**p, "n_docs": [4]}, "export", 2,
+         "the state file's 'n_docs' must be one whole number"),
+        ("state.json", lambda p: edit_bundle(p, 0, 9), "export", 3,
+         "bundle 0 has document 9, outside 0..3"),
+        ("state.json", lambda p: edit_bundle(p, 2, 5), "export", 3,
+         "bundle 0 has group 5, outside 0..1"),
+        ("state.json", lambda p: {**p, "group_side": [0, 2]}, "export", 3,
+         "group 1 has side 2, outside 0..1"),
+        ("hierarchy.json", lambda p: {"assignments": [[0.9, 0.2]]}, "export", 2,
+         "the hierarchy file's 'assignments' must be whole numbers"),
+        ("edges.tsv", lambda p: "d0\tw0\t-3\n", "fit", 2,
+         "{path} line 1: count -3 is below 1"),
+        ("labels.tsv", lambda p: "", "score", 2, "{path} holds no labels"),
+        ("labels.tsv", lambda p: "d0\tw0\t0\t2\nd0\tw1\t-1\t1\n", "score", 2,
+         "{path} line 2: topic -1 is negative"),
     ])
     def test_refused_with_one_line(self, two_group_model, tmp_path, capsys,
                                    name, edit, command, code, message):
-        model = tmp_path / "model"
+        model, corpus = tmp_path / "model", tmp_path / "corpus"
         model.mkdir()
+        corpus.mkdir()
         for stored in ("state.json", "hierarchy.json"):
             (model / stored).write_text((two_group_model / "model" / stored).read_text())
-        path = tmp_path / "spec.json" if name == "spec.json" else model / name
+        path = {"spec.json": tmp_path / "spec.json", "labels.tsv": tmp_path / "labels.tsv",
+                "edges.tsv": corpus / "edges.tsv"}.get(name, model / name)
         payload = json.loads(path.read_text()) if path.exists() else {}
-        path.write_text(json.dumps(edit(payload)))
+        content = edit(payload)
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
         argv = {"export": ["export", "--model", model, "--out", tmp_path / "out"],
                 "summarize": ["summarize", "--model", model,
                               "--corpus", two_group_model / "corpus"],
-                "compare": ["compare", "--spec", path]}[command]
+                "compare": ["compare", "--spec", path],
+                "fit": ["fit", "--corpus", corpus, "--out", tmp_path / "out"],
+                "score": ["score", "--model", "lda", "--labels", path]}[command]
         capsys.readouterr()
         assert run(argv) == code
         err = capsys.readouterr().err
-        assert err.strip() == f"{'integrity error' if code == 3 else 'error'}: {message}"
+        assert err.strip() == (f"{'integrity error' if code == 3 else 'error'}: "
+                               f"{message.format(path=path)}")
 
 
 class TestIngestStats:
