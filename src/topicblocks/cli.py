@@ -24,6 +24,7 @@ from .corpus import (
     rank_frequency,
     read_corpus_tsv,
     read_jsonl,
+    tsv_rows,
     write_corpus_tsv,
 )
 from .evaluation import dissemination_all, group_summaries
@@ -101,16 +102,12 @@ def _write_labels_tsv(path, labels: LabeledCounts, doc_ids, words):
 def _read_labels_tsv(path):
     doc_ids, words = {}, {}
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            doc_id, word, r, c = line.rstrip("\n").split("\t")
-            if int(r) < 0:
-                raise ValueError(f"{path} line {lineno}: topic {r} is negative")
-            d = doc_ids.setdefault(doc_id, len(doc_ids))
-            w = words.setdefault(word, len(words))
-            rows.append((d, w, int(r), int(c)))
+    for lineno, (doc_id, word, r, c) in tsv_rows(path, 4):
+        if int(r) < 0:
+            raise ValueError(f"{path} line {lineno}: topic {r} is negative")
+        d = doc_ids.setdefault(doc_id, len(doc_ids))
+        w = words.setdefault(word, len(words))
+        rows.append((d, w, int(r), int(c)))
     if not rows:
         raise ValueError(f"{path} holds no labels")
     d, w, r, c = (np.asarray(col, dtype=np.int64) for col in zip(*rows))

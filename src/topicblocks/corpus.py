@@ -260,6 +260,20 @@ def write_corpus_tsv(corpus: Corpus, edges_path, vocab_path, docs_path=None) -> 
                 fh.write(f"{doc.id}\t{int(lengths[d])}\n")
 
 
+def tsv_rows(path, n_fields: int):
+    """Yield (1-based line number, fields) for each nonblank line of the TSV
+    file `path`; a ValueError names the file and the line unless the line
+    has exactly `n_fields` tab-separated fields."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            fields = line.rstrip("\n").split("\t")
+            if line.strip() and len(fields) != n_fields:
+                raise ValueError(f"{path} line {lineno}: {len(fields)} tab-separated "
+                                 f"fields, expected {n_fields}")
+            if line.strip():
+                yield lineno, fields
+
+
 def read_corpus_tsv(edges_path, vocab_path=None, docs_path=None) -> Corpus:
     """Rebuild a corpus from the TSV edge list `doc_id<TAB>word<TAB>count`.
 
@@ -269,27 +283,19 @@ def read_corpus_tsv(edges_path, vocab_path=None, docs_path=None) -> Corpus:
     """
     vocab = Vocabulary()
     if vocab_path is not None:
-        with open(vocab_path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                word, wid, _ = line.rstrip("\n").split("\t")
-                got = vocab.add(word)
-                if got != int(wid):
-                    raise ValueError(f"vocabulary ids not contiguous at {word!r}")
+        for _, (word, wid, _) in tsv_rows(vocab_path, 3):
+            got = vocab.add(word)
+            if got != int(wid):
+                raise ValueError(f"vocabulary ids not contiguous at {word!r}")
     doc_tokens: dict[str, list[int]] = {}
-    with open(edges_path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            doc_id, word, cnt = line.rstrip("\n").split("\t")
-            if int(cnt) < 1:
-                raise ValueError(f"{edges_path} line {lineno}: count {cnt} is below 1")
-            wid = vocab.add(word)
-            doc_tokens.setdefault(doc_id, []).extend([wid] * int(cnt))
+    for lineno, (doc_id, word, cnt) in tsv_rows(edges_path, 3):
+        if int(cnt) < 1:
+            raise ValueError(f"{edges_path} line {lineno}: count {cnt} is below 1")
+        wid = vocab.add(word)
+        doc_tokens.setdefault(doc_id, []).extend([wid] * int(cnt))
     if docs_path is not None:
-        with open(docs_path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                doc_id = line.rstrip("\n").split("\t")[0]
-                doc_tokens.setdefault(doc_id, [])
+        for _, (doc_id, _) in tsv_rows(docs_path, 2):
+            doc_tokens.setdefault(doc_id, [])
     docs = [Document(doc_id, toks) for doc_id, toks in doc_tokens.items()]
     return Corpus(vocab, docs)
 

@@ -432,6 +432,16 @@ def score_doc_anchored(rows: np.ndarray, bundles: BipartiteMultigraph,
                       model_id="hsbm", parametrization="per-doc-group")
 
 
+def _doc_rank_blocks(perm: np.ndarray, doc_idx: np.ndarray) -> list[np.ndarray]:
+    """Split the bundle order `perm` into blocks: block b holds each
+    document's b-th bundle in that order, kept in that order, so no block
+    holds two bundles of one document."""
+    docs = doc_idx[perm]
+    # rank within the document: place in a stable sort by document, less its first place
+    rank = np.argsort(np.argsort(docs, kind="stable")) - np.searchsorted(np.sort(docs), docs)
+    return np.split(perm[np.argsort(rank, kind="stable")], np.cumsum(np.bincount(rank)))[:-1]
+
+
 def _gibbs_anneal_anchored(rows, bundles, rng, sweeps=25,
                            pseudo_doc=1.0, pseudo_word=0.02,
                            t_start=2.0, t_end=0.4):
@@ -439,50 +449,34 @@ def _gibbs_anneal_anchored(rows, bundles, rng, sweeps=25,
     count-ratio conditional raised to 1/T along a cooling schedule.  Pure
     initialization heuristic; the exact objective drives the later descent.
 
-    Sequential and scalar: the rows are held as lists, and the doc-topic,
-    word-topic and topic totals as lists of floats (exact integers), so a
-    bundle costs K scalar updates and one `rng.multinomial` call; `rows` is
-    written once at the end.  Each conditional is computed in a fixed order: counts minus
-    the bundle's row, (ndr + pseudo_doc) * (kwr + pseudo_word) / (nr + V *
-    pseudo_word), max(x, 1e-300) ** (1/T), a left-to-right sum, then the
-    division.  So the labels and the rng stream equal those of a numpy loop
-    over (D, V, K) slices doing the same steps, up to rounding in the last
-    bit: numpy's array power may be a SIMD routine that differs from the C
-    library's `pow` by 1 ulp, and above 7 topics numpy sums pairwise.  Such
-    a difference changes a draw only if a uniform lands within an ulp of a
-    cumulative probability."""
-    d_idx, w_idx = bundles.doc_idx, bundles.word_idx
-    labels = rows.tolist()
-    ndr = _topic_totals(d_idx, rows, bundles.n_docs).tolist()
-    kwr = _topic_totals(w_idx, rows, bundles.n_words).tolist()
-    nr = rows.sum(axis=0).astype(np.float64).tolist()
-    docs, words, sizes = d_idx.tolist(), w_idx.tolist(), bundles.counts.tolist()
+    Blocked, as AD-LDA splits a sweep across processors (Newman et al., JMLR
+    10, 2009).  Each sweep draws one permutation of the bundles and splits it
+    by `_doc_rank_blocks`, so a sweep has as many blocks as the largest
+    document has bundles.  The bundles of a block draw their rows, in block
+    order, with one `rng.multinomial` call from the conditional
+    (ndr - own + pseudo_doc) * (kwr - own + pseudo_word) / (nr - own +
+    V * pseudo_word), floored at 1e-300 and raised to 1/T, where `own` is
+    its current row and the totals are those at the block's start.  The
+    doc-topic totals are therefore exact for every draw; the word-topic and
+    topic totals miss the changes of the other bundles in the same block.
+    The totals are floats holding exact integers; `rows` is updated in
+    place and returned."""
+    d_idx, w_idx, counts = bundles.doc_idx, bundles.word_idx, bundles.counts
+    ndr = _topic_totals(d_idx, rows, bundles.n_docs)
+    kwr = _topic_totals(w_idx, rows, bundles.n_words)
+    nr = rows.sum(axis=0).astype(np.float64)
     norm = bundles.n_words * pseudo_word
-    topics = range(rows.shape[1])
-    order = np.arange(len(labels))
     for temp in np.geomspace(t_start, t_end, sweeps):
-        rng.shuffle(order)
-        inv = float(1.0 / temp)
-        for t in order.tolist():
-            cur, nd, kw = labels[t], ndr[docs[t]], kwr[words[t]]
-            p, total = [], 0.0
-            for r in topics:
-                c = cur[r]
-                nd[r] -= c
-                kw[r] -= c
-                nr[r] -= c
-                x = max((nd[r] + pseudo_doc) * (kw[r] + pseudo_word)
-                        / (nr[r] + norm), 1e-300) ** inv
-                p.append(x)
-                total += x
-            new = rng.multinomial(sizes[t], [x / total for x in p]).tolist()
-            labels[t] = new
-            for r in topics:
-                c = new[r]
-                nd[r] += c
-                kw[r] += c
-                nr[r] += c
-    rows[:] = np.asarray(labels, dtype=rows.dtype).reshape(rows.shape)
+        for block in _doc_rank_blocks(rng.permutation(len(counts)), d_idx):
+            d, w, cur = d_idx[block], w_idx[block], rows[block]
+            p = np.maximum((ndr[d] - cur + pseudo_doc) * (kwr[w] - cur + pseudo_word)
+                           / (nr - cur + norm), 1e-300) ** (1.0 / temp)
+            new = rng.multinomial(counts[block], p / p.sum(axis=1, keepdims=True))
+            change = new - cur
+            ndr[d] += change
+            np.add.at(kwr, w, change)
+            nr += change.sum(axis=0)
+            rows[block] = new
     return rows
 
 
@@ -491,8 +485,10 @@ def _anchored_restart(bundles: BipartiteMultigraph, K: int, ridx: int, rng,
                       temps=()):
     """One restart of the anchored fitter on the coalesced `bundles`.
 
-    It draws a random split (word-pure on even restarts) and runs tempered
-    bundle resampling to escape the symmetric start.  It then descends
+    It draws a random split (word-pure on even restarts) and runs
+    `gibbs_sweeps` blocked, tempered resampling sweeps (half as many, at
+    least 6, and cooler on even restarts; see `_gibbs_anneal_anchored`) to
+    escape the symmetric start.  It then descends
     greedily, at most `max_rounds` rounds until a round accepts no batch (see
     `_anchored_round`); every sigma is scored under the overlap cap
     `max_overlap`.  With temperatures `temps` (anneal and mcmc fits), it
@@ -564,8 +560,9 @@ def fit_doc_anchored(counts: np.ndarray, n_topics: int, seed: int = 0,
                      gibbs_sweeps: int = 25):
     """Fit token labels with documents pinned to their own groups and a
     capped number of word groups: the best (ties to the lowest index) of
-    `n_restarts` greedy runs of `_anchored_restart` with independent seed
-    streams.  Returns the (D, V, K) labels, their description length and the
+    `n_restarts` runs of `_anchored_restart` with independent seed streams,
+    each a blocked Gibbs start of `gibbs_sweeps` sweeps and a greedy batch
+    descent.  Returns the (D, V, K) labels, their description length and the
     winning descent's trace, which is nonincreasing."""
     if n_topics < 1:
         raise ValueError(f"n_topics must be at least 1, not {n_topics}")

@@ -153,7 +153,19 @@ class TestMalformedFiles:
          "the hierarchy file's 'assignments' must be whole numbers"),
         ("edges.tsv", lambda p: "d0\tw0\t-3\n", "fit", 2,
          "{path} line 1: count -3 is below 1"),
+        ("edges.tsv", lambda p: "d0\tw0\t2\nd0\tw1\t1\t7\n", "fit", 2,
+         "{path} line 2: 4 tab-separated fields, expected 3"),
+        ("edges.tsv", lambda p: "d0\tw0\n", "stats", 2,
+         "{path} line 1: 2 tab-separated fields, expected 3"),
+        ("vocab.tsv", lambda p: "w0\t0\t3\nw1 1 2\n", "stats", 2,
+         "{path} line 2: 1 tab-separated fields, expected 3"),
+        ("vocab.tsv", lambda p: "w0\t0\n", "fit", 2,
+         "{path} line 1: 2 tab-separated fields, expected 3"),
+        ("docs.tsv", lambda p: "d0\t5\nd1\t5\t0\n", "fit", 2,
+         "{path} line 2: 3 tab-separated fields, expected 2"),
         ("labels.tsv", lambda p: "", "score", 2, "{path} holds no labels"),
+        ("labels.tsv", lambda p: "d0\tw0\t0\t2\n\nd0\tw1\t1\n", "score", 2,
+         "{path} line 3: 3 tab-separated fields, expected 4"),
         ("labels.tsv", lambda p: "d0\tw0\t0\t2\nd0\tw1\t-1\t1\n", "score", 2,
          "{path} line 2: topic -1 is negative"),
     ])
@@ -164,9 +176,13 @@ class TestMalformedFiles:
         corpus.mkdir()
         for stored in ("state.json", "hierarchy.json"):
             (model / stored).write_text((two_group_model / "model" / stored).read_text())
-        path = {"spec.json": tmp_path / "spec.json", "labels.tsv": tmp_path / "labels.tsv",
-                "edges.tsv": corpus / "edges.tsv"}.get(name, model / name)
-        payload = json.loads(path.read_text()) if path.exists() else {}
+        corpus_files = ("edges.tsv", "vocab.tsv", "docs.tsv")
+        for stored in corpus_files:
+            (corpus / stored).write_text((two_group_model / "corpus" / stored).read_text())
+        path = {"spec.json": tmp_path / "spec.json", "labels.tsv": tmp_path / "labels.tsv"}.get(
+            name, (corpus if name in corpus_files else model) / name)
+        payload = (json.loads(path.read_text())
+                   if name.endswith(".json") and path.exists() else {})
         content = edit(payload)
         path.write_text(content if isinstance(content, str) else json.dumps(content))
         argv = {"export": ["export", "--model", model, "--out", tmp_path / "out"],
@@ -174,6 +190,7 @@ class TestMalformedFiles:
                               "--corpus", two_group_model / "corpus"],
                 "compare": ["compare", "--spec", path],
                 "fit": ["fit", "--corpus", corpus, "--out", tmp_path / "out"],
+                "stats": ["stats", "--corpus", corpus, "--out", tmp_path / "out"],
                 "score": ["score", "--model", "lda", "--labels", path]}[command]
         capsys.readouterr()
         assert run(argv) == code

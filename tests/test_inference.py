@@ -437,9 +437,9 @@ class TestTemperedFits:
         # groups are compacted in id order, so document d keeps the d-th one
         assert np.array_equal(st.r, doc_groups[st.i])
 
-    # at fit seed 0 mcmc ends below the greedy sigma; at seed 2 it accepts an
+    # at fit seed 1 mcmc ends below the greedy sigma; at seed 35 it accepts an
     # uphill batch and would end above it without the return to the greedy rows
-    @pytest.mark.parametrize("seed", [0, 2])
+    @pytest.mark.parametrize("seed", [1, 35])
     @pytest.mark.parametrize("mode", ["anneal", "mcmc"])
     def test_per_doc_group_fit_continues_the_greedy_fit(self, synth_graphs, mode, seed):
         """A tempered per-doc-group fit is the greedy fit's descent, then
@@ -589,37 +589,37 @@ class TestAnchoredFitter:
         refinement, polish, hierarchy) reproduces recorded values."""
         r = presets.bimodal_recovery(n_docs=40, doc_length=60, fit_restarts=2,
                                      gibbs_sweeps=4)
-        assert abs(r["sigma_anchored"] - 3081.5052476598266) < 1e-9
-        assert abs(r["sigma_sbm"] - 1248.8709734826225) < 1e-9
-        assert r["mode_count"] == 1
+        assert abs(r["sigma_anchored"] - 3094.0777896808154) < 1e-9
+        assert abs(r["sigma_sbm"] - 1248.8709734826243) < 1e-9
+        assert r["mode_count"] == 2
 
 
-def _gibbs_reference(z, d_idx, w_idx, n_dw, rng, sweeps=25, pseudo_doc=1.0,
+def _gibbs_reference(rows, bundles, rng, sweeps=25, pseudo_doc=1.0,
                      pseudo_word=0.02, t_start=2.0, t_end=0.4):
-    """The tempered resampler written as a numpy loop over (D, V, K) slices."""
-    D, V, K = z.shape
-    ndr = z.sum(axis=1).astype(np.float64)
-    kwr = z.sum(axis=0).astype(np.float64)
-    nr = kwr.sum(axis=0)
-    order = np.arange(len(d_idx))
+    """The blocked resampler as a per-bundle loop.  Block b holds each
+    document's b-th bundle in the sweep's permutation, in permutation order;
+    each bundle of a block draws from the totals recomputed from the rows at
+    the block's start."""
+    d_idx, w_idx, counts = bundles.doc_idx, bundles.word_idx, bundles.counts
     for temp in np.geomspace(t_start, t_end, sweeps):
-        rng.shuffle(order)
-        inv = 1.0 / temp
-        for t in order:
-            d, w = d_idx[t], w_idx[t]
-            cur = z[d, w]
-            ndr[d] -= cur
-            kwr[w] -= cur
-            nr -= cur
-            p = (ndr[d] + pseudo_doc) * (kwr[w] + pseudo_word) / (nr + V * pseudo_word)
-            p = np.maximum(p, 1e-300) ** inv
-            p /= p.sum()
-            new = rng.multinomial(int(n_dw[t]), p)
-            z[d, w] = new
-            ndr[d] += new
-            kwr[w] += new
-            nr += new
-    return z
+        perm = rng.permutation(len(counts)).tolist()
+        docs = [int(d_idx[t]) for t in perm]
+        rank = [docs[:i].count(d) for i, d in enumerate(docs)]
+        blocks = [[t for t, b in zip(perm, rank) if b == block]
+                  for block in range(max(rank, default=-1) + 1)]
+        for block in blocks:
+            ndr = np.zeros((bundles.n_docs, rows.shape[1]))
+            kwr = np.zeros((bundles.n_words, rows.shape[1]))
+            np.add.at(ndr, d_idx, rows)
+            np.add.at(kwr, w_idx, rows)
+            nr = kwr.sum(axis=0)
+            for t in block:
+                cur = rows[t]
+                p = ((ndr[d_idx[t]] - cur + pseudo_doc) * (kwr[w_idx[t]] - cur + pseudo_word)
+                     / (nr - cur + bundles.n_words * pseudo_word))
+                p = np.maximum(p, 1e-300) ** (1.0 / temp)
+                rows[t] = rng.multinomial(counts[t], p / p.sum())
+    return rows
 
 
 # the two schedules of fit_doc_anchored: word-pure and random starts
@@ -637,37 +637,74 @@ def gibbs_cases(draw):
     return counts, n_topics, schedule, draw(hst.integers(0, 2**32 - 1))
 
 
-def run_both_gibbs(counts, n_topics, schedule, seed):
-    """(dense labels, rng state) after the engine's and the reference
-    resampler; the engine runs on label rows of the count matrix's bundles."""
+def gibbs_start(counts, n_topics, seed):
+    """The bundles of a count matrix and a uniform random start of their rows."""
     d_idx, w_idx = np.nonzero(counts)
-    n_dw = counts[d_idx, w_idx]
-    start = np.random.default_rng(seed).multinomial(n_dw, np.full(n_topics, 1.0 / n_topics))
-    bundles = BipartiteMultigraph(*counts.shape, d_idx, w_idx, n_dw)
-    rows, rng = start.copy(), np.random.default_rng(seed + 1)
-    _gibbs_anneal_anchored(rows, bundles, rng, **schedule)
-    z = np.zeros(counts.shape + (n_topics,), dtype=np.int64)
-    z[d_idx, w_idx] = rows
-    out = [(z, rng.bit_generator.state)]
-    z, rng = np.zeros_like(z), np.random.default_rng(seed + 1)
-    z[d_idx, w_idx] = start
-    _gibbs_reference(z, d_idx, w_idx, n_dw, rng, **schedule)
-    return out + [(z, rng.bit_generator.state)]
+    bundles = BipartiteMultigraph(*counts.shape, d_idx, w_idx, counts[d_idx, w_idx])
+    rows = np.random.default_rng(seed).multinomial(bundles.counts,
+                                                   np.full(n_topics, 1.0 / n_topics))
+    return bundles, rows
+
+
+def run_both_gibbs(counts, n_topics, schedule, seed):
+    """(rows, rng state) after the engine's and after the reference
+    resampler, from the same start and seed."""
+    bundles, start = gibbs_start(counts, n_topics, seed)
+    out = []
+    for sweep in (_gibbs_anneal_anchored, _gibbs_reference):
+        rows, rng = start.copy(), np.random.default_rng(seed + 1)
+        sweep(rows, bundles, rng, **schedule)
+        out.append((rows, rng.bit_generator.state))
+    return out
 
 
 class TestGibbsInitializer:
     @given(gibbs_cases())
     def test_matches_numpy_reference(self, case):
-        (z, state), (z_ref, state_ref) = run_both_gibbs(*case)
-        assert np.array_equal(z, z_ref)
+        (rows, state), (rows_ref, state_ref) = run_both_gibbs(*case)
+        assert np.array_equal(rows, rows_ref)
         assert state == state_ref
+
+    @given(gibbs_cases())
+    def test_rows_keep_counts_and_totals_stay_exact(self, case):
+        """Every row sums to its bundle's count, and the doc-topic and
+        word-topic totals kept through the sweeps equal those of the final
+        rows (the sweep updates the arrays `_topic_totals` returned)."""
+        counts, n_topics, schedule, seed = case
+        bundles, rows = gibbs_start(counts, n_topics, seed)
+        kept = []
+        totals = inference._topic_totals
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(inference, "_topic_totals",
+                       lambda *args: kept.append(totals(*args)) or kept[-1])
+            _gibbs_anneal_anchored(rows, bundles, np.random.default_rng(seed), **schedule)
+        assert np.array_equal(rows.sum(axis=1), bundles.counts)
+        assert (rows >= 0).all()
+        ndr, kwr = kept
+        assert np.array_equal(ndr, totals(bundles.doc_idx, rows, bundles.n_docs))
+        assert np.array_equal(kwr, totals(bundles.word_idx, rows, bundles.n_words))
+
+    @given(hst.lists(hst.integers(0, 5), max_size=40), hst.integers(0, 2**32 - 1))
+    def test_blocks_hold_each_document_once(self, docs, seed):
+        doc_idx = np.asarray(docs, dtype=np.int64)
+        perm = np.random.default_rng(seed).permutation(len(docs))
+        blocks = inference._doc_rank_blocks(perm, doc_idx)
+        assert len(blocks) == np.bincount(doc_idx).max(initial=0)
+        assert sorted(t for block in blocks for t in block.tolist()) == list(range(len(docs)))
+        position = np.argsort(perm)
+        for b, block in enumerate(blocks):
+            # each document's b-th bundle in the order, kept in that order
+            assert len(np.unique(doc_idx[block])) == len(block)
+            assert (np.diff(position[block]) > 0).all()
+            for t in block:
+                assert perm[doc_idx[perm] == doc_idx[t]][b] == t
 
     @pytest.mark.parametrize("schedule", GIBBS_SCHEDULES)
     def test_corpus_without_bundles(self, schedule):
         counts = np.zeros((3, 4), dtype=np.int64)
-        (z, state), (z_ref, state_ref) = run_both_gibbs(
+        (rows, state), (rows_ref, state_ref) = run_both_gibbs(
             counts, 2, dict(schedule, sweeps=3), seed=7)
-        assert not z.any() and not z_ref.any()
+        assert rows.shape == rows_ref.shape == (0, 2)
         assert state == state_ref
 
 
