@@ -102,12 +102,12 @@ def _write_labels_tsv(path, labels: LabeledCounts, doc_ids, words):
 def _read_labels_tsv(path):
     doc_ids, words = {}, {}
     rows = []
-    for lineno, (doc_id, word, r, c) in tsv_rows(path, 4):
-        if int(r) < 0:
+    for lineno, (doc_id, word, r, c) in tsv_rows(path, 4, {2: "topic", 3: "count"}):
+        if r < 0:
             raise ValueError(f"{path} line {lineno}: topic {r} is negative")
         d = doc_ids.setdefault(doc_id, len(doc_ids))
         w = words.setdefault(word, len(words))
-        rows.append((d, w, int(r), int(c)))
+        rows.append((d, w, r, c))
     if not rows:
         raise ValueError(f"{path} holds no labels")
     d, w, r, c = (np.asarray(col, dtype=np.int64) for col in zip(*rows))

@@ -260,18 +260,27 @@ def write_corpus_tsv(corpus: Corpus, edges_path, vocab_path, docs_path=None) -> 
                 fh.write(f"{doc.id}\t{int(lengths[d])}\n")
 
 
-def tsv_rows(path, n_fields: int):
+def tsv_rows(path, n_fields: int, ints=None):
     """Yield (1-based line number, fields) for each nonblank line of the TSV
-    file `path`; a ValueError names the file and the line unless the line
-    has exactly `n_fields` tab-separated fields."""
+    file `path`, the fields that `ints` names (index -> what it holds) as
+    ints; a ValueError names the file and the line unless the line has
+    exactly `n_fields` tab-separated fields and each named field is an
+    integer."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
             fields = line.rstrip("\n").split("\t")
-            if line.strip() and len(fields) != n_fields:
+            if len(fields) != n_fields:
                 raise ValueError(f"{path} line {lineno}: {len(fields)} tab-separated "
                                  f"fields, expected {n_fields}")
-            if line.strip():
-                yield lineno, fields
+            for k, what in (ints or {}).items():
+                try:
+                    fields[k] = int(fields[k])
+                except ValueError:
+                    raise ValueError(f"{path} line {lineno}: {what} {fields[k]!r} "
+                                     f"is not an integer") from None
+            yield lineno, fields
 
 
 def read_corpus_tsv(edges_path, vocab_path=None, docs_path=None) -> Corpus:
@@ -283,18 +292,19 @@ def read_corpus_tsv(edges_path, vocab_path=None, docs_path=None) -> Corpus:
     """
     vocab = Vocabulary()
     if vocab_path is not None:
-        for _, (word, wid, _) in tsv_rows(vocab_path, 3):
-            got = vocab.add(word)
-            if got != int(wid):
-                raise ValueError(f"vocabulary ids not contiguous at {word!r}")
+        for lineno, (word, wid, _) in tsv_rows(vocab_path, 3,
+                                               {1: "vocabulary id", 2: "count"}):
+            if vocab.add(word) != wid:
+                raise ValueError(f"{vocab_path} line {lineno}: vocabulary ids not "
+                                 f"contiguous at {word!r}")
     doc_tokens: dict[str, list[int]] = {}
-    for lineno, (doc_id, word, cnt) in tsv_rows(edges_path, 3):
-        if int(cnt) < 1:
+    for lineno, (doc_id, word, cnt) in tsv_rows(edges_path, 3, {2: "count"}):
+        if cnt < 1:
             raise ValueError(f"{edges_path} line {lineno}: count {cnt} is below 1")
         wid = vocab.add(word)
-        doc_tokens.setdefault(doc_id, []).extend([wid] * int(cnt))
+        doc_tokens.setdefault(doc_id, []).extend([wid] * cnt)
     if docs_path is not None:
-        for _, (doc_id, _) in tsv_rows(docs_path, 2):
+        for _, (doc_id, _) in tsv_rows(docs_path, 2, {1: "document length"}):
             doc_tokens.setdefault(doc_id, [])
     docs = [Document(doc_id, toks) for doc_id, toks in doc_tokens.items()]
     return Corpus(vocab, docs)

@@ -25,7 +25,7 @@ No fit runs it.
 """
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 import os
 import time
@@ -438,7 +438,9 @@ def _doc_rank_blocks(perm: np.ndarray, doc_idx: np.ndarray) -> list[np.ndarray]:
     holds two bundles of one document."""
     docs = doc_idx[perm]
     # rank within the document: place in a stable sort by document, less its first place
-    rank = np.argsort(np.argsort(docs, kind="stable")) - np.searchsorted(np.sort(docs), docs)
+    order = np.argsort(docs, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(docs)) - np.searchsorted(docs[order], docs[order])
     return np.split(perm[np.argsort(rank, kind="stable")], np.cumsum(np.bincount(rank)))[:-1]
 
 
@@ -474,7 +476,7 @@ def _gibbs_anneal_anchored(rows, bundles, rng, sweeps=25,
             new = rng.multinomial(counts[block], p / p.sum(axis=1, keepdims=True))
             change = new - cur
             ndr[d] += change
-            np.add.at(kwr, w, change)
+            kwr += _topic_totals(w, change, bundles.n_words)
             nr += change.sum(axis=0)
             rows[block] = new
     return rows
@@ -669,34 +671,104 @@ def block_mh_sweep(agg: NonoverlappingAgglomerator, rng, temperature: float):
     return total, len(nodes), accepted
 
 
-def _shifted(freq: Counter, extra: dict, sign: int) -> Counter:
-    """Degree histogram `freq` plus sign * `extra`, keys in the order of `Counter` addition."""
-    out = Counter(freq)
+def _shifted(freq: dict, extra: dict, sign: int) -> dict:
+    """Degree histogram `freq` plus sign * `extra`, without zero counts: the
+    keys of `freq` in their order, then the keys only `extra` has."""
+    out = dict(freq)
     for k, c in extra.items():
-        out[k] += sign * c
-        if not out[k]:
+        c = out.get(k, 0) + sign * c
+        if c:
+            out[k] = c
+        else:
             del out[k]
     return out
 
 
-_EMPTY_GROUP = {"n": 0, "e": 0, "freq": Counter(), "terms": (0.0, 0.0, 0)}
+_EMPTY_GROUP = {"n": 0, "e": 0, "freq": {}}
+
+
+class _PairCache:
+    """One side's local merge deltas, kept in place: `vals[i, j]` (i < j) is
+    the delta of merging group `ids[j]` into group `ids[i]`, +inf below the
+    diagonal and in the row and column of a merged-away group, and
+    `row_arg[i]` is the first column of row i holding the row's minimum
+    `row_min[i]`."""
+
+    def __init__(self, agg, side):
+        self.ids = np.array(sorted(agg.tables[side]), dtype=np.int64)
+        self.live = np.ones(len(self.ids), dtype=bool)
+        self.pos = {g: i for i, g in enumerate(self.ids.tolist())}
+        n = len(self.ids)
+        self.vals = np.full((n, n), np.inf)
+        # as many pairs per pass as a rescore after a merge, or more while
+        # their merged rows hold no more cells than this array
+        step = max(n, n * n // max(agg.e_mat.shape[1 - side], 1), 1)
+        i, j = np.triu_indices(n, 1)
+        for lo in range(0, len(i), step):
+            rows, cols = i[lo:lo + step], j[lo:lo + step]
+            self.vals[rows, cols] = agg._merge_deltas(side, self.ids[rows], self.ids[cols])
+        self.row_arg = self.vals.argmin(axis=1) if n else np.zeros(0, dtype=np.int64)
+        self.row_min = self.vals[np.arange(n), self.row_arg]
+
+    def best(self):
+        """(a, b, delta) of the lowest delta, the first such pair in
+        row-major (a, b) order."""
+        i = int(np.argmin(self.row_min))
+        return int(self.ids[i]), int(self.ids[self.row_arg[i]]), self.row_min[i]
+
+    def merged(self, agg, side, a, b):
+        """After b merged into a: drop b's pairs, rescore a's on the current
+        tables, and refresh the row minima that those cells can change."""
+        i, j, vals, row_arg, row_min, live = (self.pos[a], self.pos[b], self.vals,
+                                              self.row_arg, self.row_min, self.live)
+        live[j] = live[i] = False
+        vals[j] = vals[:, j] = row_min[j] = np.inf
+        # a row whose minimum sat at column a or b is rescanned below
+        stale = np.flatnonzero(((row_arg == i) | (row_arg == j)) & live)
+        others = np.flatnonzero(live)
+        live[i] = True
+        k = int(others.searchsorted(i))
+        # (p, a) merges a into p before a's place; (a, p) merges p into a after it
+        dsts, srcs = self.ids[others], np.full(len(others), a)
+        srcs[k:] = dsts[k:]
+        dsts[k:] = a
+        deltas = agg._merge_deltas(side, dsts, srcs)
+        before, col = others[:k], deltas[:k]
+        vals[before, i], vals[i, others[k:]] = col, deltas[k:]
+        # any other row before a's place only gained a cell at column a
+        arg, low = row_arg[before], row_min[before]
+        lower = (col < low) | ((col == low) & (i < arg))
+        lower &= (arg != i) & (arg != j)
+        row_arg[before[lower]], row_min[before[lower]] = i, col[lower]
+        stale = np.append(stale, i)
+        row_arg[stale] = arg = vals[stale].argmin(axis=1)
+        row_min[stale] = vals[stale, arg]
 
 
 class NonoverlappingAgglomerator:
     """Exact greedy merges and node moves for nonoverlapping bipartite states.
 
     Works on group-level tables (the aggregated edge matrix, each group's
-    size, degree total, degree histogram, and cached own terms), so a
-    candidate costs O(groups + distinct degrees).  A merge (b into a) and a
-    node move (v from a to b) both move a part of one group into another, so
-    one delta and one apply serve both; global terms enter only when a move
-    changes a side's group count.  Each delta equals the change of
-    `joint_logp` between the materialized states, under the overlap cap
-    `max_overlap` when one is given.  Degree-0 nodes belong to
+    size, degree total and degree histogram) and each side's cached group
+    terms, so a candidate costs O(groups + distinct degrees).  A merge (b
+    into a) and a node move (v from a to b) both move a part of one group
+    into another, so one delta and one apply serve both; global terms enter
+    only when a move changes a side's group count.  Each delta equals the
+    change of `joint_logp` between the materialized states, under the
+    overlap cap `max_overlap` when one is given.  Degree-0 nodes belong to
     no group and are marked -1.  Log-factorials are lookups in
     `util.log_factorial_table`, equal to `log_factorial` of the same count,
     and an empty group's terms are exact zeros, so merge deltas are
     bit-identical to scoring the merged group cell by cell.
+
+    `_group_terms[side][g]` holds group g's own terms, log e_g!, log p(e_g,
+    n_g) and the sum of log n_k! over its degree histogram, and its cell sum,
+    the sum of log e_gs! over its edge-matrix row; an unused id holds exact
+    zeros.  A cell sum is NaN while stale and recomputed when a delta needs
+    it: an apply stores the new sums of its two groups, which its delta
+    computed, and marks stale the other side's groups whose edge counts to
+    them changed.  A delta builds no histogram: the degree-histogram sum
+    runs over the moved-to counts in the key order the apply will store.
     """
 
     def __init__(self, counts: np.ndarray, doc_assign, word_assign, max_overlap=None):
@@ -711,37 +783,56 @@ class NonoverlappingAgglomerator:
         self.Gw = int(self.word_assign.max(initial=-1)) + 1
         self.E = int(self.counts.sum())
         self._log_fact = log_factorial_table(self.E + sum(self.counts.shape))  # n_eff + Q <= E + N
+        # histogram counts are node counts; scalar lookups in a list are cheaper
+        self._hist_lf = self._log_fact[:sum(self.counts.shape) + 1].tolist()
         self.e_mat = np.zeros((self.Gd, self.Gw), dtype=np.int64)
         d_idx, w_idx = np.nonzero(self.counts)
         np.add.at(self.e_mat, (self.doc_assign[d_idx], self.word_assign[w_idx]),
                   self.counts[d_idx, w_idx])
-        self.tables = {}
+        self.tables, self._group_terms = {}, {}
         for side, assign in ((0, self.doc_assign), (1, self.word_assign)):
             members = {}
             for g, k in zip(assign.tolist(), self.degrees[side].tolist()):
                 if g >= 0:
                     members.setdefault(g, []).append(k)
-            self.tables[side] = {g: self._entry(len(ks), sum(ks), Counter(ks))
+            self.tables[side] = {g: {"n": len(ks), "e": sum(ks), "freq": dict(Counter(ks))}
                                  for g, ks in members.items()}
+            terms = self._group_terms[side] = np.zeros((self.e_mat.shape[side], 4))
+            terms[:, 3] = np.nan
+            for g, t in self.tables[side].items():
+                terms[g, :3] = self._terms(t["n"], t["e"], self._hist_sum(t["freq"], {}, 1))
+        self._scored = None  # the last scored transfer's new terms, for its apply
 
     # With singleton mixtures, a group's own terms are log e_r!, log p(e_r,
     # n_r) and -sum_k log n_k! (the degree-assignment n_r! cancels against
     # the partition prior's mixture factorial); its edge-matrix cells add
     # -sum_s log e_rs!; the rest depends only on (N, B).
 
-    def _entry(self, n, e, freq) -> dict:
-        lf = self._log_fact
-        return {"n": n, "e": e, "freq": freq,
-                "terms": (lf[e], log_partitions(e, n), sum(lf[c] for c in freq.values()))}
+    def _terms(self, n, e, hist) -> tuple:
+        return self._log_fact[e], log_partitions(e, n), hist
 
-    def _global_terms(self, side, change=0) -> float:
-        """Terms that depend only on (N, B), once `side` gains `change`
-        groups: the side's size histogram prior (over mixture sizes up to
-        Q = min(cap, B)), size assignment and mixture-frequency histogram
-        prior, and the edge-count prior."""
+    def _hist_sum(self, freq, extra, sign):
+        """Sum of log c! over the counts of `_shifted(freq, extra, sign)`,
+        added in its key order, without building it."""
+        lf, out = self._hist_lf, 0.0
+        if sign > 0:
+            for k, c in freq.items():
+                out += lf[c + extra.get(k, 0)]
+            for k, c in extra.items():
+                if k not in freq:
+                    out += lf[c]
+        else:
+            for k, c in freq.items():
+                c -= extra.get(k, 0)
+                if c:
+                    out += lf[c]
+        return out
+
+    def _side_terms(self, side, B) -> float:
+        """The side's terms that depend only on (N, B) at B groups: its size
+        histogram prior (over mixture sizes up to Q = min(cap, B)), size
+        assignment and mixture-frequency histogram prior."""
         n_eff = sum(e["n"] for e in self.tables[side].values())
-        B = len(self.tables[side]) + change
-        B_all = len(self.tables[0]) + len(self.tables[1]) + change
         Q = B if self.max_overlap is None else min(self.max_overlap, B)
         lf = self._log_fact
         out = 0.0
@@ -750,7 +841,17 @@ class NonoverlappingAgglomerator:
             # all mixtures have size one: P(q | n) = 1
             out += log_num_compositions_large(float(np.log(B)), n_eff)  # -log P(n_b | n_q)
             out += float(lf[n_eff])                                     # -log P(b | n_b): / n_q!
-        return out - logp_geometric(self.E, B_all, top_level_density(self.E, B_all))
+        return out
+
+    def _edge_prior(self, B_all) -> float:
+        """log P(e) of the edge-count prior at B_all groups in all."""
+        return logp_geometric(self.E, B_all, top_level_density(self.E, B_all))
+
+    def _global_terms(self, side, change=0) -> float:
+        """Terms that depend only on (N, B), once `side` gains `change`
+        groups: `_side_terms` and the edge-count prior."""
+        B_all = len(self.tables[0]) + len(self.tables[1]) + change
+        return self._side_terms(side, len(self.tables[side]) + change) - self._edge_prior(B_all)
 
     # -- moves: a part (n, e, freq, row) is a node count, a degree total, a
     # degree histogram, and the edge counts toward the other side's groups --
@@ -762,6 +863,37 @@ class NonoverlappingAgglomerator:
         """Sum of log e_rs! over the row's cells."""
         return self._log_fact[row[row > 0]].sum()
 
+    def _row_cells(self, rows) -> np.ndarray:
+        """`_cells` of each row of the 2-D block `rows`, bit for bit: rows
+        with the same number of positive cells have those cells' log e_rs!
+        summed together along axis 1, which numpy does per row exactly as it
+        sums a 1-D array of that length."""
+        pos = rows > 0
+        width = pos.sum(axis=1)
+        order = np.argsort(width, kind="stable")
+        # the positive cells' log e_rs!, row after row in order of width
+        values = self._log_fact[rows[order][pos[order]]]
+        out = np.empty(len(rows))
+        done = start = 0  # rows and values summed so far
+        for w, n in enumerate(np.bincount(width).tolist()):
+            if n:
+                out[order[done:done + n]] = values[start:start + n * w].reshape(n, w).sum(axis=1)
+                done, start = done + n, start + n * w
+        return out
+
+    def _fresh_terms(self, side, gs) -> np.ndarray:
+        """`_group_terms` rows of the side's groups `gs` (an int array), the
+        stale cell sums recomputed first in one `_row_cells` pass."""
+        terms = self._group_terms[side]
+        out = terms[gs]
+        stale = np.isnan(out[:, 3])
+        if stale.any():
+            stale = np.unique(gs[stale])
+            terms[stale, 3] = self._row_cells(self.e_mat[stale, :] if side == 0
+                                              else self.e_mat[:, stale].T)
+            out = terms[gs]
+        return out
+
     def _node_part(self, side, node):
         k = int(self.degrees[side][node])
         edges = self.counts[node, :] if side == 0 else self.counts[:, node]
@@ -770,29 +902,38 @@ class NonoverlappingAgglomerator:
         row = np.bincount(other[nbrs], weights=edges[nbrs], minlength=self.e_mat.shape[1 - side])
         return 1, k, {k: 1}, row.astype(np.int64)
 
-    def _after_transfer(self, side, src, dst, part):
-        """Table entries of groups dst and src once `part` moves from src to dst."""
-        n, e, freq, _ = part
-        d, s = self.tables[side].get(dst, _EMPTY_GROUP), self.tables[side][src]
-        return (self._entry(d["n"] + n, d["e"] + e, _shifted(d["freq"], freq, 1)),
-                self._entry(s["n"] - n, s["e"] - e, _shifted(s["freq"], freq, -1))
-                if s["n"] > n else _EMPTY_GROUP)
+    def _transfer_terms(self, side, src, dst, part):
+        """New terms and cell sums of groups dst and src once `part` moves
+        from src to dst (exact zeros for an emptied src).  The result is kept
+        until the next apply, so the apply of the move scored last stores
+        what its delta used."""
+        scored = self._scored
+        if scored is not None and scored[3] is part and scored[:3] == (side, src, dst):
+            return scored[4]
+        n, e, freq, row = part
+        groups = self.tables[side]
+        d, s = groups.get(dst, _EMPTY_GROUP), groups[src]
+        new = (self._terms(d["n"] + n, d["e"] + e, self._hist_sum(d["freq"], freq, 1)),
+               self._cells(self._row(side, dst) + row))
+        if s["n"] > n:
+            new += (self._terms(s["n"] - n, s["e"] - e, self._hist_sum(s["freq"], freq, -1)),
+                    self._cells(self._row(side, src) - row))
+        else:
+            new += ((0.0, 0.0, 0.0), 0.0)
+        self._scored = (side, src, dst, part, new)
+        return new
 
     def _transfer_delta(self, side, src, dst, part) -> float:
         """Change of the terms of groups src and dst when `part` moves from
         src to dst, global terms excluded.  Each term is summed as new dst +
         new src - old dst - old src, so for a merge, whose new src is empty,
         the sums equal those of scoring the merged group alone."""
-        after = self._after_transfer(side, src, dst, part)
-        new = [t["terms"] for t in after]
-        old = [self.tables[side].get(g, _EMPTY_GROUP)["terms"] for g in (dst, src)]
-        row_d, row_s = self._row(side, dst), self._row(side, src)
-        cells_s = self._cells(row_s - part[3]) if after[1]["n"] else 0.0
-        delta = new[0][0] + new[1][0] - old[0][0] - old[1][0]
-        delta -= float(self._cells(row_d + part[3]) + cells_s
-                       - self._cells(row_d) - self._cells(row_s))
-        delta += new[0][1] + new[1][1] - old[0][1] - old[1][1]
-        return float(delta - new[0][2] - new[1][2] + old[0][2] + old[1][2])
+        new_d, cells_d, new_s, cells_s = self._transfer_terms(side, src, dst, part)
+        (*old_d, old_cd), (*old_s, old_cs) = self._fresh_terms(side, np.array([dst, src])).tolist()
+        delta = new_d[0] + new_s[0] - old_d[0] - old_s[0]
+        delta -= float(cells_d + cells_s - old_cd - old_cs)
+        delta += new_d[1] + new_s[1] - old_d[1] - old_s[1]
+        return float(delta - new_d[2] - new_s[2] + old_d[2] + old_s[2])
 
     def _move_delta(self, side, src, dst, part) -> float:
         """Full change when `part` moves from src to dst, with the global
@@ -803,13 +944,21 @@ class NonoverlappingAgglomerator:
 
     def _apply_transfer(self, side, src, dst, part, nodes):
         """Move `part`, the side's `nodes` (an index or a mask), from src to dst."""
-        groups = self.tables[side]
-        groups[dst], groups[src] = self._after_transfer(side, src, dst, part)
-        if not groups[src]["n"]:
+        new_d, cells_d, new_s, cells_s = self._transfer_terms(side, src, dst, part)
+        n, e, freq, row = part
+        groups, terms = self.tables[side], self._group_terms[side]
+        d, s = groups.get(dst, _EMPTY_GROUP), groups[src]
+        groups[dst] = {"n": d["n"] + n, "e": d["e"] + e, "freq": _shifted(d["freq"], freq, 1)}
+        if s["n"] > n:
+            groups[src] = {"n": s["n"] - n, "e": s["e"] - e, "freq": _shifted(s["freq"], freq, -1)}
+        else:
             del groups[src]
-        self._row(side, dst)[:] += part[3]
-        self._row(side, src)[:] -= part[3]
+        terms[dst], terms[src] = (*new_d, cells_d), (*new_s, cells_s)
+        self._group_terms[1 - side][row != 0, 3] = np.nan  # their rows toward dst and src changed
+        self._row(side, dst)[:] += row
+        self._row(side, src)[:] -= row
         (self.doc_assign if side == 0 else self.word_assign)[nodes] = dst
+        self._scored = None
 
     # -- merging -------------------------------------------------------------
 
@@ -817,44 +966,64 @@ class NonoverlappingAgglomerator:
         t = self.tables[side][b]
         return t["n"], t["e"], t["freq"], self._row(side, b).copy()
 
-    def _local_merge_delta(self, side, a, b) -> float:
-        """Merge delta of b into a without the global group-count terms
-        shared by all pairs of this side."""
-        return self._transfer_delta(side, b, a, self._merge_part(side, b))
-
-    def _apply_merge(self, side, a, b):
-        assign = self.doc_assign if side == 0 else self.word_assign
-        self._apply_transfer(side, b, a, self._merge_part(side, b), assign == b)
+    def _merge_deltas(self, side, dsts, srcs) -> np.ndarray:
+        """Local merge delta (`_transfer_delta` of the whole group, global
+        terms excluded) of each group of the int array `srcs` into the group
+        of `dsts` at the same place, bit for bit: the merged rows'
+        cell sums come from one `_row_cells` pass, and `_transfer_delta`'s
+        sums run elementwise on arrays (an emptied src's exact zeros
+        dropped)."""
+        groups, k = self.tables[side], len(dsts)
+        old = self._fresh_terms(side, np.concatenate([dsts, srcs]))
+        old_d, old_s = old[:k].T, old[k:].T
+        e, lp, hist = np.array([
+            (x["e"] + y["e"], log_partitions(x["e"] + y["e"], x["n"] + y["n"]),
+             self._hist_sum(x["freq"], y["freq"], 1))
+            for x, y in zip(map(groups.__getitem__, dsts.tolist()),
+                            map(groups.__getitem__, srcs.tolist()))]).reshape(-1, 3).T
+        rows = (self.e_mat[dsts, :] + self.e_mat[srcs, :] if side == 0
+                else (self.e_mat[:, dsts] + self.e_mat[:, srcs]).T)
+        delta = self._log_fact[e.astype(np.int64)] - old_d[0] - old_s[0]
+        delta -= self._row_cells(rows) - old_d[3] - old_s[3]
+        delta += lp - old_d[1] - old_s[1]
+        return delta - hist + old_d[2] + old_s[2]
 
     def greedy_merge(self) -> float:
         """Alternate sides, word side first, applying the best merge that
         lowers the description length by more than 1e-9 nats until none
-        remains; returns the sum of the applied deltas.  Local pair deltas
-        are cached and refreshed only for pairs touching the last merge."""
+        remains; returns the sum of the applied deltas.
+
+        Each side keeps its pairs' local deltas (global terms excluded) in a
+        `_PairCache`: a dense upper-triangular array with per-row minima.
+        The best pair is the first of the lowest cached delta in row-major
+        (a, b) order.  After b merges into a, only the pairs touching a are
+        rescored, b's row and column go to +inf, and only the row minima
+        those cells can change are refreshed.  Cached pairs are not rescored
+        after merges on the other side, although their deltas depend on its
+        groups, so the applied delta is recomputed fresh for the total.  The
+        global terms are computed once per (side, B) and per B_all: merges
+        leave each side's node count unchanged."""
         total = 0.0
-        caches = {side: {(a, b): self._local_merge_delta(side, a, b)
-                         for a, b in itertools.combinations(sorted(self.tables[side]), 2)}
-                  for side in (1, 0)}
+        side_terms, edge_prior = functools.cache(self._side_terms), functools.cache(self._edge_prior)
+        caches = {side: _PairCache(self, side) for side in (1, 0)}
         improved = True
         while improved:
             improved = False
             for side in (1, 0):
-                cache = caches[side]
-                if not cache:  # fewer than two groups
+                B = len(self.tables[side])
+                if B < 2:
                     continue
-                global_part = self._global_terms(side, -1) - self._global_terms(side)
-                (a, b), local = min(cache.items(), key=lambda kv: kv[1])
+                B_all = len(self.tables[0]) + len(self.tables[1])
+                # _global_terms(side, -1) - _global_terms(side)
+                global_part = ((side_terms(side, B - 1) - edge_prior(B_all - 1))
+                               - (side_terms(side, B) - edge_prior(B_all)))
+                a, b, local = caches[side].best()
                 if local + global_part < -1e-9:
-                    # cached pairs of this side predate merges on the other
-                    # side, so the applied delta is recomputed for the total
-                    total += self._local_merge_delta(side, a, b) + global_part
-                    self._apply_merge(side, a, b)
-                    caches[side] = {
-                        pair: (self._local_merge_delta(side, *pair)
-                               if a in pair else val)
-                        for pair, val in cache.items()
-                        if b not in pair
-                    }
+                    assign = self.doc_assign if side == 0 else self.word_assign
+                    part = self._merge_part(side, b)
+                    total += self._transfer_delta(side, b, a, part) + global_part
+                    self._apply_transfer(side, b, a, part, assign == b)
+                    caches[side].merged(self, side, a, b)
                     improved = True
         return total
 

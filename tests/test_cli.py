@@ -163,6 +163,16 @@ class TestMalformedFiles:
          "{path} line 1: 2 tab-separated fields, expected 3"),
         ("docs.tsv", lambda p: "d0\t5\nd1\t5\t0\n", "fit", 2,
          "{path} line 2: 3 tab-separated fields, expected 2"),
+        ("edges.tsv", lambda p: "d0\tw0\tx\n", "stats", 2,
+         "{path} line 1: count 'x' is not an integer"),
+        ("vocab.tsv", lambda p: "w0\tzero\t3\n", "fit", 2,
+         "{path} line 1: vocabulary id 'zero' is not an integer"),
+        ("vocab.tsv", lambda p: "w0\t0\t3\nw1\t2\t2\n", "stats", 2,
+         "{path} line 2: vocabulary ids not contiguous at 'w1'"),
+        ("docs.tsv", lambda p: "d0\t5\nd1\t5.0\n", "fit", 2,
+         "{path} line 2: document length '5.0' is not an integer"),
+        ("labels.tsv", lambda p: "d0\tw0\t0\t2\nd0\tw1\tone\t1\n", "score", 2,
+         "{path} line 2: topic 'one' is not an integer"),
         ("labels.tsv", lambda p: "", "score", 2, "{path} holds no labels"),
         ("labels.tsv", lambda p: "d0\tw0\t0\t2\n\nd0\tw1\t1\n", "score", 2,
          "{path} line 3: 3 tab-separated fields, expected 4"),

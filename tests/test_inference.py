@@ -7,7 +7,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as hst
 from hypothesis.extra.numpy import arrays
 
@@ -669,7 +669,8 @@ class TestGibbsInitializer:
     def test_rows_keep_counts_and_totals_stay_exact(self, case):
         """Every row sums to its bundle's count, and the doc-topic and
         word-topic totals kept through the sweeps equal those of the final
-        rows (the sweep updates the arrays `_topic_totals` returned)."""
+        rows (the sweep updates the first two arrays `_topic_totals`
+        returned; later calls total each block's change)."""
         counts, n_topics, schedule, seed = case
         bundles, rows = gibbs_start(counts, n_topics, seed)
         kept = []
@@ -680,7 +681,7 @@ class TestGibbsInitializer:
             _gibbs_anneal_anchored(rows, bundles, np.random.default_rng(seed), **schedule)
         assert np.array_equal(rows.sum(axis=1), bundles.counts)
         assert (rows >= 0).all()
-        ndr, kwr = kept
+        ndr, kwr = kept[:2]
         assert np.array_equal(ndr, totals(bundles.doc_idx, rows, bundles.n_docs))
         assert np.array_equal(kwr, totals(bundles.word_idx, rows, bundles.n_words))
 
@@ -737,6 +738,33 @@ def merge_cases(draw):
     return counts, doc_assign, word_assign
 
 
+@hst.composite
+def tied_merge_cases(draw):
+    """Node singletons of a count matrix whose rows and columns repeat, so
+    that many merge deltas tie exactly."""
+    base = draw(arrays(np.int64, hst.tuples(hst.integers(1, 4), hst.integers(1, 4)),
+                       elements=hst.integers(0, 3)))
+    reps = [draw(hst.lists(hst.integers(1, 3), min_size=k, max_size=k)) for k in base.shape]
+    counts = np.repeat(np.repeat(base, reps[0], axis=0), reps[1], axis=1)
+    return counts, np.arange(counts.shape[0]), np.arange(counts.shape[1])
+
+
+# one document over 15 words of two kinds: a merge can tie, bit for bit, with
+# an earlier pair of the same row, which must keep the row's minimum
+TIED_ROW = (np.array([[2, 2, 1, 2, 2, 1, 2, 2, 1, 1, 1, 1, 2, 1, 1]]),
+            np.arange(1), np.arange(15))
+
+
+def local_merge_delta(ag, side, a, b):
+    """Delta of merging group b into group a, global terms excluded."""
+    return ag._transfer_delta(side, b, a, ag._merge_part(side, b))
+
+
+def apply_merge(ag, side, a, b):
+    assign = ag.doc_assign if side == 0 else ag.word_assign
+    ag._apply_transfer(side, b, a, ag._merge_part(side, b), assign == b)
+
+
 def _local_merge_delta_reference(ag, side, a, b):
     """Local merge delta with one log_factorial call per matrix cell."""
     ta, tb = ag.tables[side][a], ag.tables[side][b]
@@ -755,15 +783,144 @@ def _local_merge_delta_reference(ag, side, a, b):
     )
     delta += log_partitions(e_ab, n_ab) - log_partitions(ta["e"], ta["n"]) \
         - log_partitions(tb["e"], tb["n"])
-    freq = ta["freq"] + tb["freq"]
+    freq = Counter(ta["freq"]) + Counter(tb["freq"])
     delta -= sum(log_factorial(c) for c in freq.values())
     delta += sum(log_factorial(c) for c in ta["freq"].values())
     delta += sum(log_factorial(c) for c in tb["freq"].values())
     return float(delta)
 
 
+def _shifted_reference(freq, extra, sign):
+    """Degree histogram `freq` plus sign * `extra`, keys in the order of `Counter` addition."""
+    out = Counter(freq)
+    for k, c in extra.items():
+        out[k] += sign * c
+        if not out[k]:
+            del out[k]
+    return out
+
+
+_EMPTY_REFERENCE_GROUP = {"n": 0, "e": 0, "freq": Counter(), "terms": (0.0, 0.0, 0)}
+
+
 class ReferenceAgglomerator(NonoverlappingAgglomerator):
-    _local_merge_delta = _local_merge_delta_reference
+    """The agglomerator as it was before the cached cell sums and the pair
+    array: each table entry carries its own terms, a transfer's delta builds
+    both new entries with `Counter` histograms and sums every cell row
+    afresh, and `greedy_merge` keeps each side's pair deltas in a dict that
+    it rebuilds and scans with `min` after every merge.  It shares only the
+    tables' construction, the part and row helpers and the global terms."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        for groups in self.tables.values():
+            for g, t in groups.items():
+                groups[g] = self._entry(t["n"], t["e"], Counter(t["freq"]))
+
+    def _entry(self, n, e, freq):
+        lf = self._log_fact
+        return {"n": n, "e": e, "freq": freq,
+                "terms": (lf[e], log_partitions(e, n), sum(lf[c] for c in freq.values()))}
+
+    def _after_transfer(self, side, src, dst, part):
+        n, e, freq, _ = part
+        d = self.tables[side].get(dst, _EMPTY_REFERENCE_GROUP)
+        s = self.tables[side][src]
+        return (self._entry(d["n"] + n, d["e"] + e, _shifted_reference(d["freq"], freq, 1)),
+                self._entry(s["n"] - n, s["e"] - e, _shifted_reference(s["freq"], freq, -1))
+                if s["n"] > n else _EMPTY_REFERENCE_GROUP)
+
+    def _transfer_delta(self, side, src, dst, part):
+        after = self._after_transfer(side, src, dst, part)
+        new = [t["terms"] for t in after]
+        old = [self.tables[side].get(g, _EMPTY_REFERENCE_GROUP)["terms"] for g in (dst, src)]
+        row_d, row_s = self._row(side, dst), self._row(side, src)
+        cells_s = self._cells(row_s - part[3]) if after[1]["n"] else 0.0
+        delta = new[0][0] + new[1][0] - old[0][0] - old[1][0]
+        delta -= float(self._cells(row_d + part[3]) + cells_s
+                       - self._cells(row_d) - self._cells(row_s))
+        delta += new[0][1] + new[1][1] - old[0][1] - old[1][1]
+        return float(delta - new[0][2] - new[1][2] + old[0][2] + old[1][2])
+
+    def _apply_transfer(self, side, src, dst, part, nodes):
+        groups = self.tables[side]
+        groups[dst], groups[src] = self._after_transfer(side, src, dst, part)
+        if not groups[src]["n"]:
+            del groups[src]
+        self._row(side, dst)[:] += part[3]
+        self._row(side, src)[:] -= part[3]
+        (self.doc_assign if side == 0 else self.word_assign)[nodes] = dst
+
+    def greedy_merge(self):
+        total = 0.0
+        caches = {side: {(a, b): local_merge_delta(self, side, a, b)
+                         for a, b in itertools.combinations(sorted(self.tables[side]), 2)}
+                  for side in (1, 0)}
+        improved = True
+        while improved:
+            improved = False
+            for side in (1, 0):
+                cache = caches[side]
+                if not cache:
+                    continue
+                global_part = self._global_terms(side, -1) - self._global_terms(side)
+                (a, b), local = min(cache.items(), key=lambda kv: kv[1])
+                if local + global_part < -1e-9:
+                    total += local_merge_delta(self, side, a, b) + global_part
+                    apply_merge(self, side, a, b)
+                    caches[side] = {pair: (local_merge_delta(self, side, *pair)
+                                           if a in pair else val)
+                                    for pair, val in cache.items() if b not in pair}
+                    improved = True
+        return total
+
+
+def recording(cls):
+    """`cls` that records, in `.applied`, each apply as (side, src, dst) with
+    the last transfer delta scored before it, and in `.moves` each node-move
+    delta as (side, src, dst, delta)."""
+
+    class Recording(cls):
+        def __init__(self, *args, **kwargs):
+            self.applied, self.moves, self._last = [], [], None
+            super().__init__(*args, **kwargs)
+
+        def _transfer_delta(self, *args):
+            self._last = super()._transfer_delta(*args)
+            return self._last
+
+        def _move_delta(self, side, src, dst, part):
+            delta = super()._move_delta(side, src, dst, part)
+            self.moves.append((side, src, dst, delta))
+            return delta
+
+        def _apply_transfer(self, side, src, dst, part, nodes):
+            self.applied.append((side, src, dst, self._last))
+            super()._apply_transfer(side, src, dst, part, nodes)
+
+    return Recording
+
+
+def assert_cached_terms_fresh(ag):
+    """Every group id's cached terms equal a recomputation from its table
+    entry and cell row, bit for bit: log e!, log p(e, n), the histogram sum
+    in the entry's key order, and the cell sum unless it is marked stale
+    (NaN); an unused id holds zeros."""
+    lf = ag._log_fact
+    for side in (0, 1):
+        for g, cached in enumerate(ag._group_terms[side].tolist()):
+            t = ag.tables[side].get(g)
+            want = ((0.0, 0.0, 0.0, 0.0) if t is None else
+                    (lf[t["e"]], log_partitions(t["e"], t["n"]),
+                     sum(lf[c] for c in t["freq"].values()), ag._cells(ag._row(side, g))))
+            assert tuple(cached[:3]) == want[:3]
+            assert math.isnan(cached[3]) or cached[3] == want[3]
+
+
+def fill_cell_cache(ag):
+    """Compute every group id's cell sum, so a missed invalidation shows."""
+    for side in (0, 1):
+        ag._fresh_terms(side, np.arange(ag.e_mat.shape[side]))
 
 
 class TestAgglomerator:
@@ -771,17 +928,106 @@ class TestAgglomerator:
     def test_local_deltas_match_reference(self, case):
         ag = NonoverlappingAgglomerator(*case)
         for side in (0, 1):
-            for a, b in itertools.combinations(sorted(ag.tables[side]), 2):
-                assert ag._local_merge_delta(side, a, b) == \
+            pairs = list(itertools.combinations(sorted(ag.tables[side]), 2))
+            for a, b in pairs:
+                assert local_merge_delta(ag, side, a, b) == \
                     _local_merge_delta_reference(ag, side, a, b)
+            if pairs:
+                dsts, srcs = np.array(pairs).T
+                assert ag._merge_deltas(side, dsts, srcs).tolist() == \
+                    [local_merge_delta(ag, side, a, b) for a, b in pairs]
 
-    @given(merge_cases())
-    def test_greedy_merge_matches_reference(self, case):
-        ag = NonoverlappingAgglomerator(*case)
-        ref = ReferenceAgglomerator(*case)
+    @given(hst.one_of(merge_cases(), tied_merge_cases()), hst.sampled_from([None, 1, 2]))
+    @example(TIED_ROW, None)
+    def test_greedy_merge_matches_reference(self, case, cap):
+        """Every applied merge and its delta, the total and the final
+        partition equal those of the dict-scan reference, bit for bit."""
+        ag = recording(NonoverlappingAgglomerator)(*case, max_overlap=cap)
+        ref = recording(ReferenceAgglomerator)(*case, max_overlap=cap)
         assert ag.greedy_merge() == ref.greedy_merge()
+        assert ag.applied == ref.applied
         for got, want in zip(ag.materialize(), ref.materialize()):
             assert np.array_equal(got, want)
+
+    @given(hst.one_of(merge_cases(), tied_merge_cases()))
+    @example(TIED_ROW)
+    def test_pair_cache_keeps_first_row_minima(self, case):
+        """After every merge, each live row's cached minimum is its first
+        lowest cell, and the cache's best pair is the first lowest cell of
+        the whole array in row-major order."""
+        ag = NonoverlappingAgglomerator(*case)
+        merged = inference._PairCache.merged
+
+        def checked(cache, *args):
+            merged(cache, *args)
+            for p in np.flatnonzero(cache.live).tolist():
+                row = cache.vals[p]
+                assert cache.row_min[p] == row.min()
+                if np.isfinite(row.min()):
+                    assert cache.row_arg[p] == np.argmin(row)
+            if cache.live.sum() > 1:
+                i, j = np.unravel_index(np.argmin(cache.vals), cache.vals.shape)
+                assert cache.best() == (cache.ids[i], cache.ids[j], cache.vals[i, j])
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(inference._PairCache, "merged", checked)
+            ag.greedy_merge()
+
+    @given(merge_cases(), hst.integers(1, 3))
+    def test_polish_move_deltas_match_reference(self, case, max_sweeps):
+        """Every node-move delta `block_polish` scores, and every move it
+        applies, equals the reference's."""
+        ag = recording(NonoverlappingAgglomerator)(*case)
+        ref = recording(ReferenceAgglomerator)(*case)
+        assert block_polish(ag, max_sweeps) == block_polish(ref, max_sweeps)
+        assert ag.moves == ref.moves
+        assert ag.applied == ref.applied
+
+    @given(merge_cases(), hst.sampled_from([None, 2]), hst.integers(0, 2**32 - 1))
+    def test_cached_terms_stay_fresh(self, case, cap, seed):
+        """After every apply of a random sequence of merges and node moves,
+        on either side, each cached group term and cell sum equals a fresh
+        recomputation."""
+        ag = NonoverlappingAgglomerator(*case, max_overlap=cap)
+        rng = np.random.default_rng(seed)
+        assert_cached_terms_fresh(ag)
+        for _ in range(8):
+            fill_cell_cache(ag)
+            side = int(rng.integers(2))
+            groups = sorted(ag.tables[side])
+            if rng.random() < 0.5 and len(groups) > 1:
+                a, b = rng.choice(groups, size=2, replace=False).tolist()
+                local_merge_delta(ag, side, a, b)
+                apply_merge(ag, side, a, b)
+            else:
+                moves = [m for m in node_moves(ag) if m[0] == side]
+                if not moves:
+                    continue
+                _, node, src, dst = moves[int(rng.integers(len(moves)))]
+                part = ag._node_part(side, node)
+                ag._move_delta(side, src, dst, part)
+                ag._apply_transfer(side, src, dst, part, node)
+            assert_cached_terms_fresh(ag)
+
+    @given(hst.dictionaries(hst.integers(1, 12), hst.integers(1, 6), max_size=8),
+           hst.dictionaries(hst.integers(1, 12), hst.integers(1, 6), max_size=8), hst.data())
+    def test_histogram_sums_match_reference(self, freq, extra, data):
+        """The histogram term of a transfer sums the reference histogram's
+        counts in its key order, without building it."""
+        ag = NonoverlappingAgglomerator(np.ones((1, 20)), np.arange(1), np.arange(20))
+        lf = ag._log_fact
+        assert ag._hist_sum(freq, extra, 1) == \
+            sum(lf[c] for c in _shifted_reference(freq, extra, 1).values())
+        part = {k: data.draw(hst.integers(1, c)) for k, c in freq.items()
+                if data.draw(hst.booleans())}
+        assert ag._hist_sum(freq, part, -1) == \
+            sum(lf[c] for c in _shifted_reference(freq, part, -1).values())
+
+    @given(arrays(np.int64, hst.tuples(hst.integers(0, 40), hst.integers(1, 40)),
+                  elements=hst.integers(0, 30)))
+    def test_row_cells_match_cells(self, rows):
+        ag = NonoverlappingAgglomerator(np.full((2, 2), 20), np.arange(2), np.arange(2))
+        assert ag._row_cells(rows).tolist() == [ag._cells(row) for row in rows]
 
     @given(merge_cases())
     def test_sigma_matches_joint(self, case):
@@ -803,9 +1049,9 @@ class TestAgglomerator:
             return
         side, a, b = data.draw(hst.sampled_from(pairs))
         before = materialized_sigma(counts, ag)
-        predicted = (ag._local_merge_delta(side, a, b)
+        predicted = (local_merge_delta(ag, side, a, b)
                      + ag._global_terms(side, -1) - ag._global_terms(side))
-        ag._apply_merge(side, a, b)
+        apply_merge(ag, side, a, b)
         assert abs((materialized_sigma(counts, ag) - before) - predicted) < 1e-8
 
     def test_recovers_planted_bicliques_from_singletons(self):
@@ -949,7 +1195,8 @@ def assert_tables_fresh(counts, ag):
         assert {g: (t["n"], t["e"], dict(t["freq"])) for g, t in got.items()} == \
             {g: (t["n"], t["e"], dict(t["freq"])) for g, t in want.items()}
         for g in got:
-            assert got[g]["terms"] == pytest.approx(want[g]["terms"], abs=1e-9)
+            assert ag._group_terms[side][g, :3] == \
+                pytest.approx(fresh._group_terms[side][g, :3], abs=1e-9)
     assert np.array_equal(ag.e_mat[:fresh.Gd, :fresh.Gw], fresh.e_mat)
     assert ag.e_mat.sum() == fresh.e_mat.sum()
 
