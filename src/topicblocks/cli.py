@@ -133,10 +133,15 @@ def cmd_synth(args):
         p_w = double_power_law_base(args.V)
     else:
         items = []
-        with open(args.p_w, "r", encoding="utf-8") as fh:
-            for line in fh:
-                _, prob = line.rstrip("\n").split("\t")
-                items.append(float(prob))
+        for lineno, (_, prob) in tsv_rows(args.p_w, 2):
+            try:
+                value = float(prob)
+            except ValueError:
+                value = np.nan  # refused below with the non-finite values
+            if not np.isfinite(value) or value < 0:
+                raise ValueError(f"{args.p_w} line {lineno}: probability {prob!r} is not "
+                                 f"a finite number at least 0")
+            items.append(value)
         p_w = np.asarray(items)
         args.V = len(p_w)
     p_r = harmonic_base(args.K) if args.p_r == "harmonic" else np.full(args.K, 1.0 / args.K)
@@ -184,9 +189,13 @@ def cmd_score(args):
             params_path = os.path.join(os.path.dirname(args.labels), "params.json")
             with open(params_path, "r", encoding="utf-8") as fh:
                 params = json.load(fh)
+            require_keys(params, ("alpha_row", "beta_row"), params_path)
             full_beta = np.asarray(params["beta_row"])
             word_ids = [int(w[1:]) if w.startswith("w") else i
                         for i, w in enumerate(words)]
+            if full_beta.ndim != 1 or not 0 <= min(word_ids) <= max(word_ids) < len(full_beta):
+                raise ValueError(f"{params_path}: 'beta_row' must list a weight for each "
+                                 f"word id 0..{max(word_ids)}")
             hyper = DirichletHyper(np.asarray(params["alpha_row"]), full_beta[word_ids])
             tag = "true-prior"
         else:
@@ -290,6 +299,12 @@ def cmd_compare(args):
         with open(args.spec, "r", encoding="utf-8") as fh:
             spec = json.load(fh)
         require_keys(spec, ("labels", "models"), "the spec file")
+        if not isinstance(spec["models"], list):
+            raise ValueError("the spec file's 'models' must be a list of objects")
+        for n, model in enumerate(spec["models"], start=1):
+            require_keys(model, ("model",), f"the spec file's model {n}")
+            if not isinstance(model.get("hyper", ""), str):
+                raise ValueError(f"the spec file's model {n} has a 'hyper' that is not a string")
         labels, _, _ = _read_labels_tsv(spec["labels"])
         from .evaluation import compare_models
         table = compare_models(labels, spec["models"], baseline_id=spec.get("baseline"))
@@ -460,7 +475,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="posterior maximization over labeled states")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--mode", default="greedy", choices=["greedy", "anneal", "mcmc"])
+    p.add_argument("--mode", default="greedy", choices=["greedy", "anneal", "mcmc"],
+                   help="anneal and mcmc temper clustered fits only; "
+                        "per-doc-group fits are greedy")
     p.add_argument("--doc-clustering", default="clustered", dest="doc_clustering",
                    choices=["per-doc-group", "clustered"])
     p.add_argument("--overlap", type=int, default=None)
@@ -470,9 +487,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="independent restarts (a greedy clustered fit runs one)")
     p.add_argument("--sweeps", type=int, default=200,
                    help="cap per descent: node-move polish sweeps (clustered), "
-                        "descent rounds (per-doc-group); anneal and mcmc fits "
-                        "then run min(sweeps, 20) tempered sweeps or rounds "
-                        "and descend again")
+                        "descent rounds (per-doc-group); anneal and mcmc "
+                        "clustered fits then run min(sweeps, 20) tempered "
+                        "sweeps and polish again")
     p.add_argument("--max-levels", type=int, default=5, dest="max_levels")
     p.add_argument("--preset", default=None, choices=["fig2-mode"],
                    help="fig2-mode: --doc-clustering per-doc-group "

@@ -11,13 +11,11 @@ again and keeps the better of that state and the greedy one.
 best candidate by its node moves.
 
 Per-doc-group fits (every document pinned to its own group, so mixtures
-read directly as topic proportions) get one vectorized batch optimizer on
-sparse label rows that proposes whole-bundle reassignments from count tables
-and accepts a batch only when the exactly rescored description length drops,
-so greedy traces stay monotone at corpus scale.  A tempered per-doc-group
-fit continues with rounds of the same proposals that also accept an uphill
-batch with probability exp(-delta / T), descends again and keeps the better
-of that state and the greedy one.
+read directly as topic proportions) are greedy: one vectorized batch
+optimizer on sparse label rows proposes whole-bundle reassignments from count
+tables and accepts a batch only when the exactly rescored description length
+drops, so their traces stay monotone at corpus scale.  Anneal and mcmc
+modes temper clustered fits only.
 
 Overlapping states are sampled by `mh_sweep`, a Metropolis-Hastings chain of
 unit relabelings that scores every proposal with the oracle `joint_logp`.
@@ -77,6 +75,9 @@ class InferenceConfig:
         K = self.n_word_groups
         if K is not None and K < 1:
             raise ValueError(f"the word-group count must be at least 1, not {K}")
+        if self.doc_clustering == "per-doc-group" and self.mode != "greedy":
+            raise ValueError(f"mode {self.mode!r} tempers clustered fits only; "
+                             f"per-doc-group fits are greedy")
         if self.doc_clustering == "per-doc-group" and (self.overlap or math.inf) < (K or 2):
             raise ValueError(f"a per-doc-group fit spreads word half-edges over {K or 2} "
                              f"groups, more than the overlap cap {self.overlap}")
@@ -104,7 +105,7 @@ class FitResult:
 
 
 def temperatures(config: InferenceConfig) -> np.ndarray:
-    """A tempered fit's `min(n_sweeps, 20)` sweep or round temperatures:
+    """A tempered clustered fit's `min(n_sweeps, 20)` sweep temperatures:
     geometric from `temperature_start` to `temperature_end` (anneal) or
     constant (mcmc)."""
     n = min(config.n_sweeps, 20)
@@ -302,9 +303,9 @@ def _fit_one_restart(graph, config: InferenceConfig, ridx: int, seq) -> FitResul
         final, trace, converged, stats = block_search(graph, config, rng)
     else:
         bundles, K, D = graph.coalesced(), config.n_word_groups or 2, graph.n_docs
-        temps = () if config.mode == "greedy" else temperatures(config)
-        rows, _, trace, converged, stats = _anchored_restart(
-            bundles, K, ridx, rng, config.n_sweeps, max_overlap=config.overlap, temps=temps)
+        rows, _, trace, converged = _anchored_restart(
+            bundles, K, ridx, rng, config.n_sweeps, max_overlap=config.overlap)
+        stats = {}
         b, r = np.nonzero(rows)
         final = compress_groups(state_from_label_arrays(
             D, graph.n_words, bundles.doc_idx[b], bundles.word_idx[b], bundles.doc_idx[b],
@@ -326,18 +327,16 @@ def fit(graph, config: InferenceConfig) -> FitResult:
     Metropolis-Hastings sweeps on the group tables followed by a second
     polish.  A greedy clustered search draws no random number, so that fit
     ends after one restart, whatever `n_restarts` says.  A per-doc-group
-    restart is an `_anchored_restart` with `n_word_groups` (default 2) and
-    at most `n_sweeps` descent rounds per descent, scored under the overlap
-    cap; in anneal and mcmc fits it continues with one tempered round per
-    temperature of `temperatures(config)` and a second descent.  Group
-    counts and hierarchy depth are fitted.
+    restart is a greedy `_anchored_restart` with `n_word_groups` (default
+    2) and at most `n_sweeps` descent rounds, scored under the overlap cap;
+    `InferenceConfig` refuses it in anneal and mcmc mode.  Group counts and
+    hierarchy depth are fitted.
 
     `sigma_trace` holds the restart's search trace (see `block_search` and
     `_anchored_restart`); its last entry is the score with the grown
     hierarchy.  `converged` is False when the last phase used all `n_sweeps`
     sweeps or rounds and its last one still moved.  `acceptance` sums the
-    node-move MH proposals or tempered batch proposals and their acceptances
-    (empty in greedy fits).
+    node-move MH proposals and their acceptances (empty in greedy fits).
 
     Restarts use independent seed streams and reduce by minimum description
     length (ties to the lowest restart index); TOPICBLOCKS_THREADS > 1 runs
@@ -483,28 +482,21 @@ def _gibbs_anneal_anchored(rows, bundles, rng, sweeps=25,
 
 
 def _anchored_restart(bundles: BipartiteMultigraph, K: int, ridx: int, rng,
-                      max_rounds: int, gibbs_sweeps: int = 25, max_overlap=None,
-                      temps=()):
+                      max_rounds: int, gibbs_sweeps: int = 25, max_overlap=None):
     """One restart of the anchored fitter on the coalesced `bundles`.
 
     It draws a random split (word-pure on even restarts) and runs
     `gibbs_sweeps` blocked, tempered resampling sweeps (half as many, at
     least 6, and cooler on even restarts; see `_gibbs_anneal_anchored`) to
-    escape the symmetric start.  It then descends
-    greedily, at most `max_rounds` rounds until a round accepts no batch (see
+    escape the symmetric start.  It then descends greedily, drawing nothing
+    more, at most `max_rounds` rounds until a round accepts no batch (see
     `_anchored_round`); every sigma is scored under the overlap cap
-    `max_overlap`.  With temperatures `temps` (anneal and mcmc fits), it
-    continues with one tempered round per temperature, drawn from `rng`,
-    descends again the same way, and keeps that state only if its sigma is
-    more than 1e-9 below the first descent's; otherwise the first descent's
-    rows come back.  Without `temps` it draws nothing after the resampling.
+    `max_overlap`.
 
-    Returns (rows, sigma, trace, converged, acceptance).  The trace is the
-    start's sigma, then the sigma after each accepted batch, tempered or
-    not, so it is nonincreasing without `temps`.  `converged` is False if
-    the last descent used all `max_rounds` rounds and its last one still
-    moved.  `acceptance` counts the tempered batch proposals and their
-    acceptances (empty without `temps`)."""
+    Returns (rows, sigma, trace, converged).  The trace is the start's
+    sigma, then the sigma after each accepted batch, so it is
+    nonincreasing.  `converged` is False if the descent used all
+    `max_rounds` rounds and its last one still moved."""
     counts = bundles.counts
     rows = np.zeros((len(counts), K), dtype=np.int64)
     if ridx % 2 == 0:
@@ -518,39 +510,27 @@ def _anchored_restart(bundles: BipartiteMultigraph, K: int, ridx: int, rng,
     if gibbs_sweeps:
         _gibbs_anneal_anchored(rows, bundles, rng, **anneal)
     sigma = score_doc_anchored(rows, bundles, max_overlap).sigma_nats
-    trace, best = [sigma], None
-    stats = Counter(proposed=0, accepted=0) if len(temps) else Counter()
-    for phase in [()] if len(temps) == 0 else [(), temps]:
-        for temp in phase:
-            sigma, _ = _anchored_round(rows, bundles, sigma, trace, max_overlap,
-                                       float(temp), rng, stats)
-        converged = False
-        for _ in range(max_rounds):
-            sigma, moved = _anchored_round(rows, bundles, sigma, trace, max_overlap)
-            if not moved:
-                converged = True
-                break
-        if best is None or sigma < best[1] - 1e-9:
-            best = rows.copy(), sigma
-    return best[0], best[1], trace, converged, dict(stats)
+    trace, converged = [sigma], False
+    for _ in range(max_rounds):
+        sigma, moved = _anchored_round(rows, bundles, sigma, trace, max_overlap)
+        if not moved:
+            converged = True
+            break
+    return rows, sigma, trace, converged
 
 
-def _anchored_round(rows, bundles, sigma, trace, max_overlap, temperature=0.0,
-                    rng=None, stats=None):
-    """One round of the anchored search: whole-word, proportional,
+def _anchored_round(rows, bundles, sigma, trace, max_overlap):
+    """One round of the anchored descent: whole-word, proportional,
     whole-bundle and single-unit shifts toward the label with the best
-    count-ratio gain, each proposed once and passed to `_try_batch` at
-    `temperature`.  Appends the sigma of each accepted batch to `trace` and
-    counts proposals and acceptances in `stats` when given; returns (sigma,
+    count-ratio gain, each proposed once and passed to `_try_batch`.
+    Appends the sigma of each accepted batch to `trace`; returns (sigma,
     whether a batch was accepted)."""
     moved = False
     for kind in ("word", "prop", "bundle", "unit"):
         cand = _anchored_proposal(rows, bundles, kind)
         if cand is None:
             continue
-        accepted, sigma = _try_batch(rows, cand, sigma, bundles, max_overlap, temperature, rng)
-        if stats is not None:
-            stats.update(proposed=1, accepted=int(accepted))
+        accepted, sigma = _try_batch(rows, cand, sigma, bundles, max_overlap)
         if accepted:
             trace.append(sigma)
             moved = True
@@ -1199,13 +1179,12 @@ def _apply_anchored(rows, cand, bundles, subset):
     return sel, before
 
 
-def _try_batch(rows, cand, sigma, bundles, max_overlap=None, temperature=0.0, rng=None):
+def _try_batch(rows, cand, sigma, bundles, max_overlap=None):
     """Try the proposal on the full bundle set, then on the highest-margin
     quarter, sixteenth and sixty-fourth of it.  A batch passes if it lowers
-    sigma, scored under the overlap cap `max_overlap`, by more than 1e-9;
-    at `temperature` > 0 it also passes with probability exp(-delta / T),
-    drawn from `rng` only for such a batch.  Returns (accepted, sigma) with
-    the rows at the accepted state, or unchanged."""
+    sigma, scored under the overlap cap `max_overlap`, by more than 1e-9.
+    Returns (accepted, sigma) with the rows at the accepted state, or
+    unchanged."""
     order = np.argsort(-cand["margin"])
     fraction = 1.0
     while fraction >= 1 / 64:
@@ -1214,8 +1193,7 @@ def _try_batch(rows, cand, sigma, bundles, max_overlap=None, temperature=0.0, rn
         subset[take] = True
         sel, before = _apply_anchored(rows, cand, bundles, subset)
         new_sigma = score_doc_anchored(rows, bundles, max_overlap).sigma_nats
-        if new_sigma < sigma - 1e-9 or (temperature > 0 and rng.random() < math.exp(
-                min(700.0, (sigma - new_sigma) / temperature))):
+        if new_sigma < sigma - 1e-9:
             return True, new_sigma
         rows[sel] = before
         fraction /= 4

@@ -178,6 +178,27 @@ class TestMalformedFiles:
          "{path} line 3: 3 tab-separated fields, expected 4"),
         ("labels.tsv", lambda p: "d0\tw0\t0\t2\nd0\tw1\t-1\t1\n", "score", 2,
          "{path} line 2: topic -1 is negative"),
+        ("params.json", lambda p: drop_key(p, "beta_row"), "score-true", 2,
+         "{path} lacks the key 'beta_row'"),
+        ("params.json", lambda p: {**p, "beta_row": p["beta_row"][:2]}, "score-true", 2,
+         "{path}: 'beta_row' must list a weight for each word id 0..5"),
+        ("spec.json", lambda p: {"labels": "labels.tsv", "models": "x"}, "compare", 2,
+         "the spec file's 'models' must be a list of objects"),
+        ("spec.json", lambda p: {"labels": "labels.tsv", "models": [{}]}, "compare", 2,
+         "the spec file's model 1 lacks the key 'model'"),
+        ("spec.json", lambda p: {"labels": "labels.tsv", "models": [{"model": "lda"}, 3]},
+         "compare", 2, "the spec file's model 2 must hold a JSON object"),
+        ("spec.json", lambda p: {"labels": "labels.tsv",
+                                 "models": [{"model": "lda", "hyper": 5}]}, "compare", 2,
+         "the spec file's model 1 has a 'hyper' that is not a string"),
+        ("p_w.tsv", lambda p: "w0\t0.5\tx\n", "synth", 2,
+         "{path} line 1: 3 tab-separated fields, expected 2"),
+        ("p_w.tsv", lambda p: "w0\t0.5\nw1\tzero\n", "synth", 2,
+         "{path} line 2: probability 'zero' is not a finite number at least 0"),
+        ("p_w.tsv", lambda p: "w0\t0.5\n\nw1\tnan\n", "synth", 2,
+         "{path} line 3: probability 'nan' is not a finite number at least 0"),
+        ("p_w.tsv", lambda p: "w0\t1.5\nw1\t-0.5\n", "synth", 2,
+         "{path} line 2: probability '-0.5' is not a finite number at least 0"),
     ])
     def test_refused_with_one_line(self, two_group_model, tmp_path, capsys,
                                    name, edit, command, code, message):
@@ -186,10 +207,11 @@ class TestMalformedFiles:
         corpus.mkdir()
         for stored in ("state.json", "hierarchy.json"):
             (model / stored).write_text((two_group_model / "model" / stored).read_text())
-        corpus_files = ("edges.tsv", "vocab.tsv", "docs.tsv")
-        for stored in corpus_files:
+        corpus_files = ("edges.tsv", "vocab.tsv", "docs.tsv", "params.json")
+        for stored in (*corpus_files, "labels.tsv"):
             (corpus / stored).write_text((two_group_model / "corpus" / stored).read_text())
-        path = {"spec.json": tmp_path / "spec.json", "labels.tsv": tmp_path / "labels.tsv"}.get(
+        path = {"spec.json": tmp_path / "spec.json", "labels.tsv": tmp_path / "labels.tsv",
+                "p_w.tsv": tmp_path / "p_w.tsv"}.get(
             name, (corpus if name in corpus_files else model) / name)
         payload = (json.loads(path.read_text())
                    if name.endswith(".json") and path.exists() else {})
@@ -201,7 +223,11 @@ class TestMalformedFiles:
                 "compare": ["compare", "--spec", path],
                 "fit": ["fit", "--corpus", corpus, "--out", tmp_path / "out"],
                 "stats": ["stats", "--corpus", corpus, "--out", tmp_path / "out"],
-                "score": ["score", "--model", "lda", "--labels", path]}[command]
+                "score": ["score", "--model", "lda", "--labels", path],
+                "score-true": ["score", "--model", "lda", "--hyper", "true",
+                               "--labels", corpus / "labels.tsv"],
+                "synth": ["synth", "--K", 2, "--D", 3, "--m", 4, "--p-w", path,
+                          "--out", tmp_path / "out"]}[command]
         capsys.readouterr()
         assert run(argv) == code
         err = capsys.readouterr().err
@@ -265,6 +291,14 @@ class TestSynthScore:
                  "--seed", 9, "--out", out])
         assert (a / "labels.tsv").read_text() == (b / "labels.tsv").read_text()
         assert (a / "edges.tsv").read_text() == (b / "edges.tsv").read_text()
+
+    def test_base_measure_file_skips_blank_lines(self, tmp_path):
+        p_w = tmp_path / "p_w.tsv"
+        p_w.write_text("w0\t0.25\n\nw1\t0.75\n\n")
+        assert run(["synth", "--K", 2, "--D", 3, "--m", 4, "--p-w", p_w,
+                    "--out", tmp_path / "out"]) == 0
+        params = json.loads((tmp_path / "out" / "params.json").read_text())
+        assert params["V"] == 2 and params["beta_row"] == [0.5, 1.5]
 
 
 class TestFitPipeline:
@@ -332,28 +366,30 @@ class TestFitPipeline:
         assert rescored.sigma_nats == pytest.approx(score["sigma_nats"], abs=1e-9)
 
     @pytest.mark.parametrize("mode", ["anneal", "mcmc"])
-    def test_tempered_clustered_fit(self, tmp_path, mode):
+    def test_tempered_clustered_fit(self, tmp_path, mode, capsys):
         corpus = tmp_path / "corpus"
         run(["synth", "--K", 2, "--D", 20, "--V", 30, "--m", 20, "--alpha", 0.05,
              "--beta", 0.05, "--p-w", "uniform", "--seed", 21, "--out", corpus])
-        for doc_clustering, extra in (("clustered", []), ("per-doc-group", ["--K", 2])):
-            model = tmp_path / doc_clustering
-            assert run(["fit", "--corpus", corpus, "--mode", mode, "--restarts", 2,
-                        "--sweeps", 10, "--doc-clustering", doc_clustering, *extra,
-                        "--out", model]) == 0
-            state, hierarchy = load_model(model)
-            if doc_clustering == "clustered":
-                groups = {}
-                for node, g in zip(np.concatenate([state.i, state.j]),
-                                   np.concatenate([state.r, state.s])):
-                    groups.setdefault(int(node), set()).add(int(g))
-                assert all(len(gs) == 1 for gs in groups.values())
-            else:
-                # documents stay in their own groups
-                assert np.array_equal(state.r, np.flatnonzero(state.group_side == 0)[state.i])
-            score = json.loads((model / "score.json").read_text())
-            rescored = joint_logp(state, hierarchy if hierarchy.assignments else None)
-            assert rescored.sigma_nats == pytest.approx(score["sigma_nats"], abs=1e-9)
+        model = tmp_path / "clustered"
+        assert run(["fit", "--corpus", corpus, "--mode", mode, "--restarts", 2,
+                    "--sweeps", 10, "--doc-clustering", "clustered", "--out", model]) == 0
+        state, hierarchy = load_model(model)
+        groups = {}
+        for node, g in zip(np.concatenate([state.i, state.j]),
+                           np.concatenate([state.r, state.s])):
+            groups.setdefault(int(node), set()).add(int(g))
+        assert all(len(gs) == 1 for gs in groups.values())
+        score = json.loads((model / "score.json").read_text())
+        rescored = joint_logp(state, hierarchy if hierarchy.assignments else None)
+        assert rescored.sigma_nats == pytest.approx(score["sigma_nats"], abs=1e-9)
+        # per-doc-group fits are greedy, so a tempered one is refused
+        capsys.readouterr()
+        assert run(["fit", "--corpus", corpus, "--mode", mode, "--restarts", 2,
+                    "--sweeps", 10, "--doc-clustering", "per-doc-group", "--K", 2,
+                    "--out", tmp_path / "per-doc-group"]) == 2
+        assert capsys.readouterr().err == (f"error: mode {mode!r} tempers clustered fits "
+                                           f"only; per-doc-group fits are greedy\n")
+        assert not (tmp_path / "per-doc-group").exists()
 
     def test_corpus_without_tokens(self, tmp_path):
         # every word occurs once, so --min-count 5 leaves two empty documents

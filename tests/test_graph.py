@@ -1,7 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as hst
 
 from topicblocks.corpus import build_corpus
 from topicblocks.graph import (
@@ -237,15 +240,30 @@ class TestTokenProductIdentity:
         assert worst < 1e-10
 
 
+@hst.composite
+def document_first_states(draw):
+    """Bipartite labeled states as `state_from_label_arrays` builds them:
+    documents before words, groups of both sides interleaved, isolated
+    nodes, repeated bundles, unused groups, or no edges at all."""
+    n_docs, n_words = draw(hst.integers(1, 4)), draw(hst.integers(1, 4))
+    group_side = draw(hst.lists(hst.integers(0, 1), min_size=2, max_size=6).filter(
+        lambda sides: 0 in sides and 1 in sides))
+    groups = [[g for g, sd in enumerate(group_side) if sd == want] for want in (0, 1)]
+    rows = draw(hst.lists(hst.tuples(hst.integers(0, n_docs - 1), hst.integers(0, n_words - 1),
+                                     hst.sampled_from(groups[0]), hst.sampled_from(groups[1]),
+                                     hst.integers(1, 4)), max_size=10))
+    cols = [np.array(c, dtype=np.int64) for c in zip(*rows)] or [np.zeros(0, np.int64)] * 5
+    return state_from_label_arrays(n_docs, n_words, *cols, len(group_side), group_side)
+
+
 class TestStateSerialization:
-    def test_round_trip(self):
-        st = state_from_label_arrays(2, 3, [0, 1], [0, 2], [0, 1], [2, 3], [2, 1],
-                                     4, [0, 0, 1, 1])
-        payload = state_to_dict(st, 2)
-        back = state_from_dict(payload)
-        assert np.array_equal(back.i, st.i)
-        assert np.array_equal(back.m, st.m)
-        assert back.n_groups == st.n_groups
+    @given(document_first_states())
+    def test_round_trip(self, st):
+        n_docs = int((st.side == 0).sum())
+        back = state_from_dict(json.loads(json.dumps(state_to_dict(st, n_docs))))
+        for name in ("i", "j", "r", "s", "m", "side", "group_side"):
+            assert np.array_equal(getattr(back, name), getattr(st, name)), name
+        assert (back.n_nodes, back.n_groups) == (st.n_nodes, st.n_groups)
 
     def test_bipartite_integrity(self):
         with pytest.raises(IntegrityError):

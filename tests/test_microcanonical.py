@@ -406,20 +406,17 @@ class TestHierarchy:
 
 
 class TestJoint:
-    def test_relabel_invariance(self):
-        rng = np.random.default_rng(13)
-        for _ in range(10):
-            st = state_from_label_arrays(
-                3, 4,
-                [0, 1, 2, 0, 1], [0, 1, 2, 3, 0],
-                rng.integers(0, 2, size=5), 2 + rng.integers(0, 2, size=5),
-                rng.integers(1, 4, size=5), 4, [0, 0, 1, 1])
-            base = joint_logp(st).sigma_nats
-            # swap the two word-group labels
-            swapped = state_from_label_arrays(
-                3, 4, st.i, st.j - 3, st.r, np.where(st.s == 2, 3, 2), st.m,
-                4, [0, 0, 1, 1])
-            assert abs(joint_logp(swapped).sigma_nats - base) < 1e-9
+    @given(hst.data())
+    def test_relabel_invariance(self, data):
+        """Any permutation of each side's group ids leaves the joint as it is."""
+        st = data.draw(bipartite_states())
+        perm = np.arange(st.n_groups)
+        for side in (0, 1):
+            ids = np.flatnonzero(st.group_side == side)
+            perm[ids] = data.draw(hst.permutations(ids))
+        relabeled = LabeledGraph(st.n_nodes, st.i, st.j, perm[st.r], perm[st.s], st.m,
+                                 st.n_groups, side=st.side, group_side=st.group_side)
+        assert abs(joint_logp(relabeled).sigma_nats - joint_logp(st).sigma_nats) < 1e-9
 
     def test_breakdown_sums(self):
         st = state_from_label_arrays(2, 2, [0, 1], [0, 1], [0, 1], [2, 3],
