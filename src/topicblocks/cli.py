@@ -24,6 +24,7 @@ from .corpus import (
     rank_frequency,
     read_corpus_tsv,
     read_jsonl,
+    read_vocab_tsv,
     tsv_rows,
     write_corpus_tsv,
 )
@@ -138,11 +139,13 @@ def cmd_synth(args):
                 value = float(prob)
             except ValueError:
                 value = np.nan  # refused below with the non-finite values
-            if not np.isfinite(value) or value < 0:
+            if not np.isfinite(value) or value <= 0:
                 raise ValueError(f"{args.p_w} line {lineno}: probability {prob!r} is not "
-                                 f"a finite number at least 0")
+                                 f"a finite number above 0")
             items.append(value)
         p_w = np.asarray(items)
+        if abs(p_w.sum() - 1.0) > 1e-9:
+            raise ValueError(f"{args.p_w}: the probabilities sum to {float(p_w.sum())!r}, not 1")
         args.V = len(p_w)
     p_r = harmonic_base(args.K) if args.p_r == "harmonic" else np.full(args.K, 1.0 / args.K)
     hyper = make_hyper(args.alpha, args.beta, p_r, p_w)
@@ -191,9 +194,13 @@ def cmd_score(args):
                 params = json.load(fh)
             require_keys(params, ("alpha_row", "beta_row"), params_path)
             full_beta = np.asarray(params["beta_row"])
-            word_ids = [int(w[1:]) if w.startswith("w") else i
-                        for i, w in enumerate(words)]
-            if full_beta.ndim != 1 or not 0 <= min(word_ids) <= max(word_ids) < len(full_beta):
+            vocab_path = os.path.join(os.path.dirname(args.labels), "vocab.tsv")
+            vocab = read_vocab_tsv(vocab_path).index
+            unknown = next((w for w in words if w not in vocab), None)
+            if unknown is not None:
+                raise ValueError(f"{vocab_path} has no entry for the label word {unknown!r}")
+            word_ids = [vocab[w] for w in words]
+            if full_beta.ndim != 1 or max(word_ids) >= len(full_beta):
                 raise ValueError(f"{params_path}: 'beta_row' must list a weight for each "
                                  f"word id 0..{max(word_ids)}")
             hyper = DirichletHyper(np.asarray(params["alpha_row"]), full_beta[word_ids])

@@ -283,6 +283,16 @@ def tsv_rows(path, n_fields: int, ints=None):
             yield lineno, fields
 
 
+def read_vocab_tsv(path) -> Vocabulary:
+    """The vocabulary file `word<TAB>id<TAB>count`, whose ids must run 0, 1, ...
+    in line order."""
+    vocab = Vocabulary()
+    for lineno, (word, wid, _) in tsv_rows(path, 3, {1: "vocabulary id", 2: "count"}):
+        if vocab.add(word) != wid:
+            raise ValueError(f"{path} line {lineno}: vocabulary ids not contiguous at {word!r}")
+    return vocab
+
+
 def read_corpus_tsv(edges_path, vocab_path=None, docs_path=None) -> Corpus:
     """Rebuild a corpus from the TSV edge list `doc_id<TAB>word<TAB>count`.
 
@@ -290,13 +300,7 @@ def read_corpus_tsv(edges_path, vocab_path=None, docs_path=None) -> Corpus:
     documents come back as runs of repeated tokens; every model in this
     package depends on counts only.
     """
-    vocab = Vocabulary()
-    if vocab_path is not None:
-        for lineno, (word, wid, _) in tsv_rows(vocab_path, 3,
-                                               {1: "vocabulary id", 2: "count"}):
-            if vocab.add(word) != wid:
-                raise ValueError(f"{vocab_path} line {lineno}: vocabulary ids not "
-                                 f"contiguous at {word!r}")
+    vocab = Vocabulary() if vocab_path is None else read_vocab_tsv(vocab_path)
     doc_tokens: dict[str, list[int]] = {}
     for lineno, (doc_id, word, cnt) in tsv_rows(edges_path, 3, {2: "count"}):
         if cnt < 1:

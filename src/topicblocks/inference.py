@@ -38,6 +38,7 @@ from .microcanonical import (
     CountTables,
     Hierarchy,
     compress_groups,
+    hierarchy_group_sides,
     joint_logp,
     logp_geometric,
     logp_hierarchy,
@@ -46,6 +47,12 @@ from .microcanonical import (
 from .partition_counts import log_partitions
 from .scores import ModelScore
 from .util import IntegrityError, log_factorial_table, log_num_compositions_large
+
+# search settings, one value each; the docstrings of their readers say what each sets
+TEMPERATURE_START, TEMPERATURE_END = 1.0, 1e-3
+PSEUDO_DOC, PSEUDO_WORD = 1.0, 0.02
+ANCHORED_ROUNDS = 60
+DOC_GRID, KMEANS_RESTARTS, POLISH_SWEEPS, GROW_LEVELS = (1, 2, 3, 4, 6, 8), 2, 2, 3
 
 
 @dataclass
@@ -57,8 +64,6 @@ class InferenceConfig:
     seed: int = 0
     n_sweeps: int = 200
     n_restarts: int = 10
-    temperature_start: float = 1.0
-    temperature_end: float = 1e-3
     max_levels: int = 1
 
     def __post_init__(self):
@@ -81,8 +86,6 @@ class InferenceConfig:
         if self.doc_clustering == "per-doc-group" and (self.overlap or math.inf) < (K or 2):
             raise ValueError(f"a per-doc-group fit spreads word half-edges over {K or 2} "
                              f"groups, more than the overlap cap {self.overlap}")
-        if self.temperature_end > self.temperature_start:
-            raise ValueError("temperature schedule must be nonincreasing")
 
 
 @dataclass
@@ -106,13 +109,12 @@ class FitResult:
 
 def temperatures(config: InferenceConfig) -> np.ndarray:
     """A tempered clustered fit's `min(n_sweeps, 20)` sweep temperatures:
-    geometric from `temperature_start` to `temperature_end` (anneal) or
-    constant (mcmc)."""
+    geometric from TEMPERATURE_START to TEMPERATURE_END (anneal) or
+    TEMPERATURE_START throughout (mcmc)."""
     n = min(config.n_sweeps, 20)
     if config.mode == "mcmc":
-        return np.full(n, config.temperature_start)
-    return np.geomspace(max(config.temperature_start, 1e-6),
-                        max(config.temperature_end, 1e-6), num=n)
+        return np.full(n, TEMPERATURE_START)
+    return np.geomspace(TEMPERATURE_START, TEMPERATURE_END, num=n)
 
 
 def _block_state(counts, doc_group, word_group) -> LabeledGraph:
@@ -237,7 +239,8 @@ def grow_hierarchy(state: LabeledGraph, max_levels: int,
                    max_overlap=None) -> tuple[Hierarchy, ModelScore]:
     """Greedy level growing: add an identity level on top, agglomerate its
     groups while the joint improves, keep the level only if it pays for
-    itself.  Repeats until no level helps or the depth cap is reached.
+    itself.  Repeats until no level helps or the depth cap is reached.  When
+    the state's group sides are known, only groups of one side are paired.
 
     Only the edge-matrix stack changes during the search, so candidates are
     rescored through that term alone; the full joint is assembled once at the
@@ -256,28 +259,27 @@ def grow_hierarchy(state: LabeledGraph, max_levels: int,
 
     hierarchy = Hierarchy()
     best_term = edge_term([])
+    base_side = np.zeros(state.n_groups) if state.group_side is None else state.group_side
     while hierarchy.depth < max_levels:
-        prev_n = (
-            state.n_groups if not hierarchy.assignments
-            else int(np.max(hierarchy.assignments[-1])) + 1
-        )
-        trial = hierarchy.assignments + [np.arange(prev_n, dtype=np.int64)]
+        # the sides of the groups that the new level assigns
+        below = hierarchy_group_sides(base_side, hierarchy.assignments)[-1]
+        trial = hierarchy.assignments + [np.arange(len(below), dtype=np.int64)]
         trial_term = edge_term(trial)
         improved = True
         while improved:
             improved = False
             assignment = trial[-1]
-            coarse = np.unique(assignment)
+            coarse, first = np.unique(assignment, return_index=True)
+            side = below[first]
             cand_best = None
             for ai in range(len(coarse)):
                 for bi in range(ai + 1, len(coarse)):
+                    if side[ai] != side[bi]:
+                        continue  # a merge across sides is no hierarchy
                     merged = assignment.copy()
                     merged[merged == coarse[bi]] = coarse[ai]
                     _, merged = np.unique(merged, return_inverse=True)
-                    try:
-                        term = edge_term(trial[:-1] + [merged])
-                    except IntegrityError:
-                        continue
+                    term = edge_term(trial[:-1] + [merged])
                     if term < trial_term - 1e-9 and (
                         cand_best is None or term < cand_best[0]
                     ):
@@ -302,14 +304,11 @@ def _fit_one_restart(graph, config: InferenceConfig, ridx: int, seq) -> FitResul
     if config.doc_clustering == "clustered":
         final, trace, converged, stats = block_search(graph, config, rng)
     else:
-        bundles, K, D = graph.coalesced(), config.n_word_groups or 2, graph.n_docs
+        bundles, K = graph.coalesced(), config.n_word_groups or 2
         rows, _, trace, converged = _anchored_restart(
             bundles, K, ridx, rng, config.n_sweeps, max_overlap=config.overlap)
         stats = {}
-        b, r = np.nonzero(rows)
-        final = compress_groups(state_from_label_arrays(
-            D, graph.n_words, bundles.doc_idx[b], bundles.word_idx[b], bundles.doc_idx[b],
-            D + r, rows[b, r], D + K, [0] * D + [1] * K))
+        final = compress_groups(_anchored_state(rows, bundles))
     hierarchy, score = grow_hierarchy(final, config.max_levels,
                                       max_overlap=config.overlap)
     trace.append(score.sigma_nats)
@@ -377,32 +376,20 @@ def labels_to_state(labels: LabeledCounts, variant: str) -> LabeledGraph:
     half-edges carry the topic (document side j, word side K + j), giving 2K
     groups.  Words never observed are dropped from the node set.
     """
+    if variant not in ("per-doc-group", "doc-clustering"):
+        raise ValueError(f"unknown variant {variant!r}")
     D, K = labels.n_docs, labels.n_topics
     labels = labels.over_realized_words()
-    if variant == "per-doc-group":
-        group_side = np.concatenate([np.zeros(D, np.int64), np.ones(K, np.int64)])
-        return state_from_label_arrays(
-            D, labels.n_words, labels.d, labels.w, labels.d, D + labels.r, labels.counts,
-            D + K, group_side,
-        )
-    if variant == "doc-clustering":
-        group_side = np.concatenate([np.zeros(K, np.int64), np.ones(K, np.int64)])
-        return state_from_label_arrays(
-            D, labels.n_words, labels.d, labels.w, labels.r, K + labels.r, labels.counts,
-            2 * K, group_side,
-        )
-    raise ValueError(f"unknown variant {variant!r}")
+    # G document groups, and the group of each document half-edge
+    G, r_doc = (D, labels.d) if variant == "per-doc-group" else (K, labels.r)
+    return state_from_label_arrays(D, labels.n_words, labels.d, labels.w, r_doc, G + labels.r,
+                                   labels.counts, G + K, [0] * G + [1] * K)
 
 
-def fixed_label_score(sample: LdaSample | LabeledCounts, variant: str,
-                      n_topics: int | None = None) -> ModelScore:
+def fixed_label_score(sample: LdaSample | LabeledCounts, variant: str) -> ModelScore:
     """Description length of the labeled graph built from true labels, with a
     single-level edge-count prior (no nested hierarchy)."""
     labels = sample.labels if isinstance(sample, LdaSample) else sample
-    if n_topics is not None and labels.n_topics != n_topics:
-        raise ValueError(
-            f"labels carry {labels.n_topics} topics but {n_topics} were requested"
-        )
     state = labels_to_state(labels, variant)
     return joint_logp(state, model_id="hsbm", parametrization=variant)
 
@@ -418,16 +405,23 @@ def _topic_totals(idx: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
                      for r in range(rows.shape[1])], axis=1).astype(np.float64, copy=False)
 
 
+def _anchored_state(rows: np.ndarray, bundles: BipartiteMultigraph) -> LabeledGraph:
+    """Per-doc-group labeled graph of the coalesced `bundles`' label rows, D +
+    K groups; an unobserved word is a node without edges, which scores nothing."""
+    b, r = np.nonzero(rows)
+    D, K = bundles.n_docs, rows.shape[1]
+    return state_from_label_arrays(D, bundles.n_words, bundles.doc_idx[b], bundles.word_idx[b],
+                                   bundles.doc_idx[b], D + r, rows[b, r], D + K,
+                                   [0] * D + [1] * K)
+
+
 def score_doc_anchored(rows: np.ndarray, bundles: BipartiteMultigraph,
                        max_overlap=None) -> ModelScore:
     """Exact description length of the label rows, per-doc-group, under the
-    overlap cap `max_overlap`; without a cap it is bit-identical to scoring
-    the dense tensor by `fixed_label_score`, as its `LabeledCounts.from_dense`
-    arrays, in the same (d, w, r) order, are built here."""
-    b, r = np.nonzero(rows)
-    labels = LabeledCounts(bundles.n_docs, bundles.n_words, rows.shape[1],
-                           bundles.doc_idx[b], bundles.word_idx[b], r, rows[b, r])
-    return joint_logp(labels_to_state(labels, "per-doc-group"), max_overlap=max_overlap,
+    overlap cap `max_overlap`.  The bundles' (d, w, r) order is that of
+    `LabeledCounts.from_dense`, so this equals scoring the dense labels with
+    `labels_to_state` bit for bit (by `fixed_label_score` when uncapped)."""
+    return joint_logp(_anchored_state(rows, bundles), max_overlap=max_overlap,
                       model_id="hsbm", parametrization="per-doc-group")
 
 
@@ -443,9 +437,7 @@ def _doc_rank_blocks(perm: np.ndarray, doc_idx: np.ndarray) -> list[np.ndarray]:
     return np.split(perm[np.argsort(rank, kind="stable")], np.cumsum(np.bincount(rank)))[:-1]
 
 
-def _gibbs_anneal_anchored(rows, bundles, rng, sweeps=25,
-                           pseudo_doc=1.0, pseudo_word=0.02,
-                           t_start=2.0, t_end=0.4):
+def _gibbs_anneal_anchored(rows, bundles, rng, sweeps=25, t_start=2.0, t_end=0.4):
     """Tempered bundle resampling: each bundle's units are redrawn from the
     count-ratio conditional raised to 1/T along a cooling schedule.  Pure
     initialization heuristic; the exact objective drives the later descent.
@@ -455,8 +447,8 @@ def _gibbs_anneal_anchored(rows, bundles, rng, sweeps=25,
     by `_doc_rank_blocks`, so a sweep has as many blocks as the largest
     document has bundles.  The bundles of a block draw their rows, in block
     order, with one `rng.multinomial` call from the conditional
-    (ndr - own + pseudo_doc) * (kwr - own + pseudo_word) / (nr - own +
-    V * pseudo_word), floored at 1e-300 and raised to 1/T, where `own` is
+    (ndr - own + PSEUDO_DOC) * (kwr - own + PSEUDO_WORD) / (nr - own +
+    V * PSEUDO_WORD), floored at 1e-300 and raised to 1/T, where `own` is
     its current row and the totals are those at the block's start.  The
     doc-topic totals are therefore exact for every draw; the word-topic and
     topic totals miss the changes of the other bundles in the same block.
@@ -466,11 +458,11 @@ def _gibbs_anneal_anchored(rows, bundles, rng, sweeps=25,
     ndr = _topic_totals(d_idx, rows, bundles.n_docs)
     kwr = _topic_totals(w_idx, rows, bundles.n_words)
     nr = rows.sum(axis=0).astype(np.float64)
-    norm = bundles.n_words * pseudo_word
+    norm = bundles.n_words * PSEUDO_WORD
     for temp in np.geomspace(t_start, t_end, sweeps):
         for block in _doc_rank_blocks(rng.permutation(len(counts)), d_idx):
             d, w, cur = d_idx[block], w_idx[block], rows[block]
-            p = np.maximum((ndr[d] - cur + pseudo_doc) * (kwr[w] - cur + pseudo_word)
+            p = np.maximum((ndr[d] - cur + PSEUDO_DOC) * (kwr[w] - cur + PSEUDO_WORD)
                            / (nr - cur + norm), 1e-300) ** (1.0 / temp)
             new = rng.multinomial(counts[block], p / p.sum(axis=1, keepdims=True))
             change = new - cur
@@ -538,14 +530,13 @@ def _anchored_round(rows, bundles, sigma, trace, max_overlap):
 
 
 def fit_doc_anchored(counts: np.ndarray, n_topics: int, seed: int = 0,
-                     n_restarts: int = 3, max_rounds: int = 60,
-                     gibbs_sweeps: int = 25):
+                     n_restarts: int = 3, gibbs_sweeps: int = 25):
     """Fit token labels with documents pinned to their own groups and a
     capped number of word groups: the best (ties to the lowest index) of
     `n_restarts` runs of `_anchored_restart` with independent seed streams,
     each a blocked Gibbs start of `gibbs_sweeps` sweeps and a greedy batch
-    descent.  Returns the (D, V, K) labels, their description length and the
-    winning descent's trace, which is nonincreasing."""
+    descent of at most ANCHORED_ROUNDS rounds.  Returns the (D, V, K)
+    labels, their description length and the winning, nonincreasing trace."""
     if n_topics < 1:
         raise ValueError(f"n_topics must be at least 1, not {n_topics}")
     if n_restarts < 1:
@@ -555,7 +546,7 @@ def fit_doc_anchored(counts: np.ndarray, n_topics: int, seed: int = 0,
     bundles = BipartiteMultigraph(*counts.shape, d_idx, w_idx, counts[d_idx, w_idx])
     seeds = np.random.SeedSequence(seed).spawn(n_restarts)
     runs = (_anchored_restart(bundles, n_topics, ridx, np.random.default_rng(seq),
-                              max_rounds, gibbs_sweeps) for ridx, seq in enumerate(seeds))
+                              ANCHORED_ROUNDS, gibbs_sweeps) for ridx, seq in enumerate(seeds))
     rows, sigma, trace, *_ = min(runs, key=lambda run: run[1])
     z = np.zeros(counts.shape + (n_topics,), dtype=np.int64)
     z[d_idx, w_idx] = rows
@@ -569,7 +560,8 @@ def _kmeans(mat, n_clusters, rng):
     centers = mat[rng.choice(n, size=n_clusters, replace=False)]
     assign = np.zeros(n, dtype=np.int64)
     for _ in range(60):  # Lloyd iterations at most
-        dist = ((mat[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        # one center at a time: an (n, V) temporary, not (n, k, V)
+        dist = np.stack([((mat - c) ** 2).sum(axis=1) for c in centers], axis=1)
         new = dist.argmin(axis=1)
         if np.array_equal(new, assign):
             break
@@ -1016,25 +1008,23 @@ class NonoverlappingAgglomerator:
         return doc, word
 
 
-def refine_doc_clusters(labels_dense: np.ndarray, seed: int = 0,
-                        doc_grid=(1, 2, 3, 4, 6, 8),
-                        kmeans_restarts: int = 2, grow_levels: int = 3,
-                        polish_sweeps: int = 2):
+def refine_doc_clusters(labels_dense: np.ndarray, seed: int = 0):
     """Coarsen an anchored fit into clustered candidates and keep the best.
 
-    Document groups are seeded by k-means over the fitted topic mixtures and
-    over raw word-usage profiles; given each document seed, word groups (and
-    further document merges) come from exact greedy agglomeration starting at
-    word singletons; a repeated k-means seed is skipped, and seeds that
-    agglomerate to the same state give one candidate.  Every candidate
-    (including the anchored state itself and the construction that labels both
-    half-edges by the token topic) is scored exactly.  The best agglomerated
-    candidate is polished by node moves on its agglomerator's group tables
+    Document groups are seeded by k-means (KMEANS_RESTARTS draws for each
+    count in DOC_GRID) over the fitted topic mixtures and over raw word-usage
+    profiles; given each seed, word groups (and further document merges) come
+    from exact greedy agglomeration starting at word singletons; a repeated
+    k-means seed is skipped, and seeds that agglomerate to the same state give
+    one candidate.  Every candidate (including the anchored state itself and
+    the construction that labels both half-edges by the token topic) is
+    scored exactly.  The best agglomerated candidate is polished by at most
+    POLISH_SWEEPS node-move sweeps on its agglomerator's group tables
     (`block_polish`); the topic-pair construction is overlapping, so it is not
     polished.  The three leaders among the candidates with a clustered state
-    get nested levels grown on top before the lowest description length wins.
-    The coarsening never alters word-side topic labels of the anchored fit, so
-    its topic mixtures are preserved.
+    get up to GROW_LEVELS nested levels grown on top before the lowest
+    description length wins.  The coarsening never alters word-side topic
+    labels of the anchored fit, so its topic mixtures are preserved.
 
     Returns (score, meta).  For a clustered winner, meta is the compacted
     (doc, word) group assignment of the scored state, the polished one when
@@ -1062,8 +1052,8 @@ def refine_doc_clusters(labels_dense: np.ndarray, seed: int = 0,
                    labels_to_state(lab, "doc-clustering"))]
     seen, seen_seeds = set(), set()
     for feat in (theta_hat, profiles):
-        for G in doc_grid:
-            for _ in range(kmeans_restarts):
+        for G in DOC_GRID:
+            for _ in range(KMEANS_RESTARTS):
                 seed_assign = _kmeans(feat, G, rng)
                 if seed_assign.tobytes() in seen_seeds:
                     continue  # it agglomerates to a state already seen
@@ -1085,19 +1075,18 @@ def refine_doc_clusters(labels_dense: np.ndarray, seed: int = 0,
     with_state = [c for c in candidates if c[2] is not None]
     to_polish = next((c[1] for c in with_state if isinstance(c[1], tuple)), None)
     for sc, meta, st in with_state[:3]:
-        if meta is to_polish and polish_sweeps:
+        if meta is to_polish:
             agg = NonoverlappingAgglomerator(counts, *meta)
-            block_polish(agg, max_sweeps=polish_sweeps)
+            block_polish(agg, max_sweeps=POLISH_SWEEPS)
             meta = agg.materialize()
             sc, st = clustered(*meta, suffix="+polish")
             if sc.sigma_nats < best[0].sigma_nats:
                 best = (sc, meta)
-        if grow_levels > 1:
-            _, grown = grow_hierarchy(st, grow_levels)
-            grown = ModelScore(grown.sigma_nats, grown.breakdown,
-                               "hsbm", sc.parametrization + "+levels")
-            if grown.sigma_nats < best[0].sigma_nats:
-                best = (grown, meta)
+        _, grown = grow_hierarchy(st, GROW_LEVELS)
+        grown = ModelScore(grown.sigma_nats, grown.breakdown,
+                           "hsbm", sc.parametrization + "+levels")
+        if grown.sigma_nats < best[0].sigma_nats:
+            best = (grown, meta)
     return best
 
 

@@ -175,7 +175,7 @@ def log_q_exact(m: int, k: int) -> float:
 
 
 @functools.lru_cache(maxsize=1 << 20)
-def _log_partitions_cached(m: int, n: int, limit: int) -> float:
+def _log_partitions_cached(m: int, n: int) -> float:
     if m < 0 or n < 0 or n > m:
         return -np.inf
     if m == 0:
@@ -185,26 +185,25 @@ def _log_partitions_cached(m: int, n: int, limit: int) -> float:
     mm = m - n
     if mm == 0:
         return 0.0
-    if mm <= limit:
+    if mm <= EXACT_LIMIT:
         return log_q_exact(mm, n)
     return log_q_approx(mm, min(n, mm))
 
 
-def log_partitions(m: int, n: int, exact_limit: int | None = None) -> float:
+def log_partitions(m: int, n: int) -> float:
     """log p(m, n) for partitions of m into exactly n positive parts.
 
     Uses the exact table while the reduced argument m - n stays at or below
-    `exact_limit` (module default EXACT_LIMIT), and the Szekeres asymptotic
-    beyond it, which stays within 0.03 nats of the exact value near the
-    default limit.  Returns -inf where p(m, n) = 0.  Values are memoized.
+    EXACT_LIMIT, and the Szekeres asymptotic beyond it, which stays within
+    0.03 nats of the exact value near that limit.  Returns -inf where
+    p(m, n) = 0.  Values are memoized.
 
     One scalar per call, for the agglomerator's group tables and the dict
     reference scorers; the exact oracle scores all its (mixture, group) pairs
     at once with `log_partitions_array`, which returns the same values bit
     for bit.
     """
-    limit = EXACT_LIMIT if exact_limit is None else exact_limit
-    return _log_partitions_cached(int(m), int(n), int(limit))
+    return _log_partitions_cached(int(m), int(n))
 
 
 def log_partitions_array(m: np.ndarray, n: np.ndarray) -> np.ndarray:

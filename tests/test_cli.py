@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from topicblocks.cli import load_model, main
+from topicblocks.lda import DirichletHyper, LabeledCounts, lda_description_length
 from topicblocks.microcanonical import joint_logp
 
 
@@ -194,11 +195,15 @@ class TestMalformedFiles:
         ("p_w.tsv", lambda p: "w0\t0.5\tx\n", "synth", 2,
          "{path} line 1: 3 tab-separated fields, expected 2"),
         ("p_w.tsv", lambda p: "w0\t0.5\nw1\tzero\n", "synth", 2,
-         "{path} line 2: probability 'zero' is not a finite number at least 0"),
+         "{path} line 2: probability 'zero' is not a finite number above 0"),
         ("p_w.tsv", lambda p: "w0\t0.5\n\nw1\tnan\n", "synth", 2,
-         "{path} line 3: probability 'nan' is not a finite number at least 0"),
+         "{path} line 3: probability 'nan' is not a finite number above 0"),
         ("p_w.tsv", lambda p: "w0\t1.5\nw1\t-0.5\n", "synth", 2,
-         "{path} line 2: probability '-0.5' is not a finite number at least 0"),
+         "{path} line 2: probability '-0.5' is not a finite number above 0"),
+        ("p_w.tsv", lambda p: "w0\t0\nw1\t1\n", "synth", 2,
+         "{path} line 1: probability '0' is not a finite number above 0"),
+        ("p_w.tsv", lambda p: "w0\t0.3\nw1\t0.3\n", "synth", 2,
+         "{path}: the probabilities sum to 0.6, not 1"),
     ])
     def test_refused_with_one_line(self, two_group_model, tmp_path, capsys,
                                    name, edit, command, code, message):
@@ -283,6 +288,39 @@ class TestSynthScore:
                   for i in (1, 2, 3)]
         assert all(np.isfinite(s) for s in sigmas)
         assert len(set(sigmas)) == 3
+
+    def write_true_prior_labels(self, root, labels):
+        """A labels file beside a three-word vocabulary and its params.json;
+        the labels name the words in another order than their ids."""
+        (root / "vocab.tsv").write_text("fire\t0\t3\nwater\t1\t2\nearth\t2\t4\n")
+        (root / "params.json").write_text(json.dumps({"alpha_row": [1.0, 2.0],
+                                                      "beta_row": [0.5, 1.5, 2.5]}))
+        (root / "labels.tsv").write_text(labels)
+        return root / "labels.tsv"
+
+    def test_true_hyper_takes_word_ids_from_the_vocabulary(self, tmp_path, capsys):
+        labels = self.write_true_prior_labels(
+            tmp_path, "d0\tearth\t0\t2\nd0\twater\t1\t1\nd1\tfire\t0\t3\nd1\tearth\t1\t2\n")
+        assert run(["score", "--model", "lda", "--hyper", "true", "--labels", labels,
+                    "--out", tmp_path / "s.json"]) == 0
+        # word indices in first-appearance order: earth 0, water 1, fire 2
+        expected = lda_description_length(
+            LabeledCounts(2, 3, 2, [0, 0, 1, 1], [0, 1, 2, 0], [0, 1, 0, 1], [2, 1, 3, 2]),
+            DirichletHyper(np.array([1.0, 2.0]), np.array([2.5, 1.5, 0.5])))
+        assert json.loads((tmp_path / "s.json").read_text())["sigma_nats"] == expected.sigma_nats
+
+    @pytest.mark.parametrize("missing", ["vocabulary", "word"])
+    def test_true_hyper_refuses_a_word_without_an_id(self, tmp_path, capsys, missing):
+        labels = self.write_true_prior_labels(tmp_path, "d0\tearth\t0\t2\nd0\twind\t1\t1\n")
+        vocab = tmp_path / "vocab.tsv"
+        if missing == "vocabulary":
+            vocab.unlink()
+        capsys.readouterr()
+        assert run(["score", "--model", "lda", "--hyper", "true", "--labels", labels]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and str(vocab) in err
+        if missing == "word":
+            assert err.strip() == f"error: {vocab} has no entry for the label word 'wind'"
 
     def test_synth_deterministic(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -33,6 +33,7 @@ from topicblocks.inference import (
 )
 from topicblocks.lda import (
     LabeledCounts,
+    make_hyper,
     noninformative_hyper,
     sample_corpus,
     sample_mixture_corpus,
@@ -373,8 +374,7 @@ class TestRestarts:
 
     def test_worker_processes_match_the_serial_path(self, monkeypatch):
         configs = (InferenceConfig(mode="anneal", seed=3, n_restarts=2, n_sweeps=5),
-                   InferenceConfig(mode="mcmc", seed=3, n_restarts=2, n_sweeps=5,
-                                   temperature_start=3.0),
+                   InferenceConfig(mode="mcmc", seed=3, n_restarts=2, n_sweeps=5),
                    InferenceConfig(doc_clustering="per-doc-group", n_word_groups=2,
                                    seed=3, n_restarts=3, n_sweeps=20))
         graph = planted_biclique_graph(mult=2)
@@ -518,12 +518,6 @@ class TestFixedLabelScore:
         b = fixed_label_score(s, "per-doc-group").sigma_nats
         assert a == b
 
-    def test_topic_count_mismatch_rejected(self):
-        h = noninformative_hyper(2, 8)
-        s = sample_corpus(2, 4, 8, 6, h, seed=2)
-        with pytest.raises(ValueError, match="topics"):
-            fixed_label_score(s, "per-doc-group", n_topics=5)
-
     def test_unknown_variant_rejected(self):
         h = noninformative_hyper(2, 8)
         s = sample_corpus(2, 4, 8, 6, h, seed=3)
@@ -546,14 +540,22 @@ class TestAnchoredFitter:
         assert sigma <= truth + 0.01 * abs(truth)
 
     def test_row_score_matches_the_dense_score(self):
-        rng = np.random.default_rng(8)
-        z = rng.integers(0, 3, size=(6, 7, 3)) * (rng.random((6, 7, 1)) < 0.6)
-        counts = z.sum(axis=2)
-        d_idx, w_idx = np.nonzero(counts)
-        bundles = BipartiteMultigraph(6, 7, d_idx, w_idx, counts[d_idx, w_idx])
-        dense = fixed_label_score(LabeledCounts.from_dense(z), "per-doc-group")
-        rows = score_doc_anchored(z[d_idx, w_idx], bundles)
-        assert (rows.sigma_nats, rows.breakdown) == (dense.sigma_nats, dense.breakdown)
+        """The row score keeps unobserved words as nodes without edges; the
+        dense score drops them.  Both agree bit for bit, capped or not."""
+        for seed, unobserved in itertools.product(range(4), (0, 3, 6)):
+            rng = np.random.default_rng(seed)
+            K = 2 + seed % 3
+            z = rng.integers(0, 3, size=(6, 9, K)) * (rng.random((6, 9, 1)) < 0.6)
+            z[:, rng.permutation(9)[:unobserved]] = 0
+            counts = z.sum(axis=2)
+            d_idx, w_idx = np.nonzero(counts)
+            bundles = BipartiteMultigraph(6, 9, d_idx, w_idx, counts[d_idx, w_idx])
+            labels = LabeledCounts.from_dense(z)
+            for cap in (None, K):
+                dense = (fixed_label_score(labels, "per-doc-group") if cap is None else
+                         joint_logp(labels_to_state(labels, "per-doc-group"), max_overlap=cap))
+                rows = score_doc_anchored(z[d_idx, w_idx], bundles, max_overlap=cap)
+                assert (rows.sigma_nats, rows.breakdown) == (dense.sigma_nats, dense.breakdown)
 
     def test_corpus_without_tokens(self):
         z, sigma, trace = fit_doc_anchored(np.zeros((2, 3), dtype=np.int64), 2)
@@ -1082,6 +1084,46 @@ class TestHierarchyGrowth:
             assert hierarchy.assignments == []
             assert score.sigma_nats == flat
 
+    # (state, levels, sigma) recorded before level growing skipped cross-side
+    # pairs, whose merges `hierarchy_group_sides` refuses
+    PINNED = [
+        ("per-doc-group", 4, 1,
+         [[0, 1, 1, 2, 2, 2, 0, 0, 2, 2, 2, 2, 0, 0, 0, 1, 1, 0, 0, 1, 2, 1, 2, 2, 3, 4, 4, 5],
+          [0, 0, 0, 1, 1, 1]], 668.188172555241),
+        ("per-doc-group", 6, 3,
+         [[0, 0, 1, 1, 2, 3, 3, 3, 1, 0, 2, 1, 1, 2, 1, 0, 1, 1, 3, 2, 1, 1, 2, 0, 0, 0, 2, 0,
+           2, 0, 4, 5, 6, 7, 6, 7], [0, 0, 1, 1, 2, 3, 3, 2], [0, 0, 1, 1]], 1066.7245118209566),
+        ("clustered", 10, 6,
+         [[0, 1, 0, 0, 0, 1, 1, 0, 1, 0, 2, 3, 2, 2, 2, 3, 3, 2, 3, 2], [0, 0, 1, 1]],
+         3237.621080371063),
+    ]
+
+    @staticmethod
+    def pinned_state(kind, K, seed):
+        """A state of a sparse Dirichlet corpus: per-doc-group on the true
+        labels, or clustered by each node's most frequent true topic."""
+        D, V = {4: (24, 30), 6: (30, 40), 10: (60, 80)}[K]
+        h = make_hyper(0.05, 0.05, np.full(K, 1 / K), np.full(V, 1 / V))
+        labels = sample_corpus(K, D, V, 40, h, seed=seed).labels
+        if kind == "per-doc-group":
+            return labels_to_state(labels, kind)
+        lab = labels.over_realized_words()
+        _, da = np.unique(lab.doc_topic_counts().argmax(axis=1), return_inverse=True)
+        _, wa = np.unique(lab.word_topic_counts().argmax(axis=1), return_inverse=True)
+        counts = np.zeros((lab.n_docs, lab.n_words), dtype=np.int64)
+        np.add.at(counts, (lab.d, lab.w), lab.counts)
+        d, w = np.nonzero(counts)
+        Gd, Gw = da.max() + 1, wa.max() + 1
+        return state_from_label_arrays(lab.n_docs, lab.n_words, d, w, da[d], Gd + wa[w],
+                                       counts[d, w], Gd + Gw, [0] * Gd + [1] * Gw)
+
+    @pytest.mark.parametrize("kind, K, seed, levels, sigma", PINNED,
+                             ids=[f"{kind}-K{K}" for kind, K, *_ in PINNED])
+    def test_levels_and_sigma_pinned(self, kind, K, seed, levels, sigma):
+        hierarchy, score = grow_hierarchy(self.pinned_state(kind, K, seed), 5)
+        assert [a.tolist() for a in hierarchy.assignments] == levels
+        assert score.sigma_nats == sigma
+
     def test_respects_depth_cap(self):
         graph = planted_biclique_graph()
         cfg = InferenceConfig(mode="greedy", doc_clustering="clustered",
@@ -1090,7 +1132,36 @@ class TestHierarchyGrowth:
         assert result.hierarchy.depth == 1
 
 
+def _kmeans_broadcast(mat, n_clusters, rng):
+    """`inference._kmeans` with the distances of all centers in one (n, k, V)
+    broadcast."""
+    n = mat.shape[0]
+    if n_clusters >= n:
+        return np.arange(n, dtype=np.int64)
+    centers = mat[rng.choice(n, size=n_clusters, replace=False)]
+    assign = np.zeros(n, dtype=np.int64)
+    for _ in range(60):
+        new = ((mat[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
+        if np.array_equal(new, assign):
+            break
+        assign = new
+        for c in range(n_clusters):
+            if np.any(assign == c):
+                centers[c] = mat[assign == c].mean(axis=0)
+    return np.unique(assign, return_inverse=True)[1].astype(np.int64)
+
+
 class TestRefineDocClusters:
+    @given(hst.integers(1, 30), hst.integers(1, 40), hst.integers(1, 9),
+           hst.integers(0, 2**32 - 1))
+    def test_kmeans_matches_the_broadcast_distances(self, n, V, k, seed):
+        rng = np.random.default_rng(seed)
+        mat = rng.random((n, V)) * (rng.random((n, V)) < 0.5)
+        mat /= np.maximum(mat.sum(axis=1, keepdims=True), 1e-300)
+        ours, ref = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        assert np.array_equal(inference._kmeans(mat, k, ours), _kmeans_broadcast(mat, k, ref))
+        assert ours.bit_generator.state == ref.bit_generator.state
+
     def test_preserves_topic_mixtures_and_improves(self):
         h = noninformative_hyper(2, 10)
         s = sample_corpus(2, 30, 10, 25, h, seed=6)
@@ -1098,12 +1169,10 @@ class TestRefineDocClusters:
         np.add.at(dense, (s.labels.d, s.labels.w), s.labels.counts)
         z, sigma_anchored, _ = fit_doc_anchored(dense, 2, seed=0, n_restarts=1,
                                                 gibbs_sweeps=5)
-        score, meta = refine_doc_clusters(z, seed=0, doc_grid=(1, 2, 3),
-                                          grow_levels=2, polish_sweeps=1)
+        score, meta = refine_doc_clusters(z, seed=0)
         assert score.sigma_nats <= sigma_anchored + 1e-9
 
-    @pytest.mark.parametrize("grow_levels", [1, 3])
-    def test_meta_is_the_scored_state(self, grow_levels):
+    def test_meta_is_the_scored_state(self):
         """When the polished candidate wins (flat, or with levels grown on
         it), the returned assignment is the polished state: its group counts
         match the tag and its score reproduces sigma."""
@@ -1113,8 +1182,7 @@ class TestRefineDocClusters:
         dense = np.zeros((D, V), dtype=np.int64)
         np.add.at(dense, (s.labels.d, s.labels.w), s.labels.counts)
         z, _, _ = fit_doc_anchored(dense, 3, seed=3, n_restarts=1, gibbs_sweeps=5)
-        score, (da, wa) = refine_doc_clusters(z, seed=3, doc_grid=(1, 2, 3, 4),
-                                              grow_levels=grow_levels)
+        score, (da, wa) = refine_doc_clusters(z, seed=3)
         assert "+polish" in score.parametrization
         Gd, Gw = map(int, re.match(r"clustered\[(\d+)x(\d+)\]", score.parametrization).groups())
         assert (da.max() + 1, wa.max() + 1) == (Gd, Gw)
@@ -1122,7 +1190,7 @@ class TestRefineDocClusters:
         st = state_from_label_arrays(D, V, d_idx, w_idx, da[d_idx], Gd + wa[w_idx],
                                      dense[d_idx, w_idx], Gd + Gw, [0] * Gd + [1] * Gw)
         if score.parametrization.endswith("+levels"):
-            sigma = grow_hierarchy(st, grow_levels)[1].sigma_nats
+            sigma = grow_hierarchy(st, inference.GROW_LEVELS)[1].sigma_nats
         else:
             sigma = joint_logp(st).sigma_nats
         assert abs(sigma - score.sigma_nats) < 1e-9

@@ -81,13 +81,6 @@ def test_asymptotic_cross_check_at_boundary():
         assert abs(approx - exact) / abs(exact) < 1e-3, (m, n)
 
 
-def test_exact_limit_switch():
-    # forcing a tiny limit routes through the asymptotic, which stays close
-    val_exact = log_partitions(5000, 40, exact_limit=10**9)
-    val_approx = log_partitions(5000, 40, exact_limit=10)
-    assert abs(val_exact - val_approx) / abs(val_exact) < 1e-3
-
-
 def test_szekeres_error_bound_near_exact_limit():
     """The fallback stays within the 0.03 nats the module documents, on both
     sides of EXACT_LIMIT and across the few-parts/Szekeres hand-over."""
@@ -173,10 +166,16 @@ class TestLogPartitionsArray:
     @example([], None)
     def test_equals_scalar(self, pairs, limit):
         m, n = (list(c) for c in zip(*pairs)) if pairs else ([], [])
-        with pytest.MonkeyPatch.context() as mp:
-            if limit is not None:
-                mp.setattr(partition_counts, "EXACT_LIMIT", limit)
-            assert_array_equals_scalar(m, n)
+        # the scalar memo is not keyed on the limit: clear it on either side
+        # of a patched one
+        partition_counts._log_partitions_cached.cache_clear()
+        try:
+            with pytest.MonkeyPatch.context() as mp:
+                if limit is not None:
+                    mp.setattr(partition_counts, "EXACT_LIMIT", limit)
+                assert_array_equals_scalar(m, n)
+        finally:
+            partition_counts._log_partitions_cached.cache_clear()
 
     def test_both_approximate_branches(self):
         # mm = EXACT_LIMIT + 5 is approximated: k = 3 takes the few-parts
