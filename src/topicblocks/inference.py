@@ -878,16 +878,20 @@ class NonoverlappingAgglomerator:
         """New terms and cell sums of groups dst and src once `part` moves
         from src to dst (exact zeros for an emptied src).  The result is kept
         until the next apply, so the apply of the move scored last stores
-        what its delta used."""
+        what its delta used, and a move of the same part out of the same src
+        to another dst (a node's targets in `block_polish`) reuses src's half."""
         scored = self._scored
-        if scored is not None and scored[3] is part and scored[:3] == (side, src, dst):
+        same_src = scored is not None and scored[3] is part and scored[:2] == (side, src)
+        if same_src and scored[2] == dst:
             return scored[4]
         n, e, freq, row = part
         groups = self.tables[side]
         d, s = groups.get(dst, _EMPTY_GROUP), groups[src]
         new = (self._terms(d["n"] + n, d["e"] + e, self._hist_sum(d["freq"], freq, 1)),
                self._cells(self._row(side, dst) + row))
-        if s["n"] > n:
+        if same_src:
+            new += scored[4][2:]
+        elif s["n"] > n:
             new += (self._terms(s["n"] - n, s["e"] - e, self._hist_sum(s["freq"], freq, -1)),
                     self._cells(self._row(side, src) - row))
         else:

@@ -21,7 +21,7 @@ from scipy.special import gammaln
 
 from .graph import BipartiteMultigraph
 from .scores import ModelScore
-from .util import IntegrityError, log_factorial
+from .util import IntegrityError, log_factorial, log_factorial_table
 
 
 @dataclass
@@ -292,19 +292,19 @@ def lda_marginal_loglik(labels: LabeledCounts, hyper: DirichletHyper, eta_d=None
     """
     if hyper.n_topics != labels.n_topics or hyper.n_words != labels.n_words:
         raise IntegrityError("hyperparameter dimensions do not match the labels")
-    k_d = labels.doc_lengths()
+    ndr = labels.doc_topic_counts()
+    k_d = ndr.sum(axis=1)
     eta = k_d.astype(float) if eta_d is None else np.asarray(eta_d, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         len_term = np.where(k_d > 0, k_d * np.log(eta), 0.0)
     if np.any((eta == 0) & (k_d > 0)):
         return float(-np.inf)
     ll = float(len_term.sum() - eta.sum())
-    ll -= float(log_factorial(labels.counts).sum())
+    ll -= float(log_factorial_table(int(labels.counts.max(initial=0)))[labels.counts].sum())
 
     alpha = hyper.alpha_row
     a_sum = float(alpha.sum())
     ll += float((gammaln(a_sum) - gammaln(k_d + a_sum)).sum())
-    ndr = labels.doc_topic_counts()
     d_nz, r_nz = np.nonzero(ndr)
     ll += float((gammaln(ndr[d_nz, r_nz] + alpha[r_nz]) - gammaln(alpha[r_nz])).sum())
 

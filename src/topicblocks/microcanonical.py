@@ -18,8 +18,9 @@ and word nodes are never grouped together.  Everything below is evaluated in
 log space from sparse count aggregates; nothing touches individual tokens.
 
 The aggregates are built by numpy grouping, not per-element loops:
-`CountTables` sorts each key set once and sums with `reduceat`/`bincount`
-(exact integers), and `MixtureTables` groups the (node, group)-sorted
+`CountTables` sums each key set with one sort of (key, weight) packed in an
+int64 and one `reduceat` (exact integers), over the bundles once and then
+over the reduced keys, and `MixtureTables` groups the (node, group)-sorted
 labeled degrees into node runs, mixtures and (mixture, group) pairs, each
 numbered in order of first occurrence by node.  `joint_logp` scores the
 degree and partition priors straight from these integer arrays
@@ -40,6 +41,7 @@ same n.
 """
 from __future__ import annotations
 
+import copy
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -73,9 +75,17 @@ def _run_bounds(sorted_key: np.ndarray) -> np.ndarray:
 
 def _sorted_sums(key: np.ndarray, weight: np.ndarray):
     """Distinct keys in ascending order and the exact integer sum of the
-    weights of each, from one sort."""
-    order = np.argsort(key)
-    key, weight = key[order], weight[order]
+    weights of each, for nonnegative keys and weights: one `np.sort` of each
+    key packed above its weight in one int64, or an argsort and two gathers
+    when the pack would not fit in 63 bits."""
+    shift = int(weight.max(initial=0)).bit_length()
+    if int(key.max(initial=0)) >> (63 - shift):
+        order = np.argsort(key)
+        key, weight = key[order], weight[order]
+    else:
+        packed = (key << shift) | weight
+        packed.sort()
+        key, weight = packed >> shift, packed & ((1 << shift) - 1)
     starts = _run_bounds(key)[:-1]
     return key[starts], np.add.reduceat(weight, starts)
 
@@ -93,27 +103,27 @@ class CountTables:
     Edge-count entries are stored for unordered group pairs r <= s with the
     diagonal holding twice the number of within-group edges, so that group
     totals e_r sum to 2E.  Labeled degrees keep only nonzero (node, group)
-    pairs, sorted by (node, group).
+    pairs, sorted by (node, group).  Ordered (r, s) pairs are summed over
+    the bundles, and only the reduced pairs are folded to r <= s.
     """
 
     def __init__(self, state: LabeledGraph):
         self.n_nodes = state.n_nodes
         self.n_groups = state.n_groups
         B = state.n_groups
-        lo = np.minimum(state.r, state.s)
-        hi = np.maximum(state.r, state.s)
-        uniq, self.pair_e = _sorted_sums(lo * B + hi, np.where(lo == hi, 2 * state.m, state.m))
-        self.pair_r = uniq // B
-        self.pair_s = uniq % B
-        self.E = int(state.m.sum())
+        ordered, pair_m = _sorted_sums(state.r * B + state.s, state.m)
+        r, s = np.divmod(ordered, B)
+        lo, hi = np.minimum(r, s), np.maximum(r, s)
+        uniq, self.pair_e = _sorted_sums(lo * B + hi, np.where(lo == hi, 2 * pair_m, pair_m))
+        self.pair_r, self.pair_s = np.divmod(uniq, B)
+        self.E = int(pair_m.sum())
 
         # each end's (node, group) sums first, then the two reduced halves merged
         key_i, sum_i = _sorted_sums(state.i * B + state.r, state.m)
         key_j, sum_j = _sorted_sums(state.j * B + state.s, state.m)
         kuniq, self.k_val = _sorted_sums(np.concatenate([key_i, key_j]),
                                          np.concatenate([sum_i, sum_j]))
-        self.k_node = kuniq // B
-        self.k_group = kuniq % B
+        self.k_node, self.k_group = np.divmod(kuniq, B)
         self.e_r = np.bincount(self.k_group, weights=self.k_val, minlength=B).astype(np.int64)
 
     def dense_e(self) -> np.ndarray:
@@ -124,19 +134,33 @@ class CountTables:
 
 
 def compress_groups(state: LabeledGraph) -> LabeledGraph:
-    """Relabel to occupied groups only (ascending old index order)."""
+    """Relabel to occupied groups only (ascending old index order), in a copy
+    that is not checked again: a monotone relabel keeps every invariant."""
     B = state.n_groups
     occupied = np.flatnonzero(np.bincount(state.r, minlength=B) + np.bincount(state.s, minlength=B))
     remap = -np.ones(B, dtype=np.int64)
     remap[occupied] = np.arange(len(occupied))
-    return LabeledGraph(
-        state.n_nodes, state.i, state.j, remap[state.r], remap[state.s], state.m,
-        len(occupied), side=state.side,
-        group_side=None if state.group_side is None else state.group_side[occupied],
-    )
+    out = copy.copy(state)
+    out.r, out.s, out.n_groups = remap[state.r], remap[state.s], len(occupied)
+    if state.group_side is not None:
+        out.group_side = state.group_side[occupied]
+    return out
 
 
 # --- flat (noninformative) pieces ------------------------------------------
+
+
+def _bundle_log_factorials(state: LabeledGraph):
+    """The sum of log m! over the bundles that are not self-loops with equal
+    labels, by table lookup, and the sum of log (2m)!! over those that are
+    (0.0 when there are none)."""
+    lf = log_factorial_table(int(state.m.max(initial=0)))
+    loops = np.flatnonzero(state.i == state.j)
+    equal = loops[state.r[loops] == state.s[loops]]
+    if not len(equal):
+        return float(lf[state.m].sum()), 0.0
+    return (float(np.delete(lf[state.m], equal).sum()),
+            float(log_double_factorial_even(2 * state.m[equal]).sum()))
 
 
 def logp_graph_given_ke(state: LabeledGraph, tables: CountTables | None = None) -> float:
@@ -150,13 +174,8 @@ def logp_graph_given_ke(state: LabeledGraph, tables: CountTables | None = None) 
     diag = t.pair_r == t.pair_s
     if np.any(t.pair_e[diag] % 2 != 0):
         raise IntegrityError("odd within-group edge total")
-    log_xi = float(log_factorial(t.k_val).sum())
-    loops = state.i == state.j
-    equal = loops & (state.r == state.s)
-    plain = ~equal
-    log_xi -= float(log_factorial(state.m[plain]).sum())
-    if np.any(equal):
-        log_xi -= float(log_double_factorial_even(2 * state.m[equal]).sum())
+    plain, loops = _bundle_log_factorials(state)
+    log_xi = float(log_factorial_table(int(t.k_val.max(initial=0)))[t.k_val].sum()) - plain - loops
     log_omega = float(log_factorial(t.e_r).sum())
     log_omega -= float(log_factorial(t.pair_e[~diag]).sum())
     log_omega -= float(log_double_factorial_even(t.pair_e[diag]).sum())
@@ -199,11 +218,8 @@ def logp_marginal_flat(state: LabeledGraph, omega_bar: float) -> float:
     diag = t.pair_r == t.pair_s
     out += float(log_factorial(t.pair_e[~diag]).sum())
     out += float(log_double_factorial_even(t.pair_e[diag]).sum())
-    loops = state.i == state.j
-    equal = loops & (state.r == state.s)
-    out -= float(log_factorial(state.m[~equal]).sum())
-    if np.any(equal):
-        out -= float(log_double_factorial_even(2 * state.m[equal]).sum())
+    plain, loops = _bundle_log_factorials(state)
+    out = out - plain - loops
     out += float((log_factorial(N - 1) - log_factorial(t.e_r + N - 1)).sum())
     out += float(log_factorial(t.k_val).sum())
     return out
@@ -456,17 +472,16 @@ def logp_degrees_array(mix: MixtureTables) -> float:
     return float(np.cumsum(np.concatenate(terms))[-1])
 
 
-def _check_group_sides(state: LabeledGraph) -> None:
+def _check_group_sides(state: LabeledGraph, mix: MixtureTables) -> None:
     """A group whose half-edges touch both sides makes the state
-    inconsistent: IntegrityError names the first offending bundle."""
-    if state.side is not None:
-        bad_r = state.group_side[state.r] != state.side[state.i]
-        bad_s = state.group_side[state.s] != state.side[state.j]
-        if np.any(bad_r) or np.any(bad_s):
-            which = np.nonzero(bad_r | bad_s)[0][0]
-            raise IntegrityError(
-                f"bundle {int(which)} labels a half-edge with a group from the other side"
-            )
+    inconsistent: IntegrityError names the first offending bundle.  Checked
+    on the labeled degrees; the bundles are scanned only to name it."""
+    if np.any(mix.group_side[mix.tables.k_group] != mix.entry_side):
+        bad = ((state.group_side[state.r] != state.side[state.i])
+               | (state.group_side[state.s] != state.side[state.j]))
+        raise IntegrityError(
+            f"bundle {int(np.argmax(bad))} labels a half-edge with a group from the other side"
+        )
 
 
 # --- nested hierarchy --------------------------------------------------------
@@ -604,7 +619,7 @@ def joint_logp(state: LabeledGraph, hierarchy: Hierarchy | None = None,
     breakdown = {}
     breakdown["adjacency"] = -logp_graph_given_ke(state, tables)
     breakdown["degrees"] = -logp_degrees_array(mix)
-    _check_group_sides(state)
+    _check_group_sides(state, mix)
     breakdown["partition"] = -logp_partition_array(mix, max_overlap)
     if hierarchy.assignments:
         breakdown["edge_matrix"] = -logp_hierarchy(

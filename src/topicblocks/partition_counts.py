@@ -72,7 +72,8 @@ class _LogQTable:
     m <= mmax, about 8 (kmax + 1)(mmax + 1) bytes.  A request beyond the
     table grows each dimension it exceeds to max(request, old + old // 4),
     with minimum extents 16 in k and 256 in m, so an extent never passes
-    max(minimum, 1.25 x the largest request).  Growth in k appends rows;
+    max(minimum, 1.25 x the largest request), and m stops at EXACT_LIMIT
+    unless a direct `log_q_exact` asks for more.  Growth in k appends rows;
     growth in m extends each row over the new columns only, one row at a
     time, so every cell is computed once and the old table is never held
     twice.  Cells are bit-identical to a one-shot build at the same extent.
@@ -94,7 +95,7 @@ class _LogQTable:
     def _ensure(self, k: int, m: int) -> None:
         rows = self._rows
         if m > self._mmax:
-            self._mmax = max(m, self._mmax + self._mmax // 4, 256)
+            self._mmax = max(m, min(self._mmax + self._mmax // 4, EXACT_LIMIT), 256)
             if rows:  # row 0 is q(m, 0) = [m == 0]; every other row derives from it
                 rows[0] = np.concatenate(
                     [rows[0], np.full(self._mmax + 1 - len(rows[0]), -np.inf)])

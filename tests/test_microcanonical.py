@@ -1,3 +1,4 @@
+import copy
 import functools
 import itertools
 import math
@@ -14,6 +15,7 @@ from topicblocks.inference import labels_to_state
 from topicblocks.microcanonical import (
     _check_group_sides,
     _run_sums,
+    _sorted_sums,
     CountTables,
     Hierarchy,
     MixtureTables,
@@ -530,10 +532,23 @@ def side_statistics_reference(state, tables=None):
     return sides
 
 
+def check_group_sides_reference(state):
+    """The mixed-side check as a scan of every bundle: IntegrityError names
+    the first bundle with a half-edge labeled by a group of the other side."""
+    if state.side is not None:
+        bad_r = state.group_side[state.r] != state.side[state.i]
+        bad_s = state.group_side[state.s] != state.side[state.j]
+        if np.any(bad_r) or np.any(bad_s):
+            which = np.nonzero(bad_r | bad_s)[0][0]
+            raise IntegrityError(
+                f"bundle {int(which)} labels a half-edge with a group from the other side"
+            )
+
+
 def logp_partition_reference(state, max_overlap, stats_by_side):
     """The summed per-side overlapping partition priors of the dict path,
     after the mixed-side check."""
-    _check_group_sides(state)
+    check_group_sides_reference(state)
     return float(sum(logp_overlap_partition(st, max_overlap) for st in stats_by_side.values()))
 
 
@@ -632,6 +647,101 @@ class TestArrayAggregates:
         self.check(LabeledGraph(3, empty, empty, empty, empty, empty, 2))
         self.check(state_from_label_arrays(2, 3, empty, empty, empty, empty, empty, 3, [0, 1, 1]))
         assert joint_logp(LabeledGraph(1, empty, empty, empty, empty, empty, 0)).sigma_nats == 0.0
+
+
+@hst.composite
+def wide_states(draw):
+    """Unsided multigraphs with 2200-3000 nodes, 60-100 groups and
+    multiplicities up to 2**45: a (node, group) key can then need 18 bits
+    above a 46-bit weight, which `_sorted_sums` cannot pack into 63."""
+    n, b = draw(hst.integers(2200, 3000)), draw(hst.integers(60, 100))
+    node = hst.one_of(hst.integers(0, n - 1), hst.just(n - 1))
+    m = hst.sampled_from([1, 2, 3, 2**44 + 1, 2**45])
+    rows = draw(hst.lists(hst.tuples(node, node, hst.integers(0, b - 1),
+                                     hst.integers(0, b - 1), m), max_size=12))
+    bundles = [(i, j, r, s, m) if i < j else (j, i, min(r, s), max(r, s), m) if i == j
+               else (j, i, s, r, m) for i, j, r, s, m in rows]
+    cols = [np.array(c, dtype=np.int64) for c in zip(*bundles)] or [np.zeros(0, np.int64)] * 5
+    return LabeledGraph(n, *cols, b)
+
+
+def count_tables_by_dict(state):
+    """`CountTables`' pairs, labeled degrees and group totals, summed bundle
+    by bundle in plain dicts."""
+    pairs, degrees = Counter(), Counter()
+    for i, j, r, s, m in zip(*(getattr(state, name).tolist() for name in "ijrsm")):
+        pairs[min(r, s), max(r, s)] += 2 * m if r == s else m
+        degrees[i, r] += m
+        degrees[j, s] += m
+    e_r = [0] * state.n_groups
+    for (r, s), e in pairs.items():
+        e_r[r] += e
+        if r != s:
+            e_r[s] += e
+    return sorted(pairs.items()), sorted(degrees.items()), e_r
+
+
+class TestPackedSums:
+    """`CountTables` sums packed (key, weight) sorts, with an argsort where
+    the pack would overflow; both give the exact integer sums."""
+
+    @given(hst.one_of(general_states(), bipartite_states(), wide_states()))
+    def test_count_tables_match_dicts(self, state):
+        t = CountTables(state)
+        pairs, degrees, e_r = count_tables_by_dict(state)
+        assert list(zip(zip(t.pair_r.tolist(), t.pair_s.tolist()), t.pair_e.tolist())) == pairs
+        assert list(zip(zip(t.k_node.tolist(), t.k_group.tolist()), t.k_val.tolist())) == degrees
+        assert t.e_r.tolist() == e_r
+        assert t.E == sum(state.m.tolist())
+
+    @given(hst.lists(hst.tuples(hst.one_of(hst.integers(0, 50), hst.integers(0, 2**40)),
+                                hst.one_of(hst.integers(0, 50), hst.integers(0, 2**40))),
+                     max_size=30))
+    def test_sorted_sums_match_a_dict(self, pairs):
+        sums = Counter()
+        for k, w in pairs:
+            sums[k] += w
+        key, weight = (np.array([p[c] for p in pairs], dtype=np.int64) for c in (0, 1))
+        got_key, got_sum = _sorted_sums(key, weight)
+        assert list(zip(got_key.tolist(), got_sum.tolist())) == sorted(sums.items())
+
+    @pytest.mark.parametrize("key_max, packed", [(2**17 - 1, True), (2**17, False)])
+    def test_overflow_guard(self, monkeypatch, key_max, packed):
+        """A 46-bit weight packs below a 17-bit key into 63 bits; an 18-bit
+        key takes the argsort."""
+        argsort, calls = np.argsort, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return argsort(*args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", counted)
+        key = np.array([key_max, 3, key_max, 0], dtype=np.int64)
+        weight = np.array([2**46 - 1, 1, 5, 2**45], dtype=np.int64)
+        got_key, got_sum = _sorted_sums(key, weight)
+        assert got_key.tolist() == [0, 3, key_max]
+        assert got_sum.tolist() == [2**45, 1, 2**46 + 4]
+        assert len(calls) == (0 if packed else 1)
+
+
+@given(bipartite_states(mixed_sides=True))
+def test_group_side_check_matches_bundle_scan(state):
+    """Checked on the labeled degrees, a state with half-edges labeled by
+    groups of the other side raises what the scan of every bundle raises."""
+    got = outcome(_check_group_sides, state, MixtureTables(state))
+    assert got == outcome(check_group_sides_reference, state)
+
+
+@given(hst.one_of(general_states(), bipartite_states()))
+def test_compressed_states_pass_validation(state):
+    """`compress_groups` skips `LabeledGraph`'s checks; its output passes
+    them when rebuilt from its arrays, and its input is left as it was."""
+    before = copy.deepcopy(state)
+    out = compress_groups(state)
+    rebuilt = LabeledGraph(out.n_nodes, out.i, out.j, out.r, out.s, out.m, out.n_groups,
+                           side=out.side, group_side=out.group_side)
+    assert_same_graph(rebuilt, out)
+    assert_same_graph(state, before)
 
 
 def assert_joint_matches_reference(state, max_overlap=None):

@@ -140,6 +140,20 @@ class TestGrownTable:
         assert table._mmax <= max(256, 1.25 * m_req)
         assert all(len(row) == table._mmax + 1 for row in table._rows)
 
+    def test_array_calls_grow_no_further_than_the_exact_limit(self, monkeypatch):
+        """`log_partitions_array` never needs m beyond EXACT_LIMIT, and the
+        table stops there; a direct call beyond it still gets its request."""
+        table = _LogQTable()
+        monkeypatch.setattr(partition_counts, "_logq", table)
+        limit = partition_counts.EXACT_LIMIT
+        n = np.array([1, 3, 10])
+        for mm in (300, 5000, 9000, 9500, limit):
+            log_partitions_array(n + mm, n)
+            assert table._mmax <= limit
+        log_q_exact(limit + 500, 3)
+        assert table._mmax == limit + 500
+        assert_rows_match_one_shot(table)
+
 
 def partition_args(m_max=400):
     """(m, n) pairs that hit every branch: n > m, n = 0, m = n, m = 0,
