@@ -80,9 +80,12 @@ class LabeledGraph:
     n_groups : number of group indices in play (occupied or not).
     side : optional per-node 0/1 array marking the bipartite side.
     group_side : optional per-group 0/1 array; required when `side` is given.
+    check : False skips the checks below, for callers whose construction
+        already guarantees them.
     """
 
-    def __init__(self, n_nodes, i, j, r, s, m, n_groups, side=None, group_side=None):
+    def __init__(self, n_nodes, i, j, r, s, m, n_groups, side=None, group_side=None,
+                 check=True):
         self.n_nodes = int(n_nodes)
         self.i = np.asarray(i, dtype=np.int64)
         self.j = np.asarray(j, dtype=np.int64)
@@ -92,6 +95,8 @@ class LabeledGraph:
         self.n_groups = int(n_groups)
         self.side = None if side is None else np.asarray(side, dtype=np.int64)
         self.group_side = None if group_side is None else np.asarray(group_side, dtype=np.int64)
+        if not check:
+            return
         if np.any(self.i > self.j):
             raise IntegrityError("bundles must satisfy i <= j")
         loops = self.i == self.j
@@ -234,10 +239,12 @@ def poisson_bundle_loglik(lam: np.ndarray, labels: np.ndarray) -> float:
 
 
 def state_from_label_arrays(n_docs, n_words, d, w, r_doc, r_word, counts,
-                            n_groups, group_side) -> LabeledGraph:
+                            n_groups, group_side, check=True) -> LabeledGraph:
     """Labeled bipartite state from parallel arrays over (doc, word) bundles.
 
     `w` holds word indices 0..V-1; node ids for words are offset by n_docs.
+    `check=False` skips `LabeledGraph`'s checks: with d in 0..n_docs-1, w >= 0
+    and counts >= 1 they hold, as every bundle has d < n_docs <= w + n_docs.
     """
     d = np.asarray(d, dtype=np.int64)
     w = np.asarray(w, dtype=np.int64)
@@ -246,7 +253,7 @@ def state_from_label_arrays(n_docs, n_words, d, w, r_doc, r_word, counts,
     ])
     return LabeledGraph(
         n_docs + n_words, d, w + n_docs, r_doc, r_word, counts,
-        n_groups, side=side, group_side=group_side,
+        n_groups, side=side, group_side=group_side, check=check,
     )
 
 

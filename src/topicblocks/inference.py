@@ -379,11 +379,15 @@ def labels_to_state(labels: LabeledCounts, variant: str) -> LabeledGraph:
     if variant not in ("per-doc-group", "doc-clustering"):
         raise ValueError(f"unknown variant {variant!r}")
     D, K = labels.n_docs, labels.n_topics
-    labels = labels.over_realized_words()
+    labels = labels.over_realized_words()  # words in 0..n_words-1
+    if np.any(labels.counts < 1):
+        raise IntegrityError("bundle multiplicities must be positive")
+    if len(labels.d) and not 0 <= labels.d.min() <= labels.d.max() < D:
+        raise IntegrityError(f"a label's document lies outside 0..{D - 1}")
     # G document groups, and the group of each document half-edge
     G, r_doc = (D, labels.d) if variant == "per-doc-group" else (K, labels.r)
     return state_from_label_arrays(D, labels.n_words, labels.d, labels.w, r_doc, G + labels.r,
-                                   labels.counts, G + K, [0] * G + [1] * K)
+                                   labels.counts, G + K, [0] * G + [1] * K, check=False)
 
 
 def fixed_label_score(sample: LdaSample | LabeledCounts, variant: str) -> ModelScore:

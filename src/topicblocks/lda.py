@@ -144,9 +144,6 @@ class LabeledCounts:
         return _sum_by_key(self.w * self.n_topics + self.r, self.counts,
                            (self.n_words, self.n_topics))
 
-    def topic_totals(self) -> np.ndarray:
-        return _sum_by_key(self.r, self.counts, self.n_topics)
-
     def over_realized_words(self) -> "LabeledCounts":
         """The same entries over the realized vocabulary: words with no entry
         are dropped and the rest renumbered in increasing order."""
@@ -292,6 +289,8 @@ def lda_marginal_loglik(labels: LabeledCounts, hyper: DirichletHyper, eta_d=None
     """
     if hyper.n_topics != labels.n_topics or hyper.n_words != labels.n_words:
         raise IntegrityError("hyperparameter dimensions do not match the labels")
+    if len(labels.r) and not 0 <= labels.r.min() <= labels.r.max() < labels.n_topics:
+        raise IndexError("label index out of range")  # the table sums below would hide it
     ndr = labels.doc_topic_counts()
     k_d = ndr.sum(axis=1)
     eta = k_d.astype(float) if eta_d is None else np.asarray(eta_d, dtype=float)
@@ -310,7 +309,7 @@ def lda_marginal_loglik(labels: LabeledCounts, hyper: DirichletHyper, eta_d=None
 
     beta = hyper.beta_row
     b_sum = float(beta.sum())
-    n_r = labels.topic_totals()
+    n_r = ndr.sum(axis=0)  # exact: integer sums
     ll += float((gammaln(b_sum) - gammaln(n_r + b_sum)).sum())
     nwr = labels.word_topic_counts()
     w_nz, r_nz = np.nonzero(nwr)

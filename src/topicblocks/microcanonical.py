@@ -18,17 +18,19 @@ and word nodes are never grouped together.  Everything below is evaluated in
 log space from sparse count aggregates; nothing touches individual tokens.
 
 The aggregates are built by numpy grouping, not per-element loops:
-`CountTables` sums each key set with one sort of (key, weight) packed in an
-int64 and one `reduceat` (exact integers), over the bundles once and then
-over the reduced keys, and `MixtureTables` groups the (node, group)-sorted
-labeled degrees into node runs, mixtures and (mixture, group) pairs, each
-numbered in order of first occurrence by node.  `joint_logp` scores the
-degree and partition priors straight from these integer arrays
-(`logp_degrees_array`, `logp_partition_array`, with restricted-partition
-counts from `partition_counts.log_partitions_array`).  The dict scorers
-`logp_degrees_given_mixtures` and `logp_overlap_partition` score the same
-priors from per-side `SideStats` dicts; they are the reference the tests
-check the array path against, built node by node.
+`CountTables` sums each key pair set (`_pair_sums`) by one `bincount` over
+the pairs' bounding box where the box has no more cells than there are
+pairs and no float sum can reach 2**53, else by one sort of (key, weight)
+packed in an int64 and one `reduceat`, exact integers either way, over the
+bundles once and then over the reduced pairs.  `MixtureTables` groups the
+(node, group)-sorted labeled degrees into node runs, mixtures and (mixture,
+group) pairs, each numbered in order of first occurrence by node.
+`joint_logp` scores the degree and partition priors straight from these
+integer arrays (`logp_degrees_array`, `logp_partition_array`, with
+restricted-partition counts from `partition_counts.log_partitions_array`).
+The dict scorers `logp_degrees_given_mixtures` and `logp_overlap_partition`
+score the same priors from per-side `SideStats` dicts; they are the
+reference the tests check the array path against, built node by node.
 
 Both paths add the same float terms in the same order, the order a
 node-by-node visit gives, so they agree bit for bit and scores are
@@ -41,7 +43,6 @@ same n.
 """
 from __future__ import annotations
 
-import copy
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -90,6 +91,30 @@ def _sorted_sums(key: np.ndarray, weight: np.ndarray):
     return key[starts], np.add.reduceat(weight, starts)
 
 
+SMALL_PAIR_SET = 2048  # below this many pairs, finding the box saves nothing over the sort
+
+
+def _pair_sums(a: np.ndarray, b: np.ndarray, weight: np.ndarray, span: int):
+    """Distinct (a, b) pairs in ascending order and the exact integer sum of
+    the positive weights of each, for a >= 0 and 0 <= b < span: one
+    `bincount` keyed inside the pairs' bounding box when there are
+    SMALL_PAIR_SET pairs or more, the box has no more cells than there are
+    pairs and max(weight) * n stays below 2**53 (float sums are exact
+    there), else `_sorted_sums` of a * span + b."""
+    n = len(weight)
+    if n >= SMALL_PAIR_SET:
+        a0, b0 = int(a.min()), int(b.min())
+        box_span = int(b.max()) - b0 + 1
+        if (int(a.max()) - a0 + 1) * box_span <= n and int(weight.max()) * n < 2**53:
+            sums = np.bincount((a - a0) * box_span + (b - b0), weights=weight)
+            key = np.flatnonzero(sums)
+            a_u = key // box_span  # with key - a_u * box_span, twice as fast as np.divmod
+            return a_u + a0, key - a_u * box_span + b0, sums[key].astype(np.int64)
+    key, sums = _sorted_sums(a * span + b, weight)
+    a_u = key // span
+    return a_u, key - a_u * span, sums
+
+
 def _first_occurrence_counts(key: np.ndarray):
     """Distinct keys with their counts, in order of first occurrence."""
     uniq, first, counts = np.unique(key, return_index=True, return_counts=True)
@@ -104,26 +129,27 @@ class CountTables:
     diagonal holding twice the number of within-group edges, so that group
     totals e_r sum to 2E.  Labeled degrees keep only nonzero (node, group)
     pairs, sorted by (node, group).  Ordered (r, s) pairs are summed over
-    the bundles, and only the reduced pairs are folded to r <= s.
+    the bundles, and only the reduced pairs are folded to r <= s.  The
+    `bincount` of `_pair_sums` takes a set whose box, say one side's groups
+    by the other's, has no more cells than the set has pairs; it needs m >= 1.
     """
 
     def __init__(self, state: LabeledGraph):
         self.n_nodes = state.n_nodes
         self.n_groups = state.n_groups
         B = state.n_groups
-        ordered, pair_m = _sorted_sums(state.r * B + state.s, state.m)
-        r, s = np.divmod(ordered, B)
+        r, s, pair_m = _pair_sums(state.r, state.s, state.m, B)
         lo, hi = np.minimum(r, s), np.maximum(r, s)
-        uniq, self.pair_e = _sorted_sums(lo * B + hi, np.where(lo == hi, 2 * pair_m, pair_m))
-        self.pair_r, self.pair_s = np.divmod(uniq, B)
+        self.pair_r, self.pair_s, self.pair_e = _pair_sums(
+            lo, hi, np.where(lo == hi, 2 * pair_m, pair_m), B)
         self.E = int(pair_m.sum())
 
         # each end's (node, group) sums first, then the two reduced halves merged
-        key_i, sum_i = _sorted_sums(state.i * B + state.r, state.m)
-        key_j, sum_j = _sorted_sums(state.j * B + state.s, state.m)
-        kuniq, self.k_val = _sorted_sums(np.concatenate([key_i, key_j]),
-                                         np.concatenate([sum_i, sum_j]))
-        self.k_node, self.k_group = np.divmod(kuniq, B)
+        node_i, group_i, sum_i = _pair_sums(state.i, state.r, state.m, B)
+        node_j, group_j, sum_j = _pair_sums(state.j, state.s, state.m, B)
+        self.k_node, self.k_group, self.k_val = _pair_sums(
+            np.concatenate([node_i, node_j]), np.concatenate([group_i, group_j]),
+            np.concatenate([sum_i, sum_j]), B)
         self.e_r = np.bincount(self.k_group, weights=self.k_val, minlength=B).astype(np.int64)
 
     def dense_e(self) -> np.ndarray:
@@ -134,17 +160,15 @@ class CountTables:
 
 
 def compress_groups(state: LabeledGraph) -> LabeledGraph:
-    """Relabel to occupied groups only (ascending old index order), in a copy
-    that is not checked again: a monotone relabel keeps every invariant."""
+    """Relabel to occupied groups only (ascending old index order), in a new
+    state that is not checked again: a monotone relabel keeps every invariant."""
     B = state.n_groups
     occupied = np.flatnonzero(np.bincount(state.r, minlength=B) + np.bincount(state.s, minlength=B))
     remap = -np.ones(B, dtype=np.int64)
     remap[occupied] = np.arange(len(occupied))
-    out = copy.copy(state)
-    out.r, out.s, out.n_groups = remap[state.r], remap[state.s], len(occupied)
-    if state.group_side is not None:
-        out.group_side = state.group_side[occupied]
-    return out
+    group_side = None if state.group_side is None else state.group_side[occupied]
+    return LabeledGraph(state.n_nodes, state.i, state.j, remap[state.r], remap[state.s], state.m,
+                        len(occupied), side=state.side, group_side=group_side, check=False)
 
 
 # --- flat (noninformative) pieces ------------------------------------------

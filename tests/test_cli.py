@@ -150,6 +150,10 @@ class TestMalformedFiles:
          "bundle 0 has group 5, outside 0..1"),
         ("state.json", lambda p: {**p, "group_side": [0, 2]}, "export", 3,
          "group 1 has side 2, outside 0..1"),
+        ("state.json", lambda p: edit_bundle(p, 4, 0), "export", 3,
+         "bundle multiplicities must be positive"),
+        ("state.json", lambda p: edit_bundle(p, 4, -2), "summarize", 3,
+         "bundle multiplicities must be positive"),
         ("hierarchy.json", lambda p: {"assignments": [[0.9, 0.2]]}, "export", 2,
          "the hierarchy file's 'assignments' must be whole numbers"),
         ("edges.tsv", lambda p: "d0\tw0\t-3\n", "fit", 2,

@@ -128,6 +128,14 @@ class TestMarginal:
         for perm in ([1, 2, 0], [2, 1, 0]):
             assert abs(lda_marginal_loglik(s.labels.permute_topics(perm), h) - base) < 1e-9
 
+    @pytest.mark.parametrize("topic", [-1, 2])
+    def test_topic_out_of_range(self, topic):
+        """A topic outside 0..K-1 in the first document fits inside the
+        doc-topic table's flat range, so it is checked on its own."""
+        labels = LabeledCounts(2, 2, 2, [0, 1], [0, 1], [topic, 0], [1, 1])
+        with pytest.raises(IndexError):
+            lda_marginal_loglik(labels, noninformative_hyper(2, 2))
+
     def test_dimension_mismatch(self):
         labels = LabeledCounts(1, 2, 2, [0], [0], [0], [1])
         with pytest.raises(IntegrityError):
@@ -224,7 +232,6 @@ class TestLabeledCountsAggregates:
             (lab.doc_lengths(), add_at(D, lab.d, lab.counts)),
             (lab.doc_topic_counts(), add_at((D, K), (lab.d, lab.r), lab.counts)),
             (lab.word_topic_counts(), add_at((V, K), (lab.w, lab.r), lab.counts)),
-            (lab.topic_totals(), add_at(K, lab.r, lab.counts)),
         ]:
             assert got.dtype == want.dtype == np.int64
             assert np.array_equal(got, want)

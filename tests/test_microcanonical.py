@@ -3,17 +3,19 @@ import functools
 import itertools
 import math
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as hst
 
-from topicblocks import lda
+from topicblocks import lda, microcanonical
 from topicblocks.graph import LabeledGraph, derive_counts, state_from_label_arrays
 from topicblocks.inference import labels_to_state
 from topicblocks.microcanonical import (
     _check_group_sides,
+    _pair_sums,
     _run_sums,
     _sorted_sums,
     CountTables,
@@ -681,9 +683,26 @@ def count_tables_by_dict(state):
     return sorted(pairs.items()), sorted(degrees.items()), e_r
 
 
+@hst.composite
+def pair_rows(draw):
+    """(a, b, weight) rows with b < 3061, in a box at an offset: a box of 1,
+    4 or 16 cells, which 30 rows can outnumber, or of 3721; small weights,
+    or in half the draws also weights near 2**52, whose float sums would be
+    inexact."""
+    a0, b0, span = draw(hst.integers(0, 3000)), draw(hst.integers(0, 3000)), draw(
+        hst.sampled_from([0, 1, 3, 60]))
+    weight = hst.integers(1, 50)
+    if draw(hst.booleans()):
+        weight = hst.one_of(weight, hst.integers(2**52 - 2, 2**52 + 1))
+    return draw(hst.lists(hst.tuples(hst.integers(a0, a0 + span), hst.integers(b0, b0 + span),
+                                     weight), max_size=30))
+
+
 class TestPackedSums:
-    """`CountTables` sums packed (key, weight) sorts, with an argsort where
-    the pack would overflow; both give the exact integer sums."""
+    """`CountTables` sums each key pair set by `_pair_sums`: a `bincount`
+    over the pairs' bounding box when it is no larger than the set and no
+    float sum can reach 2**53, else a packed (key, weight) sort, with an
+    argsort where the pack would overflow; all give the exact integer sums."""
 
     @given(hst.one_of(general_states(), bipartite_states(), wide_states()))
     def test_count_tables_match_dicts(self, state):
@@ -693,6 +712,65 @@ class TestPackedSums:
         assert list(zip(zip(t.k_node.tolist(), t.k_group.tolist()), t.k_val.tolist())) == degrees
         assert t.e_r.tolist() == e_r
         assert t.E == sum(state.m.tolist())
+
+    @given(pair_rows(), hst.sampled_from([1, microcanonical.SMALL_PAIR_SET]))
+    @example([], 1)
+    @example([(7, 3, 5)], 1)
+    @example([(0, 0, 2**52 + 1)] * 3, 1)
+    def test_pair_sums_match_a_counter(self, rows, small_set):
+        """With a small-set cut-off of 1 every nonempty draw weighs the
+        bincount; with the package's, every draw here sorts."""
+        sums = Counter()
+        for a, b, w in rows:
+            sums[a, b] += w
+        a, b, weight = (np.array([row[c] for row in rows], dtype=np.int64) for c in range(3))
+        with mock.patch.object(microcanonical, "SMALL_PAIR_SET", small_set):
+            got = _pair_sums(a, b, weight, 3061)
+        assert all(x.dtype == np.int64 for x in got)
+        got_a, got_b, got_sum = (x.tolist() for x in got)
+        assert list(zip(zip(got_a, got_b), got_sum)) == sorted(sums.items())
+
+    @pytest.mark.parametrize("a, b, weight, small_set, counted", [
+        ([5, 6, 5, 6], [9, 9, 10, 10], [1, 2, 3, 4], 1, True),   # 2 x 2 box, 4 keys
+        ([5, 6, 5, 6], [9, 9, 10, 10], [1, 2, 3, 4], 5, False),  # a small set
+        ([5, 6, 5], [9, 9, 10], [1, 2, 3], 1, False),            # 2 x 2 box, 3 keys
+        ([0, 0], [9, 9], [2**52 - 1, 2**52 - 1], 1, True),       # max * n < 2**53
+        ([0, 0], [9, 9], [2**52, 3], 1, False),                  # max * n = 2**53
+    ])
+    def test_bincount_guard(self, monkeypatch, a, b, weight, small_set, counted):
+        """The bincount runs only for SMALL_PAIR_SET pairs or more, where the
+        box has at most one cell per pair and max(weight) * n < 2**53."""
+        bincount, calls = np.bincount, []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return bincount(*args, **kwargs)
+
+        monkeypatch.setattr(np, "bincount", counting)
+        monkeypatch.setattr(microcanonical, "SMALL_PAIR_SET", small_set)
+        sums = Counter()
+        for pair in zip(a, b, weight):
+            sums[pair[:2]] += pair[2]
+        got_a, got_b, got_sum = _pair_sums(
+            *(np.array(x, dtype=np.int64) for x in (a, b, weight)), 11)
+        assert list(zip(zip(got_a.tolist(), got_b.tolist()), got_sum.tolist())) == sorted(
+            sums.items())
+        assert len(calls) == counted
+
+    @pytest.mark.parametrize("variant", ["per-doc-group", "doc-clustering"])
+    def test_corpus_tables_match_the_reference(self, monkeypatch, variant):
+        """On a true-label corpus state some of the five key pair sets take
+        the bincount and the rest the sort."""
+        state = compress_groups(corpus_state(3, variant))
+        sorted_sums, sorts = microcanonical._sorted_sums, []
+
+        def counting(*args):
+            sorts.append(len(args[0]))
+            return sorted_sums(*args)
+
+        monkeypatch.setattr(microcanonical, "_sorted_sums", counting)
+        assert_same_tables(CountTables(state), CountTablesReference(state))
+        assert 0 < len(sorts) < 5
 
     @given(hst.lists(hst.tuples(hst.one_of(hst.integers(0, 50), hst.integers(0, 2**40)),
                                 hst.one_of(hst.integers(0, 50), hst.integers(0, 2**40))),
@@ -742,6 +820,38 @@ def test_compressed_states_pass_validation(state):
                            side=out.side, group_side=out.group_side)
     assert_same_graph(rebuilt, out)
     assert_same_graph(state, before)
+
+
+@hst.composite
+def label_sets(draw):
+    """Small labeled counts with unused words, unused topics and, now and
+    then, a zero count."""
+    D, V, K = draw(hst.integers(1, 4)), draw(hst.integers(1, 5)), draw(hst.integers(1, 3))
+    rows = draw(hst.lists(hst.tuples(hst.integers(0, D - 1), hst.integers(0, V - 1),
+                                     hst.integers(0, K - 1), hst.integers(0, 4)), max_size=12))
+    cols = [np.array(c, dtype=np.int64) for c in zip(*rows)] or [np.zeros(0, np.int64)] * 4
+    return lda.LabeledCounts(D, V, K, *cols)
+
+
+@given(label_sets(), hst.sampled_from(["per-doc-group", "doc-clustering"]))
+def test_label_states_pass_validation(labels, variant):
+    """`labels_to_state` skips `LabeledGraph`'s checks but m >= 1; its output
+    passes them when rebuilt from its arrays, and a zero count is refused."""
+    if np.any(labels.counts == 0):
+        with pytest.raises(IntegrityError, match="multiplicities must be positive"):
+            labels_to_state(labels, variant)
+        return
+    out = labels_to_state(labels, variant)
+    rebuilt = LabeledGraph(out.n_nodes, out.i, out.j, out.r, out.s, out.m, out.n_groups,
+                           side=out.side, group_side=out.group_side)
+    assert_same_graph(rebuilt, out)
+
+
+@pytest.mark.parametrize("d", [-1, 2])
+def test_label_state_refuses_a_document_out_of_range(d):
+    labels = lda.LabeledCounts(2, 2, 1, [0, d], [0, 1], [0, 0], [1, 1])
+    with pytest.raises(IntegrityError, match="outside 0..1"):
+        labels_to_state(labels, "doc-clustering")
 
 
 def assert_joint_matches_reference(state, max_overlap=None):
