@@ -52,12 +52,10 @@ from .microcanonical import (
     compress_groups,
     joint_logp,
     logp_degrees_flat,
-    logp_degrees_given_mixtures,
     logp_edge_matrix_geometric,
     logp_graph_given_ke,
     logp_hierarchy,
     logp_marginal_flat,
-    logp_overlap_partition,
 )
 from .partition_counts import count_partitions, log_partitions
 from .inference import (

@@ -168,10 +168,11 @@ def block_search(graph, config: InferenceConfig, rng=None):
 # --- sweeps ------------------------------------------------------------------
 
 
-def mh_sweep(state: LabeledGraph, rng, temperature=1.0, doc_labels=None, word_labels=None):
+def mh_sweep(state: LabeledGraph, rng, temperature=1.0, doc_labels=None, word_labels=None,
+             sigma=None):
     """E Metropolis-Hastings unit proposals on a bipartite labeled state at
-    the given temperature; returns the new state and the proposal and
-    acceptance counts.
+    the given temperature, from its `sigma` when known; returns the new state
+    and a dict of the proposal and acceptance counts and the new state's sigma.
 
     A unit is picked proportionally to bundle label mass and sent to a uniform
     (document label, word label) pair, each side's occupied groups by default;
@@ -198,7 +199,7 @@ def mh_sweep(state: LabeledGraph, rng, temperature=1.0, doc_labels=None, word_la
         cnt[target] += 1
 
     E, accepted = state.n_edges, 0
-    sigma = joint_logp(state).sigma_nats
+    sigma = joint_logp(state).sigma_nats if sigma is None else sigma
     keys = sorted(bundles)
     totals = np.array([sum(bundles[k].values()) for k in keys], dtype=float)
     cum = np.cumsum(totals / totals.sum())
@@ -229,7 +230,7 @@ def mh_sweep(state: LabeledGraph, rng, temperature=1.0, doc_labels=None, word_la
             state, sigma = proposal, new_sigma
         else:
             shift(cnt, new_pair, pair)
-    return state, {"proposed": E, "accepted": accepted}
+    return state, {"proposed": E, "accepted": accepted, "sigma": sigma}
 
 
 # --- hierarchy search --------------------------------------------------------
@@ -1161,9 +1162,8 @@ def _anchored_proposal(rows, bundles, mode):
             "mask": movable, "mode": mode, "split": split}
 
 
-def _apply_anchored(rows, cand, bundles, subset):
-    """Apply the candidate on a subset of bundles; returns an undo record."""
-    sel = np.nonzero(cand["mask"] & subset)[0]
+def _apply_anchored(rows, cand, bundles, sel):
+    """Apply the candidate on the bundles `sel`; returns their rows before."""
     before = rows[sel].copy()
     if cand["mode"] in ("bundle", "word"):
         rows[sel] = 0
@@ -1173,7 +1173,7 @@ def _apply_anchored(rows, cand, bundles, subset):
     else:
         rows[sel, cand["donor"][sel]] -= 1
         rows[sel, cand["target"][sel]] += 1
-    return sel, before
+    return before
 
 
 def _try_batch(rows, cand, sigma, bundles, max_overlap=None):
@@ -1181,17 +1181,21 @@ def _try_batch(rows, cand, sigma, bundles, max_overlap=None):
     quarter, sixteenth and sixty-fourth of it.  A batch passes if it lowers
     sigma, scored under the overlap cap `max_overlap`, by more than 1e-9.
     Returns (accepted, sigma) with the rows at the accepted state, or
-    unchanged."""
+    unchanged.  The fractions are nested, so one that moves as many bundles
+    as the one just rejected moves the same ones: it is rejected unscored."""
     order = np.argsort(-cand["margin"])
-    fraction = 1.0
+    fraction, rejected = 1.0, -1
     while fraction >= 1 / 64:
         take = order[: max(1, int(len(order) * fraction))]
         subset = np.zeros(len(rows), dtype=bool)
         subset[take] = True
-        sel, before = _apply_anchored(rows, cand, bundles, subset)
-        new_sigma = score_doc_anchored(rows, bundles, max_overlap).sigma_nats
-        if new_sigma < sigma - 1e-9:
-            return True, new_sigma
-        rows[sel] = before
+        sel = np.flatnonzero(cand["mask"] & subset)
+        if len(sel) != rejected:
+            before = _apply_anchored(rows, cand, bundles, sel)
+            new_sigma = score_doc_anchored(rows, bundles, max_overlap).sigma_nats
+            if new_sigma < sigma - 1e-9:
+                return True, new_sigma
+            rows[sel] = before
+            rejected = len(sel)
         fraction /= 4
     return False, sigma

@@ -21,7 +21,7 @@ from scipy.special import gammaln
 
 from .graph import BipartiteMultigraph
 from .scores import ModelScore
-from .util import IntegrityError, log_factorial, log_factorial_table
+from .util import IntegrityError, log_factorial, log_factorial_table, run_bounds
 
 
 @dataclass
@@ -146,8 +146,12 @@ class LabeledCounts:
 
     def over_realized_words(self) -> "LabeledCounts":
         """The same entries over the realized vocabulary: words with no entry
-        are dropped and the rest renumbered in increasing order."""
-        realized = np.flatnonzero(np.bincount(self.w, minlength=self.n_words))
+        are dropped and the rest renumbered in increasing order.  When no word
+        is dropped, these labels themselves."""
+        counts = np.bincount(self.w, minlength=self.n_words)
+        if len(counts) == self.n_words and counts.all():
+            return self
+        realized = np.flatnonzero(counts)
         remap = -np.ones(self.n_words, dtype=np.int64)
         remap[realized] = np.arange(len(realized))
         return LabeledCounts(self.n_docs, len(realized), self.n_topics,
@@ -222,7 +226,6 @@ def sample_corpus(n_topics: int, n_docs: int, n_words: int, doc_lengths,
         raise IntegrityError("degenerate Dirichlet draw; hyperparameters too small")
 
     topic_counts = rng.multinomial(k_d, theta)  # (D, K)
-    doc_of = np.repeat(np.arange(n_docs), k_d)
     # tokens laid out doc-major with topics ascending inside each doc; the
     # per-token draw order only permutes exchangeable draws
     topic_of = np.repeat(
@@ -235,8 +238,17 @@ def sample_corpus(n_topics: int, n_docs: int, n_words: int, doc_lengths,
         if total:
             word_of[mask] = rng.choice(n_words, size=total, p=phi[r])
 
-    key = (doc_of * n_words + word_of) * n_topics + topic_of
-    uniq, cnt = np.unique(key, return_counts=True)
+    # each token's (doc, word, topic) key, built in place and counted after one in-place sort
+    key = np.repeat(np.arange(n_docs, dtype=np.int64), k_d)
+    key *= n_words
+    key += word_of
+    key *= n_topics
+    key += topic_of
+    del word_of, topic_of
+    key.sort()
+    bounds = run_bounds(key)
+    uniq, cnt = key[bounds[:-1]], np.diff(bounds)
+    del key
     labels = LabeledCounts(
         n_docs, n_words, n_topics,
         uniq // (n_words * n_topics), (uniq // n_topics) % n_words, uniq % n_topics, cnt,

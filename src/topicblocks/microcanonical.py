@@ -17,40 +17,37 @@ For word-document graphs the partition factors split by side, so document
 and word nodes are never grouped together.  Everything below is evaluated in
 log space from sparse count aggregates; nothing touches individual tokens.
 
-The aggregates are built by numpy grouping, not per-element loops:
-`CountTables` sums each key pair set (`_pair_sums`) by one `bincount` over
-the pairs' bounding box where the box has no more cells than there are
-pairs and no float sum can reach 2**53, else by one sort of (key, weight)
-packed in an int64 and one `reduceat`, exact integers either way, over the
-bundles once and then over the reduced pairs.  `MixtureTables` groups the
+The aggregates are built by numpy grouping, not per-element loops.
+`CountTables` sums each key pair set (`_pair_sums`) exactly, by one
+`bincount` where no float sum can reach 2**53 and the pairs' bounding box
+has no more cells than there are pairs, or where one key is the other plus
+a constant (a per-doc-group state's (document, group) pairs), else by a
+sort of (key, weight) packed in an int64.  `MixtureTables` groups the
 (node, group)-sorted labeled degrees into node runs, mixtures and (mixture,
 group) pairs, each numbered in order of first occurrence by node.
 `joint_logp` scores the degree and partition priors straight from these
 integer arrays (`logp_degrees_array`, `logp_partition_array`, with
 restricted-partition counts from `partition_counts.log_partitions_array`).
-The dict scorers `logp_degrees_given_mixtures` and `logp_overlap_partition`
-score the same priors from per-side `SideStats` dicts; they are the
-reference the tests check the array path against, built node by node.
 
-Both paths add the same float terms in the same order, the order a
-node-by-node visit gives, so they agree bit for bit and scores are
-reproducible to the bit.  The array path adds floats left to right (a
-sequential `cumsum`, or one vectorized add per column across runs), never
-with `.sum()` or `reduceat`, which add pairwise from eight terms up.  Integer
-log-factorials and composition counts come from `util`, whose scalar calls,
-array calls and `log_factorial_table` lookups give the same float for the
-same n.
+The tests keep node-by-node dict scorers of the same priors
+(`tests/test_microcanonical.py`).  The array path adds the same float terms
+in the same order, the order a node-by-node visit gives, so the two agree
+bit for bit and scores are reproducible to the bit.  It adds floats left to
+right (a sequential `cumsum`, or one vectorized add per column across
+runs), never with `.sum()` or `reduceat`, which add pairwise from eight
+terms up.  Integer log-factorials and composition counts come from `util`,
+whose scalar calls, array calls and `log_factorial_table` lookups give the
+same float for the same n.
 """
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .graph import LabeledGraph
-from .partition_counts import log_partitions, log_partitions_array
+from .partition_counts import log_partitions_array
 from .scores import ModelScore
 from .util import (
     IntegrityError,
@@ -60,18 +57,11 @@ from .util import (
     log_factorial_table,
     log_num_compositions,
     log_num_compositions_large,
+    run_bounds,
 )
 
 
 # --- sparse count aggregates ----------------------------------------------
-
-
-def _run_bounds(sorted_key: np.ndarray) -> np.ndarray:
-    """Start of every run of equal values in `sorted_key`, then its length."""
-    change = np.empty(len(sorted_key) + 1, dtype=bool)
-    change[0] = change[-1] = True
-    np.not_equal(sorted_key[1:], sorted_key[:-1], out=change[1:-1])
-    return np.flatnonzero(change)
 
 
 def _sorted_sums(key: np.ndarray, weight: np.ndarray):
@@ -87,29 +77,43 @@ def _sorted_sums(key: np.ndarray, weight: np.ndarray):
         packed = (key << shift) | weight
         packed.sort()
         key, weight = packed >> shift, packed & ((1 << shift) - 1)
-    starts = _run_bounds(key)[:-1]
+    starts = run_bounds(key)[:-1]
     return key[starts], np.add.reduceat(weight, starts)
 
 
 SMALL_PAIR_SET = 2048  # below this many pairs, finding the box saves nothing over the sort
 
 
-def _pair_sums(a: np.ndarray, b: np.ndarray, weight: np.ndarray, span: int):
+def _pair_sums(a: np.ndarray, b: np.ndarray, weight: np.ndarray, span: int,
+               a_ext=None, b_ext=None, w_max=None):
     """Distinct (a, b) pairs in ascending order and the exact integer sum of
-    the positive weights of each, for a >= 0 and 0 <= b < span: one
-    `bincount` keyed inside the pairs' bounding box when there are
-    SMALL_PAIR_SET pairs or more, the box has no more cells than there are
-    pairs and max(weight) * n stays below 2**53 (float sums are exact
-    there), else `_sorted_sums` of a * span + b."""
+    the positive weights of each, for a >= 0 and 0 <= b < span.
+
+    From SMALL_PAIR_SET pairs up, while max(weight) * n < 2**53 (float sums
+    are exact), one `bincount`: keyed inside the pairs' bounding box if it
+    has no more cells than there are pairs, or over a alone if b - a is one
+    constant and a spans no more values than there are pairs.  Else
+    `_sorted_sums` of a * span + b.  A caller may pass the (min, max) of a
+    and b and max(weight) it has."""
     n = len(weight)
     if n >= SMALL_PAIR_SET:
-        a0, b0 = int(a.min()), int(b.min())
-        box_span = int(b.max()) - b0 + 1
-        if (int(a.max()) - a0 + 1) * box_span <= n and int(weight.max()) * n < 2**53:
-            sums = np.bincount((a - a0) * box_span + (b - b0), weights=weight)
-            key = np.flatnonzero(sums)
-            a_u = key // box_span  # with key - a_u * box_span, twice as fast as np.divmod
-            return a_u + a0, key - a_u * box_span + b0, sums[key].astype(np.int64)
+        (a0, a1), (b0, b1) = (x_ext or (int(x.min()), int(x.max()))
+                              for x, x_ext in ((a, a_ext), (b, b_ext)))
+        if (int(weight.max()) if w_max is None else w_max) * n < 2**53:
+            a_span, box_span = a1 - a0 + 1, b1 - b0 + 1
+            if a_span * box_span <= n:
+                key = a * box_span  # keyed in place: one new array
+                key += b
+                if a0 * box_span + b0:
+                    key -= a0 * box_span + b0
+                sums = np.bincount(key, weights=weight)
+                key = np.flatnonzero(sums)
+                a_u = key // box_span  # with key - a_u * box_span, twice as fast as np.divmod
+                return a_u + a0, key - a_u * box_span + b0, sums[key].astype(np.int64)
+            if a_span == box_span <= n and np.all(b - a == b0 - a0):
+                sums = np.bincount(a - a0 if a0 else a, weights=weight)
+                key = np.flatnonzero(sums)
+                return key + a0, key + b0, sums[key].astype(np.int64)
     key, sums = _sorted_sums(a * span + b, weight)
     a_u = key // span
     return a_u, key - a_u * span, sums
@@ -131,25 +135,33 @@ class CountTables:
     pairs, sorted by (node, group).  Ordered (r, s) pairs are summed over
     the bundles, and only the reduced pairs are folded to r <= s.  The
     `bincount` of `_pair_sums` takes a set whose box, say one side's groups
-    by the other's, has no more cells than the set has pairs; it needs m >= 1.
+    by the other's, has no more cells than the set has pairs, or whose group
+    is its node plus a constant; it needs m >= 1.
     """
 
     def __init__(self, state: LabeledGraph):
         self.n_nodes = state.n_nodes
         self.n_groups = state.n_groups
         B = state.n_groups
-        r, s, pair_m = _pair_sums(state.r, state.s, state.m, B)
+        # the extents of r, s and m, each found once, serve all three bundle sets
+        big = len(state.m) >= SMALL_PAIR_SET
+        i_ext, j_ext, r_ext, s_ext = ((int(x.min()), int(x.max())) if big else None
+                                      for x in (state.i, state.j, state.r, state.s))
+        w_max = int(state.m.max()) if big else None
+        r, s, pair_m = _pair_sums(state.r, state.s, state.m, B, r_ext, s_ext, w_max)
         lo, hi = np.minimum(r, s), np.maximum(r, s)
         self.pair_r, self.pair_s, self.pair_e = _pair_sums(
             lo, hi, np.where(lo == hi, 2 * pair_m, pair_m), B)
         self.E = int(pair_m.sum())
 
-        # each end's (node, group) sums first, then the two reduced halves merged
-        node_i, group_i, sum_i = _pair_sums(state.i, state.r, state.m, B)
-        node_j, group_j, sum_j = _pair_sums(state.j, state.s, state.m, B)
-        self.k_node, self.k_group, self.k_val = _pair_sums(
-            np.concatenate([node_i, node_j]), np.concatenate([group_i, group_j]),
-            np.concatenate([sum_i, sum_j]), B)
+        # each end's (node, group) sums; when every i precedes every j (documents
+        # before words), the two side by side are already sorted and distinct
+        node_i, group_i, sum_i = _pair_sums(state.i, state.r, state.m, B, i_ext, r_ext, w_max)
+        node_j, group_j, sum_j = _pair_sums(state.j, state.s, state.m, B, j_ext, s_ext, w_max)
+        k = [np.concatenate(p) for p in ((node_i, node_j), (group_i, group_j), (sum_i, sum_j))]
+        if len(node_i) and len(node_j) and node_i[-1] >= node_j[0]:
+            k = _pair_sums(*k, B)
+        self.k_node, self.k_group, self.k_val = k
         self.e_r = np.bincount(self.k_group, weights=self.k_val, minlength=B).astype(np.int64)
 
     def dense_e(self) -> np.ndarray:
@@ -157,6 +169,17 @@ class CountTables:
         e[self.pair_r, self.pair_s] = self.pair_e
         e[self.pair_s, self.pair_r] = self.pair_e
         return e
+
+    def drop_empty_groups(self) -> None:
+        """Renumber to the nonempty groups in place, in ascending order, as
+        `compress_groups` renumbers the state: a monotone relabel keeps every
+        sorted order."""
+        kept = self.e_r > 0
+        remap = np.cumsum(kept) - 1
+        self.e_r = self.e_r[kept]
+        self.n_groups = len(self.e_r)
+        self.pair_r, self.pair_s, self.k_group = (remap[x] for x in (self.pair_r, self.pair_s,
+                                                                      self.k_group))
 
 
 def compress_groups(state: LabeledGraph) -> LabeledGraph:
@@ -252,21 +275,6 @@ def logp_marginal_flat(state: LabeledGraph, omega_bar: float) -> float:
 # --- overlapping partitions and degree priors -------------------------------
 
 
-@dataclass
-class SideStats:
-    """Mixture bookkeeping for the nodes of one side (or all nodes)."""
-
-    n_groups: int                       # groups available on this side
-    n_eff: int = 0                      # nodes with a nonempty mixture
-    size_hist: Counter = field(default_factory=Counter)      # q -> n_q
-    mixture_count: Counter = field(default_factory=Counter)  # mixture -> n_b
-    e_mix: dict = field(default_factory=dict)       # (mixture, r) -> degree sum
-    deg_freq: dict = field(default_factory=dict)    # (mixture, r) -> Counter{k: freq}
-    members_with: Counter = field(default_factory=Counter)   # r -> node count S_r
-    m_r: Counter = field(default_factory=Counter)  # r -> occupied mixtures containing r
-    e_r: Counter = field(default_factory=Counter)  # r -> half-edge total
-
-
 class MixtureTables:
     """Integer aggregates of the labeled degrees by node mixture.
 
@@ -275,8 +283,8 @@ class MixtureTables:
     node; a (mixture, group) pair is numbered by its mixture, then by the
     group's place in the mixture; within a pair, distinct degrees are kept in
     order of first occurrence by node.  These are the orders in which a
-    node-by-node visit meets the keys, so every float sum over them below, and
-    over `SideStats` dicts filled node by node, runs in one fixed order.
+    node-by-node visit meets the keys, so every float sum over them below
+    runs in one fixed order.
 
     Built from the tables' (node, group)-sorted labeled degrees: node runs
     from one `flatnonzero`, mixture ids from one `lexsort` of the nodes of
@@ -289,7 +297,7 @@ class MixtureTables:
         t = self.tables = tables if tables is not None else CountTables(state)
         nodes, groups, vals = t.k_node, t.k_group, t.k_val
         n = len(nodes)
-        node_runs = _run_bounds(nodes)
+        node_runs = run_bounds(nodes)
         starts, sizes = node_runs[:-1], np.diff(node_runs)
         if state.side is None:
             node_side = np.zeros(len(starts), np.int64)
@@ -310,7 +318,7 @@ class MixtureTables:
         # mixture ids: the (side, groups...) rows of each size q, lexsorted
         # (stable, so the head of each run of equal rows is its first node)
         by_size = np.argsort(sizes, kind="stable")
-        size_runs = _run_bounds(sizes[by_size]).tolist()
+        size_runs = run_bounds(sizes[by_size]).tolist()
         blocks = []
         for lo, hi in zip(size_runs, size_runs[1:]):
             idx = by_size[lo:hi]
@@ -348,7 +356,7 @@ class MixtureTables:
         k_span = int(vals.max(initial=0)) + 1
         key = entry_pair * k_span + vals
         order = np.argsort(key, kind="stable")
-        runs = _run_bounds(key[order])
+        runs = run_bounds(key[order])
         heads = order[runs[:-1]]  # first occurrence of each (pair, degree)
         run_pair = key[heads] // k_span
         by_pair = np.argsort(run_pair * max(n, 1) + heads)
@@ -378,8 +386,9 @@ def _run_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
 
 
 def _partition_head(n_eff: int, n_groups: int, size_hist, max_overlap: int | None):
-    """`logp_overlap_partition` up to its per-mixture terms, which the caller
-    adds in mixture order, and the log-factorial table they index."""
+    """One side's overlapping partition prior up to its per-mixture terms,
+    which the caller adds in mixture order, and the log-factorial table they
+    index."""
     B = n_groups
     Q = B if max_overlap is None else min(max_overlap, B)
     if any(q > Q for q, _ in size_hist):
@@ -394,23 +403,12 @@ def _partition_head(n_eff: int, n_groups: int, size_hist, max_overlap: int | Non
     return out, lf
 
 
-def logp_overlap_partition(stats: SideStats, max_overlap: int | None = None) -> float:
-    """Log-probability of one side's overlapping partition: uniform mixture
-    size histogram, uniform size assignment, uniform mixture frequencies per
-    size, uniform mixture assignment."""
-    if stats.n_eff == 0:
-        return 0.0
-    out, lf = _partition_head(stats.n_eff, stats.n_groups, list(stats.size_hist.items()),
-                              max_overlap)
-    for mixture, nb in stats.mixture_count.items():
-        out += float(lf[nb])
-    return out
-
-
 def logp_partition_array(mix: MixtureTables, max_overlap: int | None = None) -> float:
-    """The summed `logp_overlap_partition` of every side, from the arrays;
-    the per-mixture terms are added by one sequential `cumsum`, so the value
-    equals the dict path's bit for bit."""
+    """Log-probability of each side's overlapping partition, summed over the
+    sides: uniform mixture size histogram, uniform size assignment, uniform
+    mixture frequencies per size, uniform mixture assignment.  The
+    per-mixture terms are added by one sequential `cumsum`, in the order a
+    node-by-node visit meets the mixtures."""
     parts = []
     for sd in mix.sides:
         if mix.n_eff[sd] == 0:
@@ -424,7 +422,7 @@ def logp_partition_array(mix: MixtureTables, max_overlap: int | None = None) -> 
     return float(sum(parts))
 
 
-def logp_degrees_given_mixtures(stats_by_side: dict) -> float:
+def logp_degrees_array(mix: MixtureTables) -> float:
     """Log-probability of the labeled degrees given e and the mixtures.
 
     Per group: a uniform split of its half-edge total across the occupied
@@ -432,41 +430,13 @@ def logp_degrees_given_mixtures(stats_by_side: dict) -> float:
     per member node.  Per (mixture, group): a uniform restricted partition of
     the per-mixture degree sum into one positive degree per member, then a
     uniform assignment of those degrees to the members.
-    """
-    out = 0.0
-    for st in stats_by_side.values():
-        lf = log_factorial_table(st.n_eff)  # mixture and degree-frequency counts are at most n_eff
-        for r, er in st.e_r.items():
-            mr = st.m_r.get(r, 0)
-            sr = st.members_with.get(r, 0)
-            if mr == 0 or er < sr:
-                raise IntegrityError(
-                    f"group {r} degree total {er} inconsistent with its {sr} members"
-                )
-            out -= float(log_num_compositions(er - sr, mr))
-        for (mixture, g), esum in st.e_mix.items():
-            nb = st.mixture_count[mixture]
-            lp = log_partitions(esum, nb)
-            if lp == -np.inf:
-                raise IntegrityError(
-                    f"degree sum {esum} cannot split into {nb} positive parts"
-                )
-            out -= lp
-            out += float(sum(lf[c] for c in st.deg_freq[(mixture, g)].values()))
-            out -= float(lf[nb])
-    return out
 
-
-def logp_degrees_array(mix: MixtureTables) -> float:
-    """`logp_degrees_given_mixtures` of the side statistics, from the arrays.
-
-    Every term is the dict path's: the O(B) group terms as scalars, the
-    restricted-partition terms from `log_partitions_array`, each pair's
-    frequency log-factorials added left to right (`_run_sums`).  All of them
-    are added in the dict path's order, per side its groups then its pairs,
-    by one sequential `cumsum`, so the value is equal bit for bit.  The
-    checks run in that order too, so a state with several faults raises the
-    dict path's error.
+    The O(B) group terms are scalars, the restricted-partition terms come
+    from `log_partitions_array`, and each pair's frequency log-factorials are
+    added left to right (`_run_sums`).  All of them are added in the order a
+    node-by-node visit gives, per side its groups then its pairs, by one
+    sequential `cumsum`.  The checks run in that order too, so a state with
+    several faults raises the error of the first.
     """
     t = mix.tables
     nb = mix.mix_count[mix.pair_mix]
@@ -629,15 +599,19 @@ def joint_logp(state: LabeledGraph, hierarchy: Hierarchy | None = None,
     """Description length of (graph, labels, partitions): the negative log of
     the joint probability of the labeled graph and every partition level.
 
-    With no hierarchy the state is first compressed to occupied groups, so
-    the score is invariant under group relabelings and ignores transiently
-    empty groups.
+    With no hierarchy the state is scored as if compressed to occupied
+    groups, so the score is invariant under group relabelings and ignores
+    transiently empty groups.  Only a state with an empty group (e_r = 0,
+    as m >= 1) is compressed, with its tables renumbered alike; when every
+    group is occupied the relabel is the identity.
     """
-    if hierarchy is None or not hierarchy.assignments:
-        state = compress_groups(state)
-        hierarchy = Hierarchy()
     tables = CountTables(state)
-    if np.any(tables.e_r == 0):
+    if hierarchy is None or not hierarchy.assignments:
+        hierarchy = Hierarchy()
+        if not tables.e_r.all():
+            state = compress_groups(state)
+            tables.drop_empty_groups()
+    elif np.any(tables.e_r == 0):
         raise IntegrityError("empty group in a scored state")
     mix = MixtureTables(state, tables)
     breakdown = {}

@@ -43,15 +43,17 @@ def _lda_noninformative_score(labels: LabeledCounts):
 
 def score_four_models(sample) -> dict:
     """Per-token description lengths of the four standard parametrizations on
-    one labeled sample, keyed lda_true / lda_noninf / sbm_noclust / sbm_clust."""
+    one labeled sample, keyed lda_true / lda_noninf / sbm_noclust / sbm_clust.
+    The three scores over the realized vocabulary share one relabel to it."""
     M = sample.labels.total_tokens
+    realized = sample.labels.over_realized_words()
     return {
         "lda_true": lda_description_length(
             sample.labels, sample.hyper, model_id="lda", parametrization="true-prior"
         ).sigma_nats / M,
-        "lda_noninf": _lda_noninformative_score(sample.labels).sigma_nats / M,
-        "sbm_noclust": fixed_label_score(sample, "per-doc-group").sigma_nats / M,
-        "sbm_clust": fixed_label_score(sample, "doc-clustering").sigma_nats / M,
+        "lda_noninf": _lda_noninformative_score(realized).sigma_nats / M,
+        "sbm_noclust": fixed_label_score(realized, "per-doc-group").sigma_nats / M,
+        "sbm_clust": fixed_label_score(realized, "doc-clustering").sigma_nats / M,
         "n_tokens": M,
     }
 

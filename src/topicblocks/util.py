@@ -19,6 +19,14 @@ class IntegrityError(Exception):
     """A state object violates one of its internal consistency invariants."""
 
 
+def run_bounds(sorted_key: np.ndarray) -> np.ndarray:
+    """Start of every run of equal values in `sorted_key`, then its length."""
+    change = np.empty(len(sorted_key) + 1, dtype=bool)
+    change[0] = change[-1] = True
+    np.not_equal(sorted_key[1:], sorted_key[:-1], out=change[1:-1])
+    return np.flatnonzero(change)
+
+
 def require_keys(payload, keys, what: str) -> None:
     """Refuse a parsed JSON file that is not an object holding every key."""
     if not isinstance(payload, dict):

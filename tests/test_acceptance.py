@@ -32,17 +32,15 @@ from topicblocks.graph import plsi_to_sbm_params, poisson_bundle_loglik
 from topicblocks.lda import LdaParams
 from topicblocks.microcanonical import (
     CountTables,
-    SideStats,
     joint_logp,
     logp_degrees_flat,
-    logp_degrees_given_mixtures,
     logp_edge_matrix_geometric,
     logp_graph_given_ke,
     logp_marginal_flat,
-    logp_overlap_partition,
 )
 from topicblocks.partition_counts import count_partitions
 from topicblocks.presets import bimodal_recovery, four_model_curves, hyper_sweep
+from test_microcanonical import SideStats, logp_degrees_given_mixtures, logp_overlap_partition
 
 REPORT = os.path.join(os.path.dirname(__file__), "..", "acceptance_report.txt")
 _started = False
@@ -438,12 +436,15 @@ def test_criterion_9_inference_sanity():
             3, 3, [e[0] for e in edges], [e[1] for e in edges], [0] * len(edges),
             [2] * len(edges), [1] * len(edges), 4, np.array([0, 0, 1, 1]))
         rng = np.random.default_rng(9000 + chain)
+        sigma = None  # each sweep starts from the sigma the previous one returned
         for _ in range(20):
-            st, _ = mh_sweep(st, rng, temperature=10.0, doc_labels=DOC_LABELS,
-                             word_labels=WORD_LABELS)
+            st, stats = mh_sweep(st, rng, temperature=10.0, doc_labels=DOC_LABELS,
+                                 word_labels=WORD_LABELS, sigma=sigma)
+            sigma = stats["sigma"]
         for i in range(n_sweeps):
-            st, _ = mh_sweep(st, rng, temperature=1.0, doc_labels=DOC_LABELS,
-                             word_labels=WORD_LABELS)
+            st, stats = mh_sweep(st, rng, temperature=1.0, doc_labels=DOC_LABELS,
+                                 word_labels=WORD_LABELS, sigma=sigma)
+            sigma = stats["sigma"]
             if i >= burn:
                 k = state_key(st)
                 counts[k] = counts.get(k, 0) + 1

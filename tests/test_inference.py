@@ -165,6 +165,24 @@ class TestGreedyFit:
         with pytest.raises(IntegrityError, match="side"):
             mh_sweep(state, np.random.default_rng(10), doc_labels=[0, 2])
 
+    @given(labeled_states(), hst.sampled_from([0.0, 1.0, 10.0]), hst.integers(0, 2**32 - 1))
+    def test_chain_carries_sigma(self, state, temperature, seed):
+        """Each sweep reports the sigma of the state it ends at; a chain that
+        passes it to the next sweep draws and moves exactly as one whose
+        sweeps score their start states themselves."""
+        labels = side_groups(state, 0), side_groups(state, 1)
+        rescored, carried = state, state
+        rng_rescored, rng_carried = (np.random.default_rng(seed) for _ in range(2))
+        sigma = None
+        for _ in range(3):
+            rescored, _ = mh_sweep(rescored, rng_rescored, temperature, *labels)
+            carried, stats = mh_sweep(carried, rng_carried, temperature, *labels, sigma=sigma)
+            sigma = stats["sigma"]
+            assert sigma == joint_logp(carried).sigma_nats
+        for name in ("i", "j", "r", "s", "m"):
+            assert np.array_equal(getattr(rescored, name), getattr(carried, name))
+        assert rng_rescored.random() == rng_carried.random()
+
     def test_planted_bicliques_recovered(self):
         graph = planted_biclique_graph()
         cfg = InferenceConfig(mode="greedy", doc_clustering="clustered",
@@ -576,6 +594,36 @@ class TestAnchoredFitter:
         z, _, _ = fit_doc_anchored(dense, 3, seed=1, n_restarts=1, gibbs_sweeps=5)
         assert np.array_equal(z.sum(axis=2), dense)
 
+    def test_batches_skip_only_repeated_rescores(self, monkeypatch):
+        """A batch fraction that moves the bundles just rejected is rejected
+        unscored: the fit, its trace and every accept decision are those of
+        rescoring it, with fewer anchored scores."""
+        sample = sample_mixture_corpus(np.asarray(presets.BIMODAL_ALPHA_VECTORS), 40, 30, 60,
+                                       np.full(30, 0.01), seed=2)
+        dense = np.zeros((40, 30), dtype=np.int64)
+        np.add.at(dense, (sample.labels.d, sample.labels.w), sample.labels.counts)
+        score, runs = inference.score_doc_anchored, []
+        for try_batch in (inference._try_batch, try_batch_reference):
+            scored, decisions = [], []
+
+            def counting(*args, **kwargs):
+                scored.append(1)
+                return score(*args, **kwargs)
+
+            def deciding(*args, **kwargs):
+                decisions.append(try_batch(*args, **kwargs))
+                return decisions[-1]
+
+            monkeypatch.setattr(inference, "score_doc_anchored", counting)
+            monkeypatch.setattr(inference, "_try_batch", deciding)
+            z, sigma, trace = fit_doc_anchored(dense, 3, seed=1, n_restarts=2, gibbs_sweeps=4)
+            runs.append((z, sigma, trace, decisions, len(scored)))
+        (z, sigma, trace, decisions, n_scored), (z_ref, sigma_ref, trace_ref, decisions_ref,
+                                                 n_ref) = runs
+        assert np.array_equal(z, z_ref) and sigma == sigma_ref and trace == trace_ref
+        assert decisions == decisions_ref
+        assert n_scored < n_ref
+
     def test_small_bimodal_recovery_pinned(self):
         """The whole anchored path (Gibbs start, batch descent, agglomerative
         refinement, polish, hierarchy) reproduces recorded values."""
@@ -584,6 +632,24 @@ class TestAnchoredFitter:
         assert abs(r["sigma_anchored"] - 3094.0777896808154) < 1e-9
         assert abs(r["sigma_sbm"] - 1248.8709734826243) < 1e-9
         assert r["mode_count"] == 2
+
+
+def try_batch_reference(rows, cand, sigma, bundles, max_overlap=None):
+    """`inference._try_batch` scoring every fraction, also one that moves the
+    bundles the fraction before it moved."""
+    order = np.argsort(-cand["margin"])
+    fraction = 1.0
+    while fraction >= 1 / 64:
+        subset = np.zeros(len(rows), dtype=bool)
+        subset[order[: max(1, int(len(order) * fraction))]] = True
+        sel = np.flatnonzero(cand["mask"] & subset)
+        before = inference._apply_anchored(rows, cand, bundles, sel)
+        new_sigma = inference.score_doc_anchored(rows, bundles, max_overlap).sigma_nats
+        if new_sigma < sigma - 1e-9:
+            return True, new_sigma
+        rows[sel] = before
+        fraction /= 4
+    return False, sigma
 
 
 def _gibbs_reference(rows, bundles, rng, sweeps=25, pseudo_doc=1.0,

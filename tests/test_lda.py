@@ -10,6 +10,7 @@ from topicblocks.lda import (
     DirichletHyper,
     LabeledCounts,
     LdaParams,
+    LdaSample,
     double_power_law_base,
     harmonic_base,
     lda_description_length,
@@ -55,6 +56,29 @@ class TestMakeHyper:
         assert -2.3 < hi < -1.7
 
 
+def sample_corpus_reference(n_topics, n_docs, n_words, doc_lengths, hyper, seed):
+    """`sample_corpus` with the bundle keys counted by `np.unique`."""
+    k_d = np.full(n_docs, doc_lengths, dtype=np.int64) if np.isscalar(doc_lengths) \
+        else np.asarray(doc_lengths, dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    phi = rng.dirichlet(hyper.beta_row, size=n_topics)
+    theta = rng.dirichlet(hyper.alpha_row, size=n_docs)
+    topic_counts = rng.multinomial(k_d, theta)
+    doc_of = np.repeat(np.arange(n_docs), k_d)
+    topic_of = np.repeat(np.tile(np.arange(n_topics), n_docs), topic_counts.reshape(-1))
+    word_of = np.empty_like(topic_of)
+    for r in range(n_topics):
+        mask = topic_of == r
+        total = int(mask.sum())
+        if total:
+            word_of[mask] = rng.choice(n_words, size=total, p=phi[r])
+    key = (doc_of * n_words + word_of) * n_topics + topic_of
+    uniq, cnt = np.unique(key, return_counts=True)
+    labels = LabeledCounts(n_docs, n_words, n_topics, uniq // (n_words * n_topics),
+                           (uniq // n_topics) % n_words, uniq % n_topics, cnt)
+    return LdaSample(labels, LdaParams(k_d.astype(float), theta, phi), hyper, seed)
+
+
 class TestSampler:
     def test_deterministic(self):
         h = make_hyper(1.0, 1.0, np.full(2, 0.5), np.full(6, 1 / 6))
@@ -87,6 +111,23 @@ class TestSampler:
     def test_zero_dims_rejected(self):
         with pytest.raises(ValueError):
             sample_corpus(0, 2, 2, 5, noninformative_hyper(1, 2), seed=0)
+
+    @given(hst.integers(1, 4), hst.integers(1, 6), hst.integers(1, 8),
+           hst.one_of(hst.integers(0, 30), hst.lists(hst.integers(0, 30), min_size=6,
+                                                     max_size=6)),
+           hst.integers(0, 2**32 - 1))
+    def test_counts_match_the_unique_version(self, K, D, V, lengths, seed):
+        """The in-place key and run count give the labels that `np.unique`
+        of the whole key gives, and the same parameters."""
+        lengths = lengths if np.isscalar(lengths) else lengths[:D]
+        h = make_hyper(1.0, 0.5, np.full(K, 1 / K), harmonic_base(V))
+        got, want = (fn(K, D, V, lengths, h, seed=seed)
+                     for fn in (sample_corpus, sample_corpus_reference))
+        for name in ("d", "w", "r", "counts"):
+            x, y = getattr(got.labels, name), getattr(want.labels, name)
+            assert x.dtype == y.dtype == np.int64 and np.array_equal(x, y), name
+        assert np.array_equal(got.params.theta, want.params.theta)
+        assert np.array_equal(got.params.phi, want.params.phi)
 
     def test_mixture_sampler_components(self):
         alphas = np.array([[50.0, 1.0], [1.0, 50.0]])

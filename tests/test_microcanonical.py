@@ -3,6 +3,7 @@ import functools
 import itertools
 import math
 from collections import Counter
+from dataclasses import dataclass, field
 from unittest import mock
 
 import numpy as np
@@ -16,30 +17,93 @@ from topicblocks.inference import labels_to_state
 from topicblocks.microcanonical import (
     _check_group_sides,
     _pair_sums,
+    _partition_head,
     _run_sums,
     _sorted_sums,
     CountTables,
     Hierarchy,
     MixtureTables,
-    SideStats,
     aggregate_matrix,
     compress_groups,
     hierarchy_group_sides,
     joint_logp,
     logp_degrees_array,
     logp_degrees_flat,
-    logp_degrees_given_mixtures,
     logp_edge_matrix_geometric,
     logp_graph_given_ke,
     logp_hierarchy,
     logp_level_matrix,
     logp_level_partition,
     logp_marginal_flat,
-    logp_overlap_partition,
     logp_partition_array,
     top_level_density,
 )
-from topicblocks.util import IntegrityError, log_factorial_table
+from topicblocks.partition_counts import log_partitions
+from topicblocks.util import IntegrityError, log_factorial_table, log_num_compositions
+
+
+# --- dict scorers: the reference the array path is checked against ----------
+
+
+@dataclass
+class SideStats:
+    """Mixture bookkeeping for the nodes of one side (or all nodes)."""
+
+    n_groups: int                       # groups available on this side
+    n_eff: int = 0                      # nodes with a nonempty mixture
+    size_hist: Counter = field(default_factory=Counter)      # q -> n_q
+    mixture_count: Counter = field(default_factory=Counter)  # mixture -> n_b
+    e_mix: dict = field(default_factory=dict)       # (mixture, r) -> degree sum
+    deg_freq: dict = field(default_factory=dict)    # (mixture, r) -> Counter{k: freq}
+    members_with: Counter = field(default_factory=Counter)   # r -> node count S_r
+    m_r: Counter = field(default_factory=Counter)  # r -> occupied mixtures containing r
+    e_r: Counter = field(default_factory=Counter)  # r -> half-edge total
+
+
+def logp_overlap_partition(stats: SideStats, max_overlap: int | None = None) -> float:
+    """Log-probability of one side's overlapping partition: uniform mixture
+    size histogram, uniform size assignment, uniform mixture frequencies per
+    size, uniform mixture assignment."""
+    if stats.n_eff == 0:
+        return 0.0
+    out, lf = _partition_head(stats.n_eff, stats.n_groups, list(stats.size_hist.items()),
+                              max_overlap)
+    for mixture, nb in stats.mixture_count.items():
+        out += float(lf[nb])
+    return out
+
+
+def logp_degrees_given_mixtures(stats_by_side: dict) -> float:
+    """Log-probability of the labeled degrees given e and the mixtures.
+
+    Per group: a uniform split of its half-edge total across the occupied
+    mixtures containing it, with every mixture taking at least one half-edge
+    per member node.  Per (mixture, group): a uniform restricted partition of
+    the per-mixture degree sum into one positive degree per member, then a
+    uniform assignment of those degrees to the members.
+    """
+    out = 0.0
+    for st in stats_by_side.values():
+        lf = log_factorial_table(st.n_eff)  # mixture and degree-frequency counts are at most n_eff
+        for r, er in st.e_r.items():
+            mr = st.m_r.get(r, 0)
+            sr = st.members_with.get(r, 0)
+            if mr == 0 or er < sr:
+                raise IntegrityError(
+                    f"group {r} degree total {er} inconsistent with its {sr} members"
+                )
+            out -= float(log_num_compositions(er - sr, mr))
+        for (mixture, g), esum in st.e_mix.items():
+            nb = st.mixture_count[mixture]
+            lp = log_partitions(esum, nb)
+            if lp == -np.inf:
+                raise IntegrityError(
+                    f"degree sum {esum} cannot split into {nb} positive parts"
+                )
+            out -= lp
+            out += float(sum(lf[c] for c in st.deg_freq[(mixture, g)].values()))
+            out -= float(lf[nb])
+    return out
 
 
 def random_state(rng, n_max=6, e_max=8, b_max=3, allow_loops=True):
@@ -759,8 +823,8 @@ class TestPackedSums:
 
     @pytest.mark.parametrize("variant", ["per-doc-group", "doc-clustering"])
     def test_corpus_tables_match_the_reference(self, monkeypatch, variant):
-        """On a true-label corpus state some of the five key pair sets take
-        the bincount and the rest the sort."""
+        """On a true-label corpus state some key pair sets take the bincount
+        and the rest the sort."""
         state = compress_groups(corpus_state(3, variant))
         sorted_sums, sorts = microcanonical._sorted_sums, []
 
@@ -1001,3 +1065,120 @@ class TestArrayErrorPaths:
         joint_logp(st, max_overlap=2)
         with pytest.raises(ValueError, match="overlap"):
             joint_logp(st, max_overlap=1)
+
+
+@hst.composite
+def offset_rows(draw):
+    """(a, a + offset, weight) rows: a within 1, 4 or 61 values from a start
+    up to 3000, one offset in -a_min..3000, small weights or, in half the
+    draws, also weights near 2**52, whose float sums would be inexact."""
+    a0, span = draw(hst.integers(0, 3000)), draw(hst.sampled_from([0, 3, 60]))
+    offset = draw(hst.integers(-a0, 3000))
+    weight = hst.integers(1, 50)
+    if draw(hst.booleans()):
+        weight = hst.one_of(weight, hst.integers(2**52 - 2, 2**52 + 1))
+    rows = draw(hst.lists(hst.tuples(hst.integers(a0, a0 + span), weight), max_size=30))
+    return [(a, a + offset, w) for a, w in rows]
+
+
+def count_calls(monkeypatch, module, name):
+    """Patch `module.name` to log the length of its first argument per call."""
+    fn, calls = getattr(module, name), []
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[0]))
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+class TestDenseKeys:
+    """`_pair_sums` sums a set whose b is a plus one constant by one
+    `bincount` over a; `CountTables` joins a bipartite state's two ends'
+    labeled degrees without a further sum; `joint_logp` compresses only a
+    state with an empty group, renumbering its tables alike."""
+
+    @given(offset_rows(), hst.sampled_from([1, microcanonical.SMALL_PAIR_SET]))
+    @example([(5, 5, 1), (6, 6, 2), (5, 5, 3)], 1)
+    @example([(9, 2, 1), (8, 1, 2)], 1)
+    @example([(0, 7, 2**52 + 1)] * 3, 1)
+    def test_constant_offset_sums_match_a_counter(self, rows, small_set):
+        sums = Counter()
+        for a, b, w in rows:
+            sums[a, b] += w
+        a, b, weight = (np.array([row[c] for row in rows], dtype=np.int64) for c in range(3))
+        with mock.patch.object(microcanonical, "SMALL_PAIR_SET", small_set):
+            got = _pair_sums(a, b, weight, 6001)
+        assert all(x.dtype == np.int64 for x in got)
+        got_a, got_b, got_sum = (x.tolist() for x in got)
+        assert list(zip(zip(got_a, got_b), got_sum)) == sorted(sums.items())
+
+    @pytest.mark.parametrize("a, b, weight, counted", [
+        ([3, 4, 3, 5], [10, 11, 10, 12], [1, 2, 3, 4], True),   # 3 x 3 box, a spans 3
+        ([3, 4, 3, 5], [1, 2, 1, 3], [1, 2, 3, 4], True),       # offset -2
+        ([3, 4, 3, 5], [10, 11, 10, 13], [1, 2, 3, 4], False),  # b - a not constant
+        ([0, 4, 0, 4], [2, 6, 2, 6], [1, 1, 1, 1], False),      # a spans 5 values, 4 pairs
+        ([0, 1], [3, 4], [2**52 - 1, 2**52 - 1], True),         # max * n < 2**53
+        ([0, 1], [3, 4], [2**52, 3], False),                    # max * n = 2**53
+    ])
+    def test_constant_offset_guard(self, monkeypatch, a, b, weight, counted):
+        """The bincount over a runs only where b - a is one constant, a spans
+        no more values than there are pairs and max(weight) * n < 2**53."""
+        calls = count_calls(monkeypatch, np, "bincount")
+        monkeypatch.setattr(microcanonical, "SMALL_PAIR_SET", 1)
+        sums = Counter()
+        for pair in zip(a, b, weight):
+            sums[pair[:2]] += pair[2]
+        got = _pair_sums(*(np.array(x, dtype=np.int64) for x in (a, b, weight)), 20)
+        assert list(zip(zip(got[0].tolist(), got[1].tolist()), got[2].tolist())) == sorted(
+            sums.items())
+        assert len(calls) == counted
+
+    @given(label_sets().filter(lambda labels: labels.counts.all()),
+           hst.sampled_from(["per-doc-group", "doc-clustering"]), hst.booleans(),
+           hst.sampled_from([1, microcanonical.SMALL_PAIR_SET]))
+    def test_label_state_tables_match_the_reference(self, labels, variant, compress, small_set):
+        """Per-doc-group and doc-clustering states, with empty groups (a
+        document or a topic without tokens) or compressed; with a small-set
+        cut-off of 1 every bundle set weighs the bincounts."""
+        state = labels_to_state(labels, variant)
+        state = compress_groups(state) if compress else state
+        with mock.patch.object(microcanonical, "SMALL_PAIR_SET", small_set):
+            assert_same_tables(CountTables(state), CountTablesReference(state))
+
+    @pytest.mark.parametrize("variant", ["per-doc-group", "doc-clustering"])
+    def test_corpus_states_sort_only_the_folded_pairs(self, monkeypatch, variant):
+        """On a true-label corpus state (5324 bundles, every group occupied)
+        only the folded group pairs, fewer than SMALL_PAIR_SET, are sorted:
+        per-doc-group (document, group) pairs take the bincount over the
+        documents, and the labeled degrees are the two ends' sums joined."""
+        state = corpus_state(3, variant)
+        sorts = count_calls(monkeypatch, microcanonical, "_sorted_sums")
+        bincounts = count_calls(monkeypatch, np, "bincount")
+        assert_same_tables(CountTables(state), CountTablesReference(state))
+        assert len(sorts) == 1 and sorts[0] < microcanonical.SMALL_PAIR_SET
+        assert bincounts == [len(state.m)] * 3 + [len(CountTablesReference(state).k_node)]
+
+    @given(hst.one_of(general_states(), bipartite_states()),
+           hst.sampled_from([1, microcanonical.SMALL_PAIR_SET]))
+    @example(state_from_label_arrays(2, 2, [0, 1], [0, 1], [0, 0], [3, 3], [1, 1], 5,
+                                     [0, 0, 0, 1, 1]), 1)
+    def test_empty_groups_score_as_compressed(self, state, small_set):
+        """A state with empty groups scores as its compressed copy, bit for
+        bit, and its tables renumbered in place equal the copy's."""
+        with mock.patch.object(microcanonical, "SMALL_PAIR_SET", small_set):
+            compressed = compress_groups(state)
+            assert joint_logp(state).breakdown == joint_logp(compressed).breakdown
+            tables = CountTables(state)
+            tables.drop_empty_groups()
+            assert_same_tables(tables, CountTables(compressed))
+
+    @given(label_sets().filter(lambda labels: labels.counts.all()),
+           hst.sampled_from(["per-doc-group", "doc-clustering"]))
+    def test_label_states_score_as_compressed(self, labels, variant):
+        state = labels_to_state(labels, variant)
+        with mock.patch.object(microcanonical, "SMALL_PAIR_SET", 1):
+            assert (joint_logp(state).breakdown
+                    == joint_logp(compress_groups(state)).breakdown
+                    == joint_breakdown_reference(state))
