@@ -865,7 +865,7 @@ class NonoverlappingAgglomerator:
         out = terms[gs]
         stale = np.isnan(out[:, 3])
         if stale.any():
-            stale = np.unique(gs[stale])
+            stale = np.flatnonzero(np.bincount(gs[stale]))
             terms[stale, 3] = self._row_cells(self.e_mat[stale, :] if side == 0
                                               else self.e_mat[:, stale].T)
             out = terms[gs]

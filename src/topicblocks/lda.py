@@ -17,11 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .graph import BipartiteMultigraph
 from .scores import ModelScore
-from .util import IntegrityError, log_factorial, log_factorial_table, run_bounds
+from .util import IntegrityError, gammaln, log_factorial, log_factorial_table, run_bounds
 
 
 @dataclass
@@ -116,7 +115,8 @@ def _sum_by_key(key: np.ndarray, counts: np.ndarray, shape) -> np.ndarray:
 
 
 class LabeledCounts:
-    """Sparse labeled counts n_dw^r as parallel (d, w, r, count) arrays."""
+    """Sparse labeled counts n_dw^r as parallel (d, w, r, count) arrays,
+    never changed in place: aggregates are computed once and kept."""
 
     def __init__(self, n_docs, n_words, n_topics, d, w, r, counts):
         self.n_docs = int(n_docs)
@@ -128,6 +128,9 @@ class LabeledCounts:
         self.counts = np.asarray(counts, dtype=np.int64)
         if np.any(self.counts < 0):
             raise IntegrityError("labeled counts must be nonnegative")
+        self._words_realized = False
+        # aggregates of (d, r, counts), shared with a relabel of the words
+        self._shared = {}
 
     @property
     def total_tokens(self) -> int:
@@ -137,8 +140,21 @@ class LabeledCounts:
         return _sum_by_key(self.d, self.counts, self.n_docs)
 
     def doc_topic_counts(self) -> np.ndarray:
-        return _sum_by_key(self.d * self.n_topics + self.r, self.counts,
-                           (self.n_docs, self.n_topics))
+        """(n_docs, n_topics) token totals, read-only."""
+        table = self._shared.get("doc_topic")
+        if table is None:
+            table = _sum_by_key(self.d * self.n_topics + self.r, self.counts,
+                                (self.n_docs, self.n_topics))
+            table.flags.writeable = False
+            self._shared["doc_topic"] = table
+        return table
+
+    def log_count_factorials(self) -> float:
+        """Sum of log n! over the entries' counts."""
+        if "log_counts" not in self._shared:
+            table = log_factorial_table(int(self.counts.max(initial=0)))
+            self._shared["log_counts"] = float(table[self.counts].sum())
+        return self._shared["log_counts"]
 
     def word_topic_counts(self) -> np.ndarray:
         return _sum_by_key(self.w * self.n_topics + self.r, self.counts,
@@ -148,14 +164,20 @@ class LabeledCounts:
         """The same entries over the realized vocabulary: words with no entry
         are dropped and the rest renumbered in increasing order.  When no word
         is dropped, these labels themselves."""
+        if self._words_realized:
+            return self
         counts = np.bincount(self.w, minlength=self.n_words)
         if len(counts) == self.n_words and counts.all():
+            self._words_realized = True
             return self
         realized = np.flatnonzero(counts)
         remap = -np.ones(self.n_words, dtype=np.int64)
         remap[realized] = np.arange(len(realized))
-        return LabeledCounts(self.n_docs, len(realized), self.n_topics,
-                             self.d, remap[self.w], self.r, self.counts)
+        labels = LabeledCounts(self.n_docs, len(realized), self.n_topics,
+                               self.d, remap[self.w], self.r, self.counts)
+        labels._words_realized = True
+        labels._shared = self._shared
+        return labels
 
     def word_doc_counts(self):
         """Collapse topic labels: unique (d, w) pairs with positive totals."""
@@ -311,13 +333,13 @@ def lda_marginal_loglik(labels: LabeledCounts, hyper: DirichletHyper, eta_d=None
     if np.any((eta == 0) & (k_d > 0)):
         return float(-np.inf)
     ll = float(len_term.sum() - eta.sum())
-    ll -= float(log_factorial_table(int(labels.counts.max(initial=0)))[labels.counts].sum())
+    ll -= labels.log_count_factorials()
 
     alpha = hyper.alpha_row
     a_sum = float(alpha.sum())
     ll += float((gammaln(a_sum) - gammaln(k_d + a_sum)).sum())
     d_nz, r_nz = np.nonzero(ndr)
-    ll += float((gammaln(ndr[d_nz, r_nz] + alpha[r_nz]) - gammaln(alpha[r_nz])).sum())
+    ll += float((gammaln(ndr[d_nz, r_nz] + alpha[r_nz]) - gammaln(alpha)[r_nz]).sum())
 
     beta = hyper.beta_row
     b_sum = float(beta.sum())
@@ -325,7 +347,9 @@ def lda_marginal_loglik(labels: LabeledCounts, hyper: DirichletHyper, eta_d=None
     ll += float((gammaln(b_sum) - gammaln(n_r + b_sum)).sum())
     nwr = labels.word_topic_counts()
     w_nz, r_nz = np.nonzero(nwr)
-    ll += float((gammaln(nwr[w_nz, r_nz] + beta[w_nz]) - gammaln(beta[w_nz])).sum())
+    runs = run_bounds(w_nz)  # w_nz ascends: one run per realized word
+    log_gamma_beta = np.repeat(gammaln(beta[w_nz[runs[:-1]]]), np.diff(runs))
+    ll += float((gammaln(nwr[w_nz, r_nz] + beta[w_nz]) - log_gamma_beta).sum())
     return ll
 
 

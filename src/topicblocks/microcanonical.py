@@ -36,8 +36,8 @@ bit for bit and scores are reproducible to the bit.  It adds floats left to
 right (a sequential `cumsum`, or one vectorized add per column across
 runs), never with `.sum()` or `reduceat`, which add pairwise from eight
 terms up.  Integer log-factorials and composition counts come from `util`,
-whose scalar calls, array calls and `log_factorial_table` lookups give the
-same float for the same n.
+where every log n! is a read of one table (`log_factorial_table`), so scalar
+calls, array calls and lookups give the same float for the same n.
 """
 from __future__ import annotations
 
@@ -536,9 +536,9 @@ def logp_level_partition(assignment: np.ndarray, group_side=None) -> float:
         b_prev = int(mask.sum())
         if b_prev == 0:
             continue
-        coarse = np.unique(assignment[mask])
-        b_new = len(coarse)
-        sizes = np.array([(assignment[mask] == c).sum() for c in coarse])
+        sizes = np.bincount(assignment[mask])
+        sizes = sizes[sizes > 0]
+        b_new = len(sizes)
         out += float(log_factorial(sizes).sum()) - float(log_factorial(b_prev))
         out -= float(log_binom(b_prev - 1, b_new - 1))
         out -= math.log(b_prev)

@@ -28,9 +28,20 @@ import functools
 import math
 
 import numpy as np
-from scipy.special import spence
 
-from .util import log_binom, log_factorial
+from .util import log_binom, log_factorial, polevl
+
+# cephes spence (the routine behind `scipy.special.spence`): the dilogarithm
+# Li2(1 - x) = -w A(w) / B(w) with w = x - 1 near 1, reached from the rest of
+# x >= 0 by the reflection and inversion formulas
+_SPENCE_A = (4.65128586073990045278E-5, 7.31589045238094711071E-3,
+             1.33847639578309018650E-1, 8.79691311754530315341E-1,
+             2.71149851196553469920E0, 4.25697156008121755724E0,
+             3.29771340985225106936E0, 1.00000000000000000126E0)
+_SPENCE_B = (6.90990488912553276999E-4, 2.54043763932544379113E-2,
+             2.82974860602568089943E-1, 1.41172597751831069617E0,
+             3.63800533345137075418E0, 5.03278880143316990390E0,
+             3.54771340985225096217E0, 9.99999999999999998740E-1)
 
 # q-arguments above this use the asymptotic instead of the exact log table
 EXACT_LIMIT = 10_000
@@ -129,6 +140,34 @@ def _extend_row(row: np.ndarray, prev: np.ndarray, k: int) -> np.ndarray:
 
 
 _logq = _LogQTable()
+
+
+def spence(x: float) -> float:
+    """cephes spence for a float x >= 0: the integral from 1 to x of
+    log(t) / (1 - t) dt, computed in cephes' order of operations."""
+    if x == 1.0:
+        return 0.0
+    if x == 0.0:
+        return math.pi * math.pi / 6.0
+    inverted = x > 2.0
+    if inverted:
+        x = 1.0 / x
+    reflected = False
+    if x > 1.5:
+        w = (1.0 / x) - 1.0
+        inverted = True
+    elif x < 0.5:
+        w = -x
+        reflected = True
+    else:
+        w = x - 1.0
+    y = -w * polevl(w, _SPENCE_A) / polevl(w, _SPENCE_B)
+    if reflected:
+        y = (math.pi * math.pi) / 6.0 - math.log(x) * math.log(1.0 - x) - y
+    if inverted:
+        z = math.log(x)
+        y = -0.5 * z * z - y
+    return y
 
 
 def _szekeres_v(u: float, epsilon: float = 1e-10) -> float:

@@ -21,7 +21,7 @@ from topicblocks.lda import (
     sample_corpus,
     sample_mixture_corpus,
 )
-from topicblocks.util import IntegrityError
+from topicblocks.util import IntegrityError, log_factorial
 
 
 class TestMakeHyper:
@@ -289,6 +289,19 @@ class TestLabeledCountsAggregates:
                            ("counts", lab.counts)]:
             assert getattr(got, name).dtype == want.dtype == np.int64
             assert np.array_equal(getattr(got, name), want), name
+
+    def test_word_relabel_shares_the_aggregates_and_counts_words_once(self, monkeypatch):
+        lab = LabeledCounts(2, 4, 2, [0, 0, 1], [0, 3, 3], [0, 1, 1], [2, 1, 5])
+        got = lab.over_realized_words()
+        assert got is not lab and got.doc_topic_counts() is lab.doc_topic_counts()
+        assert not got.doc_topic_counts().flags.writeable
+        assert got.log_count_factorials() == lab.log_count_factorials() == (
+            log_factorial(2) + log_factorial(1) + log_factorial(5))
+        counted = []
+        bincount = np.bincount
+        monkeypatch.setattr(np, "bincount", lambda *a, **k: counted.append(a) or bincount(*a, **k))
+        assert got.over_realized_words() is got
+        assert counted == []
 
     def test_out_of_range_label_is_refused(self):
         lab = LabeledCounts(2, 2, 1, [0, 2], [0, 1], [0, 0], [1, 1])

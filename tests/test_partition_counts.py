@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as hst
+from scipy.special import spence as scipy_spence
 
 from topicblocks import partition_counts
 from topicblocks.partition_counts import (
@@ -13,6 +14,7 @@ from topicblocks.partition_counts import (
     log_partitions_array,
     log_q_approx,
     log_q_exact,
+    spence,
 )
 
 
@@ -205,3 +207,9 @@ class TestLogPartitionsArray:
         got = assert_array_equals_scalar(m, n)
         assert got[3] == log_q_exact(partition_counts.EXACT_LIMIT, 9)
         assert got[7] == log_q_approx(partition_counts.EXACT_LIMIT + 1, 9)
+
+
+@given(hst.lists(hst.floats(min_value=0.0, max_value=3.0), min_size=1, max_size=50))
+@example([0.0, 5e-324, 1e-300, 0.5, 1.0, 1.5, 2.0, 3.0, math.exp(-1e-10)])
+def test_spence_equals_scipy(xs):
+    assert [spence(x) for x in xs] == scipy_spence(np.array(xs)).tolist()
