@@ -10,17 +10,19 @@ quantity enters the degree priors of the microcanonical block model, where a
 uniform distribution over degree histograms contributes a -log p(m, n) term.
 
 Exact values are kept in two forms: arbitrary-precision integers (for small
-arguments and for verification) and a float table of natural logs built with
-the equivalent "at most n parts" recurrence
+arguments and for verification) and a float64 table of q built with the
+equivalent "at most n parts" recurrence
 
     q(m, n) = q(m, n - 1) + q(m - n, n),        p(m, n) = q(m - n, n),
 
-which vectorizes as a strided running log-sum-exp.  Above a size threshold
-the log is produced by the Szekeres asymptotic for q(m, n).  Against the
-exact table for m from 9000 to 12000 and n from 2 to 2000 it is off by at
-most 0.03 nats, worst (0.029) at n = 10 just above m = 10000, where the
-few-parts branch hands over to the Szekeres branch; the test suite asserts
-that bound on a grid around the threshold.
+which vectorizes as a strided running sum.  Cells below 2**53 are exact;
+above, each carries at most m/2 + n roundings of 2**-53, so up to EXACT_LIMIT
+(q <= 3.6e106) log q is within 2e-12 nats.  Above a size threshold the log is
+produced by the Szekeres asymptotic for q(m, n).  Against the exact table for
+m from 9000 to 12000 and n from 2 to 2000 it is off by at most 0.03 nats,
+worst (0.029) at n = 10 just above m = 10000, where the few-parts branch
+hands over to the Szekeres branch; the test suite asserts that bound on a
+grid around the threshold.
 """
 from __future__ import annotations
 
@@ -76,8 +78,8 @@ def _grow_int_table(m_max: int) -> None:
         _int_rows.append(row)
 
 
-class _LogQTable:
-    """Lazily grown table of log q(m, k), partitions of m into at most k parts.
+class _QTable:
+    """Lazily grown float64 table of q(m, k), partitions of m into at most k parts.
 
     Rows are kept as a list of 1-D arrays, `_rows[k][m]` for k <= kmax and
     m <= mmax, about 8 (kmax + 1)(mmax + 1) bytes.  A request beyond the
@@ -88,6 +90,7 @@ class _LogQTable:
     growth in m extends each row over the new columns only, one row at a
     time, so every cell is computed once and the old table is never held
     twice.  Cells are bit-identical to a one-shot build at the same extent.
+    Cells past the float64 maximum (m of about 79000 and up) hold inf.
     """
 
     def __init__(self):
@@ -101,45 +104,48 @@ class _LogQTable:
         if k <= 0:
             return -np.inf
         self._ensure(k, m)
-        return float(self._rows[k][m])
+        q = self._rows[k][m]
+        if q == np.inf:
+            raise OverflowError(f"q(m={m}, k={k}) exceeds the float64 range")
+        return float(np.log(q))
 
     def _ensure(self, k: int, m: int) -> None:
         rows = self._rows
         if m > self._mmax:
             self._mmax = max(m, min(self._mmax + self._mmax // 4, EXACT_LIMIT), 256)
             if rows:  # row 0 is q(m, 0) = [m == 0]; every other row derives from it
-                rows[0] = np.concatenate(
-                    [rows[0], np.full(self._mmax + 1 - len(rows[0]), -np.inf)])
+                rows[0] = np.concatenate([rows[0], np.zeros(self._mmax + 1 - len(rows[0]))])
                 for kk in range(1, len(rows)):
                     rows[kk] = _extend_row(rows[kk], rows[kk - 1], kk)
         kmax = len(rows) - 1
         if k > kmax:
             kmax = max(k, kmax + kmax // 4, 16)
             if not rows:
-                rows.append(np.full(self._mmax + 1, -np.inf))
-                rows[0][0] = 0.0
+                rows.append(np.zeros(self._mmax + 1))
+                rows[0][0] = 1.0
             for kk in range(len(rows), kmax + 1):
                 rows.append(_extend_row(np.empty(0), rows[kk - 1], kk))
 
 
+@np.errstate(over="ignore")  # cells past the float64 maximum hold inf
 def _extend_row(row: np.ndarray, prev: np.ndarray, k: int) -> np.ndarray:
-    """Row k of the log q table extended to the length of row k - 1.
+    """Row k of the q table extended to the length of row k - 1.
 
-    The recurrence q_k[m] = q_k[m - k] (+) q_{k-1}[m] is a running
-    log-sum-exp down stride-k blocks, seeded with the last k cells already in
-    `row` (-inf where m - k < 0, which leaves q_{k-1}[m] exactly).
+    The recurrence q_k[m] = q_k[m - k] + q_{k-1}[m] is a running float64 sum
+    down stride-k blocks, exact below 2**53, seeded with the last k cells
+    already in `row` (0 where m - k < 0, which leaves q_{k-1}[m] exactly).
     """
     start = len(row)
     fresh = prev[start:]
     seed = row[max(start - k, 0):]
     blocks = np.concatenate([
-        np.full(k - len(seed), -np.inf), seed, fresh, np.full((-len(fresh)) % k, -np.inf),
+        np.zeros(k - len(seed)), seed, fresh, np.zeros((-len(fresh)) % k),
     ]).reshape(-1, k)
-    grown = np.logaddexp.accumulate(blocks, axis=0).reshape(-1)[k:k + len(fresh)]
+    grown = np.add.accumulate(blocks, axis=0).reshape(-1)[k:k + len(fresh)]
     return np.concatenate([row, grown])
 
 
-_logq = _LogQTable()
+_qtable = _QTable()
 
 
 def spence(x: float) -> float:
@@ -204,14 +210,16 @@ def log_q_approx(m: int, k: int) -> float:
 
 
 def log_q_exact(m: int, k: int) -> float:
-    """log q(m, k) from the exact recurrence table.
+    """log q(m, k) from the float64 recurrence table (see the module notes).
 
     Any size, but the shared table grows to cover (m, k): about 8 k m bytes,
-    kept for the life of the process (80 MB at m = 10000, k = 1000).
+    kept for the life of the process (80 MB at m = 10000, k = 1000).  Raises
+    OverflowError where q(m, k) passes the float64 maximum (m of about 79000
+    and up, never below EXACT_LIMIT).
     """
     if m < 0 or k < 0:
         return -np.inf
-    return _logq.value(m, k)
+    return _qtable.value(m, k)
 
 
 @functools.lru_cache(maxsize=1 << 20)
@@ -251,9 +259,9 @@ def log_partitions_array(m: np.ndarray, n: np.ndarray) -> np.ndarray:
 
     The edge cases follow the scalar rules (-inf where p(m, n) = 0, 0.0 where
     m = n).  Exact entries grow the shared table once, to the largest (k, m)
-    they need, and are gathered row by row, one row per distinct k; only the
-    entries whose m - n exceeds EXACT_LIMIT call `log_q_approx`.  Nothing is
-    memoized.
+    they need, are gathered row by row, one row per distinct k, and take one
+    `np.log` together; only the entries whose m - n exceeds EXACT_LIMIT call
+    `log_q_approx`.  Nothing is memoized.
     """
     mm = m - n
     out = np.where((mm == 0) & (n >= 0), 0.0, -np.inf)
@@ -263,10 +271,12 @@ def log_partitions_array(m: np.ndarray, n: np.ndarray) -> np.ndarray:
         k = np.minimum(n[exact], mm[exact])
         order = np.argsort(k, kind="stable")
         exact, k = exact[order], k[order]
-        _logq._ensure(int(k[-1]), int(mm[exact].max()))
+        _qtable._ensure(int(k[-1]), int(mm[exact].max()))
+        q = np.empty(len(exact))
         bounds = [0] + (np.flatnonzero(k[1:] != k[:-1]) + 1).tolist() + [len(k)]
         for lo, hi in zip(bounds, bounds[1:]):
-            out[exact[lo:hi]] = _logq._rows[int(k[lo])][mm[exact[lo:hi]]]
+            q[lo:hi] = _qtable._rows[int(k[lo])][mm[exact[lo:hi]]]
+        out[exact] = np.log(q)
     for idx in np.flatnonzero(needs_q & (mm > EXACT_LIMIT)).tolist():
         out[idx] = log_q_approx(int(mm[idx]), int(min(n[idx], mm[idx])))
     return out

@@ -1,7 +1,10 @@
 """The package API that the benchmark calls keeps working: each workload
 that BENCHMARK.json declares runs the setup, pipeline and check of
 `perfbench/workloads.py` on the first input of run seed 1, and the check
-finds no problem.  No timed pipeline imports a module its setup did not."""
+finds no problem.  fig4-score's check also passes on every sample seed of
+its universe, so a change that moves any recorded per-token value by more
+than 1e-9 fails here.  No timed pipeline imports a module its setup did
+not."""
 import importlib.util
 import json
 import os
@@ -29,6 +32,18 @@ def test_workload_runs_and_checks_clean(name, tmp_path):
     inputs = setup(pool(1)[0], str(tmp_path))
     problems, sigma = check(inputs, run(inputs))
     assert problems == [] and sigma > 0
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return load_workloads()
+
+
+@pytest.mark.parametrize("sample_seed", range(load_workloads().FIG4_UNIVERSE))
+def test_fig4_matches_reference_on_every_universe_seed(workloads, sample_seed, tmp_path):
+    inputs = workloads.fig4_setup({"sample_seed": sample_seed}, str(tmp_path))
+    problems, _ = workloads.fig4_check(inputs, workloads.fig4_run(inputs))
+    assert problems == []
 
 
 # setup, then the timed pipeline, in a fresh process: prints the modules the pipeline loaded
