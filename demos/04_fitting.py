@@ -53,8 +53,9 @@ z, sigma_anchored, trace = fit_doc_anchored(dense, n_topics=3, seed=5,
 theta_hat = topic_mixtures(LabeledCounts.from_dense(z))
 print("fitted mixture modes on the simplex:", simplex_mode_count(theta_hat))
 
-## Coarsening the anchored fit into document/word clusters (and nested
-## levels) usually compresses further.
+## One clustered search of the same counts (documents started in k-means
+## groups, then merges, node moves and nested levels) usually compresses
+## further than the anchored fit.
 refined, _ = refine_doc_clusters(z, seed=5)
 print(f"anchored {sigma_anchored:.0f} nats -> clustered {refined.sigma_nats:.0f} "
       f"nats ({refined.parametrization})")

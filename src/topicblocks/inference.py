@@ -7,8 +7,8 @@ clustered fit runs on it: greedy merges of the node singletons, then
 node-move sweeps until a sweep moves no node; a tempered clustered fit
 continues from there with node-move Metropolis-Hastings sweeps, polishes
 again and keeps the better of that state and the greedy one.
-`refine_doc_clusters` coarsens anchored fits by its merges and polishes the
-best candidate by its node moves.
+`refine_doc_clusters` runs the same greedy search with the documents started
+in k-means groups of their word-usage profiles instead of as singletons.
 
 Per-doc-group fits (every document pinned to its own group, so mixtures
 read directly as topic proportions) are greedy: one vectorized batch
@@ -52,7 +52,7 @@ from .util import IntegrityError, log_factorial_table, log_num_compositions_larg
 TEMPERATURE_START, TEMPERATURE_END = 1.0, 1e-3
 PSEUDO_DOC, PSEUDO_WORD = 1.0, 0.02
 ANCHORED_ROUNDS = 60
-DOC_GRID, KMEANS_RESTARTS, POLISH_SWEEPS, GROW_LEVELS = (1, 2, 3, 4, 6, 8), 2, 2, 3
+DOC_START_GROUPS, GROW_LEVELS = 32, 3
 
 
 @dataclass
@@ -127,22 +127,28 @@ def _block_state(counts, doc_group, word_group) -> LabeledGraph:
                                    Gd + Gw, [0] * Gd + [1] * Gw)
 
 
-def block_search(graph, config: InferenceConfig, rng=None):
+def block_search(graph, config: InferenceConfig, rng=None, doc_start=None):
     """A clustered fit's search on the agglomerator's group tables alone.
 
-    Greedy merges of the node singletons, then node-move sweeps until a sweep
+    Greedy merges of the word singletons and the document singletons (or
+    the document groups `doc_start`), then node-move sweeps until a sweep
     moves no node, at most `config.n_sweeps`; a greedy search draws no random
     number.  Anneal and mcmc searches continue with one `block_mh_sweep` per
     temperature of `temperatures(config)`, drawn from `rng`, polish again the
     same way, and keep that state only if its sigma is below the greedy one.
-    Returns the compacted flat state, the trace (the exact sigma after the
-    merges, then the running sigma after each polish or MH sweep), whether
-    the last polish ended on a sweep without a move, and the node-move
-    proposal and acceptance counts (empty when greedy)."""
+    They refuse a `doc_start`, whose groups may fill every group id and leave
+    a new-group proposal none to take.  Returns the compacted flat state, the
+    trace (the exact sigma after the merges, then the running sigma after
+    each polish or MH sweep), whether the last polish ended on a sweep
+    without a move, and the node-move proposal and acceptance counts (empty
+    when greedy)."""
+    if doc_start is not None and config.mode != "greedy":
+        raise ValueError(f"a {config.mode} search starts from node singletons only")
     counts = np.zeros((graph.n_docs, graph.n_words), dtype=np.int64)
     np.add.at(counts, (graph.doc_idx, graph.word_idx), graph.counts)
-    agg = NonoverlappingAgglomerator(counts, np.arange(graph.n_docs),
-                                     np.arange(graph.n_words), max_overlap=config.overlap)
+    doc_start = np.arange(graph.n_docs) if doc_start is None else doc_start
+    agg = NonoverlappingAgglomerator(counts, doc_start, np.arange(graph.n_words),
+                                     max_overlap=config.overlap)
     agg.greedy_merge()
     trace = [joint_logp(_block_state(counts, *agg.materialize()),
                         max_overlap=config.overlap).sigma_nats]
@@ -1018,85 +1024,24 @@ class NonoverlappingAgglomerator:
 
 
 def refine_doc_clusters(labels_dense: np.ndarray, seed: int = 0):
-    """Coarsen an anchored fit into clustered candidates and keep the best.
+    """One greedy `block_search` of the counts z.sum(axis=2), documents
+    started in one `_kmeans` draw (`np.random.default_rng(seed)`) of
+    DOC_START_GROUPS groups over their word-usage profiles (singletons when
+    fewer), then up to GROW_LEVELS levels grown by `grow_hierarchy`.
 
-    Document groups are seeded by k-means (KMEANS_RESTARTS draws for each
-    count in DOC_GRID) over the fitted topic mixtures and over raw word-usage
-    profiles; given each seed, word groups (and further document merges) come
-    from exact greedy agglomeration starting at word singletons; a repeated
-    k-means seed is skipped, and seeds that agglomerate to the same state give
-    one candidate.  Every candidate (including the anchored state itself and
-    the construction that labels both half-edges by the token topic) is
-    scored exactly.  The best agglomerated candidate is polished by at most
-    POLISH_SWEEPS node-move sweeps on its agglomerator's group tables
-    (`block_polish`); the topic-pair construction is overlapping, so it is not
-    polished.  The three leaders among the candidates with a clustered state
-    get up to GROW_LEVELS nested levels grown on top before the lowest
-    description length wins.  The coarsening never alters word-side topic
-    labels of the anchored fit, so its topic mixtures are preserved.
-
-    Returns (score, meta).  For a clustered winner, meta is the compacted
-    (doc, word) group assignment of the scored state, the polished one when
-    polish (or levels grown on it) wins; otherwise it is "topic-pair", or
-    None for the anchored state.
+    Returns (score, state): the score of the flat state `state` under its
+    grown levels, tagged `clustered[GdxGw]`, plus `+levels` if one is kept.
     """
-    z = np.asarray(labels_dense)
-    D, V, K = z.shape
-    counts = z.sum(axis=2)
-    k_d = counts.sum(axis=1)
-    theta_hat = z.sum(axis=1) / np.maximum(k_d, 1)[:, None]
-    profiles = counts / np.maximum(k_d, 1)[:, None]
-    rng = np.random.default_rng(seed)
-
-    def clustered(da, wa, suffix=""):
-        """Exact score and labeled state of the assignment (da, wa)."""
-        Gd, Gw = int(da.max()) + 1, int(wa.max()) + 1
-        st = _block_state(counts, da, wa)
-        return joint_logp(st, model_id="hsbm",
-                          parametrization=f"clustered[{Gd}x{Gw}]{suffix}"), st
-
-    lab = LabeledCounts.from_dense(z)
-    candidates = [(fixed_label_score(lab, "per-doc-group"), None, None),
-                  (fixed_label_score(lab, "doc-clustering"), "topic-pair",
-                   labels_to_state(lab, "doc-clustering"))]
-    seen, seen_seeds = set(), set()
-    for feat in (theta_hat, profiles):
-        for G in DOC_GRID:
-            for _ in range(KMEANS_RESTARTS):
-                seed_assign = _kmeans(feat, G, rng)
-                if seed_assign.tobytes() in seen_seeds:
-                    continue  # it agglomerates to a state already seen
-                seen_seeds.add(seed_assign.tobytes())
-                agg = NonoverlappingAgglomerator(counts, seed_assign, np.arange(V))
-                agg.greedy_merge()
-                da, wa = agg.materialize()
-                key = (da.tobytes(), wa.tobytes())
-                if key in seen:
-                    continue
-                seen.add(key)
-                try:
-                    sc, st = clustered(da, wa)
-                except IntegrityError:
-                    continue
-                candidates.append((sc, (da, wa), st))
-    candidates.sort(key=lambda c: c[0].sigma_nats)
-    best = candidates[0][:2]
-    with_state = [c for c in candidates if c[2] is not None]
-    to_polish = next((c[1] for c in with_state if isinstance(c[1], tuple)), None)
-    for sc, meta, st in with_state[:3]:
-        if meta is to_polish:
-            agg = NonoverlappingAgglomerator(counts, *meta)
-            block_polish(agg, max_sweeps=POLISH_SWEEPS)
-            meta = agg.materialize()
-            sc, st = clustered(*meta, suffix="+polish")
-            if sc.sigma_nats < best[0].sigma_nats:
-                best = (sc, meta)
-        _, grown = grow_hierarchy(st, GROW_LEVELS)
-        grown = ModelScore(grown.sigma_nats, grown.breakdown,
-                           "hsbm", sc.parametrization + "+levels")
-        if grown.sigma_nats < best[0].sigma_nats:
-            best = (grown, meta)
-    return best
+    counts = np.asarray(labels_dense).sum(axis=2)
+    d_idx, w_idx = np.nonzero(counts)
+    graph = BipartiteMultigraph(*counts.shape, d_idx, w_idx, counts[d_idx, w_idx])
+    profiles = counts / np.maximum(counts.sum(axis=1), 1)[:, None]
+    start = _kmeans(profiles, DOC_START_GROUPS, np.random.default_rng(seed))
+    state, *_ = block_search(graph, InferenceConfig(), doc_start=start)
+    hierarchy, score = grow_hierarchy(state, GROW_LEVELS)
+    Gd = int(np.count_nonzero(state.group_side == 0))
+    tag = f"clustered[{Gd}x{state.n_groups - Gd}]" + ("+levels" if hierarchy.depth else "")
+    return ModelScore(score.sigma_nats, score.breakdown, "hsbm", tag), state
 
 
 def _largest_remainder_round(n, p):

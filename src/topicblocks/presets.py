@@ -11,8 +11,8 @@ scorers, and the fitters together:
   hyperparameters and topic counts.
 * `bimodal_recovery`: a two-component Dirichlet mixture corpus is fitted
   with documents anchored to their own groups, the mixture histogram is
-  tested for bimodality, and the fit is coarsened into clustered candidates
-  for the final description length.
+  tested for bimodality, and one clustered search of the same counts gives
+  the final description length when it is the shorter.
 """
 from __future__ import annotations
 
@@ -116,12 +116,13 @@ def bimodal_recovery(n_docs: int = 1000, doc_length: int = 1000,
                      word_pseudocount: float = 0.01, seed: int = 0,
                      fit_restarts: int = 2, gibbs_sweeps: int = 25) -> dict:
     """Sample a two-component Dirichlet-mixture corpus, fit it with anchored
-    documents, and coarsen into clustered candidates.
+    documents, and search it once with clustered documents
+    (`refine_doc_clusters`).
 
     Returns the fitted mixtures, the mode count of their simplex histogram,
-    and the description lengths of the fitted block model and the
-    noninformative collapsed baseline (scored on the true labels, which
-    favors the baseline)."""
+    and the description lengths of the fitted block model (the lower of the
+    anchored and the clustered fit) and the noninformative collapsed
+    baseline (scored on the true labels, which favors the baseline)."""
     alpha_vectors = np.asarray(BIMODAL_ALPHA_VECTORS, dtype=float)
     if alpha_vectors.shape[1] != n_topics:
         raise ValueError("the two-component recipe is defined for three topics")

@@ -503,6 +503,16 @@ class TestComparePreset:
         assert "sbm_clust" in header
         assert len(rows) == 4  # one per text length
 
+    def test_fig2_desk_scale(self, tmp_path):
+        out = tmp_path / "table.tsv"
+        assert run(["compare", "--preset", "fig2", "--D", 40, "--seed", 0,
+                    "--out", out]) == 0
+        header, *rows = (line.split("\t") for line in out.read_text().strip().splitlines())
+        table = {row[header.index("model")]: row for row in rows}
+        assert table["hsbm-fitted"][header.index("mode_count")] == "2"
+        sigma = {model: float(row[header.index("sigma_nats")]) for model, row in table.items()}
+        assert sigma["hsbm-fitted"] < sigma["lda-noninformative"]
+
     def test_spec_file(self, tmp_path):
         sample = tmp_path / "sample"
         run(["synth", "--K", 2, "--D", 10, "--V", 20, "--m", 12, "--seed", 5,

@@ -7,7 +7,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 from hypothesis.extra.numpy import arrays
 
@@ -311,6 +311,15 @@ class TestBlockSearch:
         doc[st.i], word[st.j - D] = st.r, st.s - n_doc_groups
         ag = NonoverlappingAgglomerator(dense_counts(graph), doc, word)
         assert block_polish(ag, max_sweeps=10) == 0.0
+
+    @pytest.mark.parametrize("mode", ["anneal", "mcmc"])
+    def test_tempered_search_refuses_a_doc_start(self, synth_graphs, mode):
+        """A coarse start may fill every document group id, which leaves a
+        new-group proposal no id to take."""
+        graph = synth_graphs[21]
+        with pytest.raises(ValueError, match="node singletons only"):
+            inference.block_search(graph, InferenceConfig(mode=mode), np.random.default_rng(0),
+                                   doc_start=np.zeros(graph.n_docs, dtype=np.int64))
 
     def test_anneal_reaches_the_greedy_state(self, synth_graphs):
         for mode in ("anneal", "mcmc"):
@@ -1257,28 +1266,50 @@ class TestRefineDocClusters:
         score, meta = refine_doc_clusters(z, seed=0)
         assert score.sigma_nats <= sigma_anchored + 1e-9
 
-    def test_meta_is_the_scored_state(self):
-        """When the polished candidate wins (flat, or with levels grown on
-        it), the returned assignment is the polished state: its group counts
-        match the tag and its score reproduces sigma."""
-        D, V = 40, 30
-        s = sample_mixture_corpus(np.asarray(presets.BIMODAL_ALPHA_VECTORS), D, V, 80,
-                                  np.full(V, 0.01), seed=3)
-        dense = np.zeros((D, V), dtype=np.int64)
-        np.add.at(dense, (s.labels.d, s.labels.w), s.labels.counts)
-        z, _, _ = fit_doc_anchored(dense, 3, seed=3, n_restarts=1, gibbs_sweeps=5)
-        score, (da, wa) = refine_doc_clusters(z, seed=3)
-        assert "+polish" in score.parametrization
+    @staticmethod
+    def mixture_labels(D, V, seed, doc_length=80):
+        """(D, V, 3) true labels of a two-component mixture corpus."""
+        s = sample_mixture_corpus(np.asarray(presets.BIMODAL_ALPHA_VECTORS), D, V, doc_length,
+                                  np.full(V, 0.01), seed=seed)
+        return s.labels.to_dense()
+
+    def test_one_search_per_call(self, monkeypatch):
+        calls = Counter()
+        for name in ("_kmeans", "block_search"):
+            def counted(*args, _inner=getattr(inference, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _inner(*args, **kwargs)
+            monkeypatch.setattr(inference, name, counted)
+        refine_doc_clusters(self.mixture_labels(40, 30, 3), seed=3)
+        assert calls == {"_kmeans": 1, "block_search": 1}
+
+    def test_returns_the_scored_state(self):
+        """Growing levels on the returned flat state again reproduces sigma,
+        and the tag's group counts are the state's."""
+        score, state = refine_doc_clusters(self.mixture_labels(40, 30, 3), seed=3)
+        hierarchy, rescored = grow_hierarchy(state, inference.GROW_LEVELS)
+        assert abs(rescored.sigma_nats - score.sigma_nats) < 1e-9
         Gd, Gw = map(int, re.match(r"clustered\[(\d+)x(\d+)\]", score.parametrization).groups())
-        assert (da.max() + 1, wa.max() + 1) == (Gd, Gw)
-        d_idx, w_idx = np.nonzero(dense)
-        st = state_from_label_arrays(D, V, d_idx, w_idx, da[d_idx], Gd + wa[w_idx],
-                                     dense[d_idx, w_idx], Gd + Gw, [0] * Gd + [1] * Gw)
-        if score.parametrization.endswith("+levels"):
-            sigma = grow_hierarchy(st, inference.GROW_LEVELS)[1].sigma_nats
-        else:
-            sigma = joint_logp(st).sigma_nats
-        assert abs(sigma - score.sigma_nats) < 1e-9
+        assert (Gd, Gw) == tuple(np.bincount(state.group_side, minlength=2))
+        assert score.parametrization.endswith("+levels") == (hierarchy.depth > 0)
+
+    @settings(max_examples=30)
+    @given(hst.integers(1, 40), hst.integers(1, 30), hst.integers(1, 60),
+           hst.integers(0, 2**16))
+    def test_sigma_is_the_oracle_and_no_worse_than_the_start(self, D, V, m, seed):
+        """The refined sigma is `joint_logp` of the returned state under its
+        grown hierarchy, and no higher than the k-means start (documents
+        singletons when D < DOC_START_GROUPS) with word singletons."""
+        z = self.mixture_labels(D, V, seed, m)
+        score, state = refine_doc_clusters(z, seed=seed)
+        hierarchy, _ = grow_hierarchy(state, inference.GROW_LEVELS)
+        assert abs(joint_logp(state, hierarchy).sigma_nats - score.sigma_nats) < 1e-9
+        counts = z.sum(axis=2)
+        profiles = counts / np.maximum(counts.sum(axis=1), 1)[:, None]
+        start = inference._kmeans(profiles, inference.DOC_START_GROUPS,
+                                  np.random.default_rng(seed))
+        ag = NonoverlappingAgglomerator(counts, start, np.arange(V))
+        assert score.sigma_nats <= materialized_sigma(counts, ag) + 1e-9
 
 
 def _block_polish_reference(counts, doc_assign, word_assign, max_sweeps: int = 4):
