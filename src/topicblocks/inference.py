@@ -1,8 +1,9 @@
 """Search over labeled states: greedy descent, simulated annealing, and
 Metropolis-Hastings sampling.
 
-Nonoverlapping states are searched at block level by the agglomerator, whose
-merges and node moves share one closed-form group-table delta.  Every
+Nonoverlapping states are searched at block level by the agglomerator, which
+scores merges and node moves in closed form on its group tables, many
+candidates per numpy pass.  Every
 clustered fit runs on it: greedy merges of the node singletons, then
 node-move sweeps until a sweep moves no node; a tempered clustered fit
 continues from there with node-move Metropolis-Hastings sweeps, polishes
@@ -587,23 +588,26 @@ def _kmeans(mat, n_clusters, rng):
 def block_polish(agg: NonoverlappingAgglomerator, max_sweeps: int = 4) -> float:
     """Greedy node-move sweeps on a nonoverlapping state: each node, sides 0
     then 1 in index order, moves to the same-side group with the lowest exact
-    delta (the first of equal ones) if that is below -1e-9 nats.  A side's
-    targets are the groups occupied at the start of its pass, so a node may
-    move into a group emptied earlier in the pass.  Stops after `max_sweeps`
-    sweeps or a sweep without a move; returns the sum of the applied deltas."""
+    delta (the lowest id of equal ones) if that is below -1e-9 nats; one
+    `_move_deltas` call scores all of a node's targets.  A side's targets are
+    the groups occupied at the start of its pass, so a node may move into a
+    group emptied earlier in the pass.  Stops after `max_sweeps` sweeps or a
+    sweep without a move; returns the sum of the applied deltas."""
     total = 0.0
     for _ in range(max_sweeps):
         moved = False
         for side, assign in ((0, agg.doc_assign), (1, agg.word_assign)):
-            groups = sorted(agg.tables[side])
+            groups = np.array(sorted(agg.tables[side]), dtype=np.int64)
             for node in np.flatnonzero(assign >= 0).tolist():
                 src = int(assign[node])
-                part = agg._node_part(side, node)
-                best = min(((agg._move_delta(side, src, dst, part), dst)
-                            for dst in groups if dst != src), default=(0.0, src))
-                if best[0] < -1e-9:
-                    agg._apply_transfer(side, src, best[1], part, node)
-                    total += best[0]
+                dsts = groups[groups != src]
+                if not len(dsts):
+                    continue
+                deltas = agg._move_deltas(side, node, dsts)
+                best = int(np.argmin(deltas))
+                if deltas[best] < -1e-9:
+                    agg._apply_transfer(side, src, int(dsts[best]), agg._node_part(side, node), node)
+                    total += float(deltas[best])
                     moved = True
         if not moved:
             break
@@ -644,11 +648,10 @@ def block_mh_sweep(agg: NonoverlappingAgglomerator, rng, temperature: float):
                 continue
             dst = others[int(rng.integers(len(others)))]
             ratio = eps * (B - 1) / (1 - eps) if alone else 1.0
-        part = agg._node_part(side, node)
-        delta = agg._move_delta(side, src, dst, part)
+        delta = float(agg._move_deltas(side, node, np.array([dst]))[0])
         if (delta < 0 if temperature <= 0 else
                 rng.random() < math.exp(min(700.0, -delta / temperature)) * ratio):
-            agg._apply_transfer(side, src, dst, part, node)
+            agg._apply_transfer(side, src, dst, agg._node_part(side, node), node)
             total += delta
             accepted += 1
     return total, len(nodes), accepted
@@ -733,13 +736,16 @@ class NonoverlappingAgglomerator:
 
     Works on group-level tables (the aggregated edge matrix, each group's
     size, degree total and degree histogram) and each side's cached group
-    terms, so a candidate costs O(groups + distinct degrees).  A merge (b
-    into a) and a node move (v from a to b) both move a part of one group
-    into another, so one delta and one apply serve both; global terms enter
-    only when a move changes a side's group count.  Each delta equals the
-    change of `joint_logp` between the materialized states, under the
-    overlap cap `max_overlap` when one is given.  Degree-0 nodes belong to
-    no group and are marked -1.  Log-factorials are lookups in
+    terms.  `_merge_deltas` scores many (a, b) merges in one pass over the
+    merged rows; `_move_deltas` scores one node's move to many targets from
+    the node's own edges, in O(targets x groups it has edges to), as
+    Peixoto's merge-and-move heuristic does (PRE 89, 012804, 2014).  A
+    merge (b into a) and a node move (v from a to b) both move a part of one
+    group into another, so one apply serves both; global terms enter only
+    when a move changes a side's group count.  Each delta equals the change
+    of `joint_logp` between the materialized states, under the overlap cap
+    `max_overlap` when one is given.  Degree-0 nodes belong to no group and
+    are marked -1.  Log-factorials are lookups in
     `util.log_factorial_table`, equal to `log_factorial` of the same count,
     and an empty group's terms are exact zeros, so merge deltas are
     bit-identical to scoring the merged group cell by cell.
@@ -747,11 +753,12 @@ class NonoverlappingAgglomerator:
     `_group_terms[side][g]` holds group g's own terms, log e_g!, log p(e_g,
     n_g) and the sum of log n_k! over its degree histogram, and its cell sum,
     the sum of log e_gs! over its edge-matrix row; an unused id holds exact
-    zeros.  A cell sum is NaN while stale and recomputed when a delta needs
-    it: an apply stores the new sums of its two groups, which its delta
-    computed, and marks stale the other side's groups whose edge counts to
-    them changed.  A delta builds no histogram: the degree-histogram sum
-    runs over the moved-to counts in the key order the apply will store.
+    zeros.  A cell sum is NaN while stale and recomputed when a merge delta
+    needs it: an apply computes its two groups' own terms from their new
+    table entries and marks stale their cell sums and those of the other
+    side's groups whose edge counts to them changed.  A merge delta builds
+    no histogram: the degree-histogram sum runs over the merged counts in
+    the key order the apply will store.
     """
 
     def __init__(self, counts: np.ndarray, doc_assign, word_assign, max_overlap=None):
@@ -783,8 +790,7 @@ class NonoverlappingAgglomerator:
             terms = self._group_terms[side] = np.zeros((self.e_mat.shape[side], 4))
             terms[:, 3] = np.nan
             for g, t in self.tables[side].items():
-                terms[g, :3] = self._terms(t["n"], t["e"], self._hist_sum(t["freq"], {}, 1))
-        self._scored = None  # the last scored transfer's new terms, for its apply
+                terms[g, :3] = self._terms(t["n"], t["e"], self._hist_sum(t["freq"], {}))
 
     # With singleton mixtures, a group's own terms are log e_r!, log p(e_r,
     # n_r) and -sum_k log n_k! (the degree-assignment n_r! cancels against
@@ -794,21 +800,15 @@ class NonoverlappingAgglomerator:
     def _terms(self, n, e, hist) -> tuple:
         return self._log_fact[e], log_partitions(e, n), hist
 
-    def _hist_sum(self, freq, extra, sign):
-        """Sum of log c! over the counts of `_shifted(freq, extra, sign)`,
-        added in its key order, without building it."""
+    def _hist_sum(self, freq, extra):
+        """Sum of log c! over the counts of `_shifted(freq, extra, 1)`, added
+        in its key order, without building it."""
         lf, out = self._hist_lf, 0.0
-        if sign > 0:
-            for k, c in freq.items():
-                out += lf[c + extra.get(k, 0)]
-            for k, c in extra.items():
-                if k not in freq:
-                    out += lf[c]
-        else:
-            for k, c in freq.items():
-                c -= extra.get(k, 0)
-                if c:
-                    out += lf[c]
+        for k, c in freq.items():
+            out += lf[c + extra.get(k, 0)]
+        for k, c in extra.items():
+            if k not in freq:
+                out += lf[c]
         return out
 
     def _side_terms(self, side, B) -> float:
@@ -842,15 +842,12 @@ class NonoverlappingAgglomerator:
     def _row(self, side, g):
         return self.e_mat[g, :] if side == 0 else self.e_mat[:, g]
 
-    def _cells(self, row):
-        """Sum of log e_rs! over the row's cells."""
-        return self._log_fact[row[row > 0]].sum()
-
     def _row_cells(self, rows) -> np.ndarray:
-        """`_cells` of each row of the 2-D block `rows`, bit for bit: rows
-        with the same number of positive cells have those cells' log e_rs!
-        summed together along axis 1, which numpy does per row exactly as it
-        sums a 1-D array of that length."""
+        """Sum of log e_rs! over the positive cells of each row of the 2-D
+        block `rows`, bit for bit as `np.sum` of one row's positive cells:
+        rows with the same number of positive cells have those cells' log
+        e_rs! summed together along axis 1, which numpy does per row exactly
+        as it sums a 1-D array of that length."""
         pos = rows > 0
         width = pos.sum(axis=1)
         order = np.argsort(width, kind="stable")
@@ -885,53 +882,42 @@ class NonoverlappingAgglomerator:
         row = np.bincount(other[nbrs], weights=edges[nbrs], minlength=self.e_mat.shape[1 - side])
         return 1, k, {k: 1}, row.astype(np.int64)
 
-    def _transfer_terms(self, side, src, dst, part):
-        """New terms and cell sums of groups dst and src once `part` moves
-        from src to dst (exact zeros for an emptied src).  The result is kept
-        until the next apply, so the apply of the move scored last stores
-        what its delta used, and a move of the same part out of the same src
-        to another dst (a node's targets in `block_polish`) reuses src's half."""
-        scored = self._scored
-        same_src = scored is not None and scored[3] is part and scored[:2] == (side, src)
-        if same_src and scored[2] == dst:
-            return scored[4]
-        n, e, freq, row = part
-        groups = self.tables[side]
-        d, s = groups.get(dst, _EMPTY_GROUP), groups[src]
-        new = (self._terms(d["n"] + n, d["e"] + e, self._hist_sum(d["freq"], freq, 1)),
-               self._cells(self._row(side, dst) + row))
-        if same_src:
-            new += scored[4][2:]
-        elif s["n"] > n:
-            new += (self._terms(s["n"] - n, s["e"] - e, self._hist_sum(s["freq"], freq, -1)),
-                    self._cells(self._row(side, src) - row))
-        else:
-            new += ((0.0, 0.0, 0.0), 0.0)
-        self._scored = (side, src, dst, part, new)
-        return new
-
-    def _transfer_delta(self, side, src, dst, part) -> float:
-        """Change of the terms of groups src and dst when `part` moves from
-        src to dst, global terms excluded.  Each term is summed as new dst +
-        new src - old dst - old src, so for a merge, whose new src is empty,
-        the sums equal those of scoring the merged group alone."""
-        new_d, cells_d, new_s, cells_s = self._transfer_terms(side, src, dst, part)
-        (*old_d, old_cd), (*old_s, old_cs) = self._fresh_terms(side, np.array([dst, src])).tolist()
-        delta = new_d[0] + new_s[0] - old_d[0] - old_s[0]
-        delta -= float(cells_d + cells_s - old_cd - old_cs)
-        delta += new_d[1] + new_s[1] - old_d[1] - old_s[1]
-        return float(delta - new_d[2] - new_s[2] + old_d[2] + old_s[2])
-
-    def _move_delta(self, side, src, dst, part) -> float:
-        """Full change when `part` moves from src to dst, with the global
-        terms when src empties or dst was empty."""
-        change = (dst not in self.tables[side]) - (self.tables[side][src]["n"] == part[0])
-        global_part = self._global_terms(side, change) - self._global_terms(side) if change else 0.0
-        return self._transfer_delta(side, src, dst, part) + global_part
+    def _move_deltas(self, side, node, dsts) -> np.ndarray:
+        """Full change of sigma when the side's `node` moves from its group to
+        each group of the int array `dsts` (its own group not among them),
+        global terms included where the source empties or a target was
+        empty.  The source's half is scored once.  Each group changes by one
+        node: its own terms log e!, log p(e, n), one count of its degree
+        histogram, and its cells toward the groups the node has edges to."""
+        _, k, _, row = self._node_part(side, node)
+        groups, lf, hist_lf = self.tables[side], self._log_fact, self._hist_lf
+        gs = np.concatenate([[(self.doc_assign, self.word_assign)[side][node]], dsts])
+        own, sizes = [], []
+        for step, g, (lf_e, logp) in zip([-1] + [1] * len(dsts), gs.tolist(),
+                                         self._group_terms[side][gs, :2].tolist()):
+            t = groups.get(g, _EMPTY_GROUP)
+            e, c = t["e"] + step * k, t["freq"].get(k, 0)
+            own.append(lf[e] - lf_e + log_partitions(e, t["n"] + step) - logp
+                       - hist_lf[c + step] + hist_lf[c])
+            sizes.append(t["n"])
+        cols = np.flatnonzero(row)
+        cells = self.e_mat[gs[:, None], cols] if side == 0 else self.e_mat[cols, gs[:, None]]
+        moved = cells + row[cols]
+        moved[0] -= 2 * row[cols]  # the source's cells lose the node's edges
+        delta = np.array(own) - (lf[moved] - lf[cells]).sum(axis=1)
+        delta = delta[1:] + delta[0]
+        change = [(n == 0) - (sizes[0] == 1) for n in sizes[1:]]
+        if any(change):
+            base = self._global_terms(side)
+            extra = {b: self._global_terms(side, b) - base for b in set(change) if b}
+            delta += [extra[b] if b else 0.0 for b in change]
+        return delta
 
     def _apply_transfer(self, side, src, dst, part, nodes):
-        """Move `part`, the side's `nodes` (an index or a mask), from src to dst."""
-        new_d, cells_d, new_s, cells_s = self._transfer_terms(side, src, dst, part)
+        """Move `part`, the side's `nodes` (an index or a mask), from src to
+        dst.  The two groups' own terms are computed from their new table
+        entries, and their cell sums and those of the other side's groups
+        whose edge counts to them changed are marked stale."""
         n, e, freq, row = part
         groups, terms = self.tables[side], self._group_terms[side]
         d, s = groups.get(dst, _EMPTY_GROUP), groups[src]
@@ -940,12 +926,14 @@ class NonoverlappingAgglomerator:
             groups[src] = {"n": s["n"] - n, "e": s["e"] - e, "freq": _shifted(s["freq"], freq, -1)}
         else:
             del groups[src]
-        terms[dst], terms[src] = (*new_d, cells_d), (*new_s, cells_s)
+        for g in (dst, src):
+            t = groups.get(g, _EMPTY_GROUP)
+            terms[g] = (*self._terms(t["n"], t["e"], self._hist_sum(t["freq"], {})),
+                        np.nan if t["n"] else 0.0)
         self._group_terms[1 - side][row != 0, 3] = np.nan  # their rows toward dst and src changed
         self._row(side, dst)[:] += row
         self._row(side, src)[:] -= row
         (self.doc_assign if side == 0 else self.word_assign)[nodes] = dst
-        self._scored = None
 
     # -- merging -------------------------------------------------------------
 
@@ -954,18 +942,17 @@ class NonoverlappingAgglomerator:
         return t["n"], t["e"], t["freq"], self._row(side, b).copy()
 
     def _merge_deltas(self, side, dsts, srcs) -> np.ndarray:
-        """Local merge delta (`_transfer_delta` of the whole group, global
-        terms excluded) of each group of the int array `srcs` into the group
-        of `dsts` at the same place, bit for bit: the merged rows'
-        cell sums come from one `_row_cells` pass, and `_transfer_delta`'s
-        sums run elementwise on arrays (an emptied src's exact zeros
-        dropped)."""
+        """Local merge delta (global terms excluded) of each group of the
+        int array `srcs` into the group of `dsts` at the same place: each
+        term summed as merged - old dst - old src, with the merged rows'
+        cell sums from one `_row_cells` pass.  It equals scoring the three
+        groups cell by cell with `log_factorial`, bit for bit."""
         groups, k = self.tables[side], len(dsts)
         old = self._fresh_terms(side, np.concatenate([dsts, srcs]))
         old_d, old_s = old[:k].T, old[k:].T
         e, lp, hist = np.array([
             (x["e"] + y["e"], log_partitions(x["e"] + y["e"], x["n"] + y["n"]),
-             self._hist_sum(x["freq"], y["freq"], 1))
+             self._hist_sum(x["freq"], y["freq"]))
             for x, y in zip(map(groups.__getitem__, dsts.tolist()),
                             map(groups.__getitem__, srcs.tolist()))]).reshape(-1, 3).T
         rows = (self.e_mat[dsts, :] + self.e_mat[srcs, :] if side == 0
@@ -975,10 +962,10 @@ class NonoverlappingAgglomerator:
         delta += lp - old_d[1] - old_s[1]
         return delta - hist + old_d[2] + old_s[2]
 
-    def greedy_merge(self) -> float:
+    def greedy_merge(self) -> None:
         """Alternate sides, word side first, applying the best merge that
         lowers the description length by more than 1e-9 nats until none
-        remains; returns the sum of the applied deltas.
+        remains.
 
         Each side keeps its pairs' local deltas (global terms excluded) in a
         `_PairCache`: a dense upper-triangular array with per-row minima.
@@ -987,10 +974,9 @@ class NonoverlappingAgglomerator:
         rescored, b's row and column go to +inf, and only the row minima
         those cells can change are refreshed.  Cached pairs are not rescored
         after merges on the other side, although their deltas depend on its
-        groups, so the applied delta is recomputed fresh for the total.  The
+        groups; a search that needs the change of sigma scores the state.  The
         global terms are computed once per (side, B) and per B_all: merges
         leave each side's node count unchanged."""
-        total = 0.0
         side_terms, edge_prior = functools.cache(self._side_terms), functools.cache(self._edge_prior)
         caches = {side: _PairCache(self, side) for side in (1, 0)}
         improved = True
@@ -1007,12 +993,9 @@ class NonoverlappingAgglomerator:
                 a, b, local = caches[side].best()
                 if local + global_part < -1e-9:
                     assign = self.doc_assign if side == 0 else self.word_assign
-                    part = self._merge_part(side, b)
-                    total += self._transfer_delta(side, b, a, part) + global_part
-                    self._apply_transfer(side, b, a, part, assign == b)
+                    self._apply_transfer(side, b, a, self._merge_part(side, b), assign == b)
                     caches[side].merged(self, side, a, b)
                     improved = True
-        return total
 
     def materialize(self):
         """Compacted (doc_assign, word_assign) arrays of the current state."""
