@@ -24,14 +24,14 @@ from topicblocks.graph import state_from_label_arrays
 ## Three nodes, edges i-j and i-k, all half-edges in one group: exactly two
 ## of the three stub pairings produce this graph.
 state = LabeledGraph(3, [0, 0], [1, 2], [0, 0], [0, 0], [1, 1], 1)
-print("P(graph | degrees, edge counts) =", np.exp(logp_graph_given_ke(state)))
+print("P(graph | degrees, edge counts) =", np.exp(logp_graph_given_ke(CountTables(state))))
 
 ## The closed-form marginal equals the three-factor microcanonical product.
 rng = np.random.default_rng(3)
 for omega_bar in (0.5, 1.0, 2.0):
     tables = CountTables(state)
     lhs = logp_marginal_flat(state, omega_bar)
-    rhs = (logp_graph_given_ke(state, tables)
+    rhs = (logp_graph_given_ke(tables)
            + logp_degrees_flat(tables)
            + logp_edge_matrix_geometric(tables, omega_bar))
     print(f"omega_bar={omega_bar}: closed form {lhs:.6f} == product {rhs:.6f}")

@@ -43,6 +43,7 @@ from .microcanonical import (
     joint_logp,
     logp_geometric,
     logp_hierarchy,
+    score_tables,
     top_level_density,
 )
 from .partition_counts import log_partitions
@@ -139,10 +140,10 @@ def block_search(graph, config: InferenceConfig, rng=None, doc_start=None):
     same way, and keep that state only if its sigma is below the greedy one.
     They refuse a `doc_start`, whose groups may fill every group id and leave
     a new-group proposal none to take.  Returns the compacted flat state, the
-    trace (the exact sigma after the merges, then the running sigma after
-    each polish or MH sweep), whether the last polish ended on a sweep
-    without a move, and the node-move proposal and acceptance counts (empty
-    when greedy)."""
+    trace (the exact sigma after the merges, the running sigma after each
+    polish or MH sweep, the greedy sigma again if that state is kept),
+    whether the kept phase's last polish ended on a sweep without a move,
+    and the node-move proposal and acceptance counts (empty when greedy)."""
     if doc_start is not None and config.mode != "greedy":
         raise ValueError(f"a {config.mode} search starts from node singletons only")
     counts = np.zeros((graph.n_docs, graph.n_words), dtype=np.int64)
@@ -168,8 +169,10 @@ def block_search(graph, config: InferenceConfig, rng=None, doc_start=None):
                 converged = True
                 break
         if best is None or trace[-1] < best[0] - 1e-9:
-            best = trace[-1], agg.materialize()
-    return _block_state(counts, *best[1]), trace, converged, dict(stats)
+            best = trace[-1], agg.materialize(), converged
+        else:  # the greedy state is kept: the trace ends on it
+            trace.append(best[0])
+    return _block_state(counts, *best[1]), trace, best[2], dict(stats)
 
 
 # --- sweeps ------------------------------------------------------------------
@@ -257,17 +260,16 @@ def grow_hierarchy(state: LabeledGraph, max_levels: int,
     """
     if max_levels < 1:
         return Hierarchy(), joint_logp(state, max_overlap=max_overlap)
-    state = compress_groups(state)
     tables = CountTables(state)
-    e_base = tables.dense_e()
-    E = tables.E
+    tables.drop_empty_groups()
+    e_base, E, group_side = tables.dense_e(), tables.E, tables.group_side
 
     def edge_term(assignments):
-        return -logp_hierarchy(e_base, assignments, state.group_side, E=E)
+        return -logp_hierarchy(e_base, assignments, group_side, E=E)
 
     hierarchy = Hierarchy()
     best_term = edge_term([])
-    base_side = np.zeros(state.n_groups) if state.group_side is None else state.group_side
+    base_side = np.zeros(tables.n_groups) if group_side is None else group_side
     while hierarchy.depth < max_levels:
         # the sides of the groups that the new level assigns
         below = hierarchy_group_sides(base_side, hierarchy.assignments)[-1]
@@ -301,7 +303,7 @@ def grow_hierarchy(state: LabeledGraph, max_levels: int,
             best_term = trial_term
         else:
             break
-    return hierarchy, joint_logp(state, hierarchy, max_overlap=max_overlap)
+    return hierarchy, score_tables(tables, hierarchy, max_overlap, state=state)
 
 
 # --- full fits ---------------------------------------------------------------
@@ -376,14 +378,8 @@ def fit(graph, config: InferenceConfig) -> FitResult:
 # --- fixed-label scoring ------------------------------------------------------
 
 
-def labels_to_state(labels: LabeledCounts, variant: str) -> LabeledGraph:
-    """Labeled graph from true token labels.
-
-    "per-doc-group": document d keeps its own group and the word half-edge
-    carries the topic, giving D + K groups.  "doc-clustering": both
-    half-edges carry the topic (document side j, word side K + j), giving 2K
-    groups.  Words never observed are dropped from the node set.
-    """
+def _checked_labels(labels: LabeledCounts, variant: str) -> LabeledCounts:
+    """The labels over their realized words, checked for a fixed-label score."""
     if variant not in ("per-doc-group", "doc-clustering"):
         raise ValueError(f"unknown variant {variant!r}")
     D, K = labels.n_docs, labels.n_topics
@@ -392,6 +388,23 @@ def labels_to_state(labels: LabeledCounts, variant: str) -> LabeledGraph:
         raise IntegrityError("bundle multiplicities must be positive")
     if len(labels.d) and not 0 <= labels.d.min() <= labels.d.max() < D:
         raise IntegrityError(f"a label's document lies outside 0..{D - 1}")
+    if len(labels.r) and not 0 <= labels.r.min() <= labels.r.max() < K:
+        topic = labels.r[(labels.r < 0) | (labels.r >= K)][0]
+        raise IntegrityError(f"a label's topic {topic} lies outside 0..{K - 1}")
+    return labels
+
+
+def labels_to_state(labels: LabeledCounts, variant: str) -> LabeledGraph:
+    """Labeled graph from true token labels: the reference state, whose
+    `joint_logp` the tests hold `fixed_label_score` to bit for bit.
+
+    "per-doc-group": document d keeps its own group and the word half-edge
+    carries the topic, giving D + K groups.  "doc-clustering": both
+    half-edges carry the topic (document side j, word side K + j), giving 2K
+    groups.  Words never observed are dropped from the node set.
+    """
+    labels = _checked_labels(labels, variant)
+    D, K = labels.n_docs, labels.n_topics
     # G document groups, and the group of each document half-edge
     G, r_doc = (D, labels.d) if variant == "per-doc-group" else (K, labels.r)
     return state_from_label_arrays(D, labels.n_words, labels.d, labels.w, r_doc, G + labels.r,
@@ -400,10 +413,12 @@ def labels_to_state(labels: LabeledCounts, variant: str) -> LabeledGraph:
 
 def fixed_label_score(sample: LdaSample | LabeledCounts, variant: str) -> ModelScore:
     """Description length of the labeled graph built from true labels, with a
-    single-level edge-count prior (no nested hierarchy)."""
-    labels = sample.labels if isinstance(sample, LdaSample) else sample
-    state = labels_to_state(labels, variant)
-    return joint_logp(state, model_id="hsbm", parametrization=variant)
+    single-level edge-count prior (no nested hierarchy): scored from the
+    count tables the labels keep for the LDA scores too, without the state."""
+    labels = _checked_labels(sample.labels if isinstance(sample, LdaSample) else sample, variant)
+    tables = CountTables.from_topic_counts(labels.doc_topic_counts(), labels.word_topic_counts(),
+                                           labels.log_count_factorials(), variant == "per-doc-group")
+    return score_tables(tables, model_id="hsbm", parametrization=variant)
 
 
 # --- document-anchored batch fitter -------------------------------------------
@@ -430,11 +445,17 @@ def _anchored_state(rows: np.ndarray, bundles: BipartiteMultigraph) -> LabeledGr
 def score_doc_anchored(rows: np.ndarray, bundles: BipartiteMultigraph,
                        max_overlap=None) -> ModelScore:
     """Exact description length of the label rows, per-doc-group, under the
-    overlap cap `max_overlap`.  The bundles' (d, w, r) order is that of
+    overlap cap `max_overlap`: that of `_anchored_state`, from the rows'
+    topic totals.  The bundles' (d, w, r) order is that of
     `LabeledCounts.from_dense`, so this equals scoring the dense labels with
     `labels_to_state` bit for bit (by `fixed_label_score` when uncapped)."""
-    return joint_logp(_anchored_state(rows, bundles), max_overlap=max_overlap,
-                      model_id="hsbm", parametrization="per-doc-group")
+    m = rows[rows > 0]  # the state's multiplicities, in its bundle order
+    tables = CountTables.from_topic_counts(
+        _topic_totals(bundles.doc_idx, rows, bundles.n_docs).astype(np.int64),
+        _topic_totals(bundles.word_idx, rows, bundles.n_words).astype(np.int64),
+        float(log_factorial_table(int(m.max(initial=0)))[m].sum()), doc_groups=True)
+    return score_tables(tables, max_overlap=max_overlap, model_id="hsbm",
+                        parametrization="per-doc-group")
 
 
 def _doc_rank_blocks(perm: np.ndarray, doc_idx: np.ndarray) -> list[np.ndarray]:

@@ -129,6 +129,7 @@ class LabeledCounts:
         if np.any(self.counts < 0):
             raise IntegrityError("labeled counts must be nonnegative")
         self._words_realized = False
+        self._word_topic = None
         # aggregates of (d, r, counts), shared with a relabel of the words
         self._shared = {}
 
@@ -157,8 +158,12 @@ class LabeledCounts:
         return self._shared["log_counts"]
 
     def word_topic_counts(self) -> np.ndarray:
-        return _sum_by_key(self.w * self.n_topics + self.r, self.counts,
-                           (self.n_words, self.n_topics))
+        """(n_words, n_topics) token totals, read-only."""
+        if self._word_topic is None:
+            self._word_topic = _sum_by_key(self.w * self.n_topics + self.r, self.counts,
+                                           (self.n_words, self.n_topics))
+            self._word_topic.flags.writeable = False
+        return self._word_topic
 
     def over_realized_words(self) -> "LabeledCounts":
         """The same entries over the realized vocabulary: words with no entry

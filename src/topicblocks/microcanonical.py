@@ -22,12 +22,14 @@ The aggregates are built by numpy grouping, not per-element loops.
 `bincount` where no float sum can reach 2**53 and the pairs' bounding box
 has no more cells than there are pairs, or where one key is the other plus
 a constant (a per-doc-group state's (document, group) pairs), else by a
-sort of (key, weight) packed in an int64.  `MixtureTables` groups the
-(node, group)-sorted labeled degrees into node runs, mixtures and (mixture,
-group) pairs, each numbered in order of first occurrence by node.
-`joint_logp` scores the degree and partition priors straight from these
-integer arrays (`logp_degrees_array`, `logp_partition_array`, with
-restricted-partition counts from `partition_counts.log_partitions_array`).
+sort of (key, weight) packed in an int64; a fixed-label state's tables are
+read off its LDA count tables instead (`from_topic_counts`).  `MixtureTables`
+groups the (node, group)-sorted labeled degrees into node runs, mixtures and
+(mixture, group) pairs, each numbered in order of first occurrence by node.
+The one scoring core, `score_tables`, reads only the tables: it scores the
+degree and partition priors straight from these integer arrays
+(`logp_degrees_array`, `logp_partition_array`, with restricted-partition
+counts from `partition_counts.log_partitions_array`).
 
 The tests keep node-by-node dict scorers of the same priors
 (`tests/test_microcanonical.py`).  The array path adds the same float terms
@@ -127,7 +129,10 @@ def _first_occurrence_counts(key: np.ndarray):
 
 
 class CountTables:
-    """Sparse (e, k) aggregates of a labeled state.
+    """Sparse (e, k) aggregates of a labeled state, and all else that
+    `score_tables` reads: node and group sides (None when unsided), the sum
+    of log m! over the bundles that are not self-loops with equal labels
+    (`log_m`) and that of log (2m)!! over those that are (`log_loops`).
 
     Edge-count entries are stored for unordered group pairs r <= s with the
     diagonal holding twice the number of within-group edges, so that group
@@ -163,6 +168,41 @@ class CountTables:
             k = _pair_sums(*k, B)
         self.k_node, self.k_group, self.k_val = k
         self.e_r = np.bincount(self.k_group, weights=self.k_val, minlength=B).astype(np.int64)
+        self.side, self.group_side = state.side, state.group_side
+
+        loops = np.flatnonzero(state.i == state.j)
+        equal = loops[state.r[loops] == state.s[loops]]
+        plain = np.delete(state.m, equal) if len(equal) else state.m
+        self.log_m = float(log_factorial(plain).sum())
+        self.log_loops = float(log_double_factorial_even(2 * state.m[equal]).sum())
+
+    @classmethod
+    def from_topic_counts(cls, ndr: np.ndarray, nwr: np.ndarray, log_m: float,
+                          doc_groups: bool) -> "CountTables":
+        """The tables of a fixed-label word-document state from its (D, K)
+        doc-topic and (V, K) word-topic token totals and its sum of log m!.
+        Document d is node d, word w node D + w; a word half-edge of topic r
+        is in group G + r, a document half-edge in group d (`doc_groups`, G
+        = D: per-doc-group) or r (G = K: doc-clustering).  `np.nonzero`
+        lists a table's cells in (node, group) order, as `CountTables` does."""
+        (D, K), V, n_d, n_r = ndr.shape, len(nwr), ndr.sum(axis=1), ndr.sum(axis=0)
+        (d, r), (w, rw) = np.nonzero(ndr), np.nonzero(nwr)
+        t = cls.__new__(cls)
+        if doc_groups:  # one group per document; its edges are its topic counts
+            G, docs = D, np.flatnonzero(n_d)
+            t.pair_r, t.pair_s, t.pair_e = d, D + r, ndr[d, r]
+            doc_k, e_doc = (docs, docs, n_d[docs]), n_d
+        else:  # topic r on both ends: its edges join group r to group K + r
+            G, topics = K, np.flatnonzero(n_r)
+            t.pair_r, t.pair_s, t.pair_e = topics, K + topics, n_r[topics]
+            doc_k, e_doc = (d, r, ndr[d, r]), n_r
+        t.k_node, t.k_group, t.k_val = (np.concatenate(p)
+                                        for p in zip(doc_k, (D + w, G + rw, nwr[w, rw])))
+        t.e_r = np.concatenate([e_doc, n_r])
+        t.n_nodes, t.n_groups, t.E = D + V, G + K, int(n_r.sum())
+        t.side, t.group_side = np.repeat([0, 1], [D, V]), np.repeat([0, 1], [G, K])
+        t.log_m, t.log_loops = log_m, 0.0
+        return t
 
     def dense_e(self) -> np.ndarray:
         e = np.zeros((self.n_groups, self.n_groups), dtype=np.int64)
@@ -178,6 +218,8 @@ class CountTables:
         remap = np.cumsum(kept) - 1
         self.e_r = self.e_r[kept]
         self.n_groups = len(self.e_r)
+        if self.group_side is not None:
+            self.group_side = self.group_side[kept]
         self.pair_r, self.pair_s, self.k_group = (remap[x] for x in (self.pair_r, self.pair_s,
                                                                       self.k_group))
 
@@ -197,45 +239,30 @@ def compress_groups(state: LabeledGraph) -> LabeledGraph:
 # --- flat (noninformative) pieces ------------------------------------------
 
 
-def _bundle_log_factorials(state: LabeledGraph):
-    """The sum of log m! over the bundles that are not self-loops with equal
-    labels, by table lookup, and the sum of log (2m)!! over those that are
-    (0.0 when there are none)."""
-    lf = log_factorial_table(int(state.m.max(initial=0)))
-    loops = np.flatnonzero(state.i == state.j)
-    equal = loops[state.r[loops] == state.s[loops]]
-    if not len(equal):
-        return float(lf[state.m].sum()), 0.0
-    return (float(np.delete(lf[state.m], equal).sum()),
-            float(log_double_factorial_even(2 * state.m[equal]).sum()))
-
-
-def logp_graph_given_ke(state: LabeledGraph, tables: CountTables | None = None) -> float:
+def logp_graph_given_ke(t: CountTables) -> float:
     """log of (pairings yielding this labeled graph) / (pairings matching e).
 
     Within-group totals e_rr must be even; loop bundles with equal labels
     carry a double-factorial correction because their two stubs are
     exchangeable.
     """
-    t = tables if tables is not None else CountTables(state)
     diag = t.pair_r == t.pair_s
     if np.any(t.pair_e[diag] % 2 != 0):
         raise IntegrityError("odd within-group edge total")
-    plain, loops = _bundle_log_factorials(state)
-    log_xi = float(log_factorial_table(int(t.k_val.max(initial=0)))[t.k_val].sum()) - plain - loops
+    log_k = float(log_factorial_table(int(t.k_val.max(initial=0)))[t.k_val].sum())
+    log_xi = log_k - t.log_m - t.log_loops
     log_omega = float(log_factorial(t.e_r).sum())
     log_omega -= float(log_factorial(t.pair_e[~diag]).sum())
     log_omega -= float(log_double_factorial_even(t.pair_e[diag]).sum())
     return log_xi - log_omega
 
 
-def logp_degrees_flat(tables: CountTables, n_nodes: int | None = None) -> float:
+def logp_degrees_flat(tables: CountTables) -> float:
     """Uniform prior over labeled degree sequences: each group's half-edge
     total is distributed over all nodes as indistinguishable items."""
-    n = tables.n_nodes if n_nodes is None else n_nodes
     if np.any(tables.e_r < 0):
         raise IntegrityError("negative group degree total")
-    return -float(log_num_compositions(tables.e_r, np.full_like(tables.e_r, n)).sum())
+    return -float(log_num_compositions(tables.e_r, np.full_like(tables.e_r, tables.n_nodes)).sum())
 
 
 def logp_geometric(E: int, B: int, omega_bar: float) -> float:
@@ -249,11 +276,9 @@ def logp_geometric(E: int, B: int, omega_bar: float) -> float:
     return E * math.log(omega_bar) - (E + B * (B + 1) / 2.0) * math.log1p(omega_bar)
 
 
-def logp_edge_matrix_geometric(tables: CountTables, omega_bar: float,
-                               n_groups: int | None = None) -> float:
+def logp_edge_matrix_geometric(tables: CountTables, omega_bar: float) -> float:
     """`logp_geometric` of a state's edge total over its B groups."""
-    B = tables.n_groups if n_groups is None else n_groups
-    return logp_geometric(tables.E, B, omega_bar)
+    return logp_geometric(tables.E, tables.n_groups, omega_bar)
 
 
 def logp_marginal_flat(state: LabeledGraph, omega_bar: float) -> float:
@@ -265,8 +290,7 @@ def logp_marginal_flat(state: LabeledGraph, omega_bar: float) -> float:
     diag = t.pair_r == t.pair_s
     out += float(log_factorial(t.pair_e[~diag]).sum())
     out += float(log_double_factorial_even(t.pair_e[diag]).sum())
-    plain, loops = _bundle_log_factorials(state)
-    out = out - plain - loops
+    out = out - t.log_m - t.log_loops
     out += float((log_factorial(N - 1) - log_factorial(t.e_r + N - 1)).sum())
     out += float(log_factorial(t.k_val).sum())
     return out
@@ -293,22 +317,22 @@ class MixtureTables:
     sort.
     """
 
-    def __init__(self, state: LabeledGraph, tables: CountTables | None = None):
-        t = self.tables = tables if tables is not None else CountTables(state)
+    def __init__(self, tables: CountTables):
+        t = self.tables = tables
         nodes, groups, vals = t.k_node, t.k_group, t.k_val
         n = len(nodes)
         node_runs = run_bounds(nodes)
         starts, sizes = node_runs[:-1], np.diff(node_runs)
-        if state.side is None:
+        if t.side is None:
             node_side = np.zeros(len(starts), np.int64)
-            self.group_side = np.zeros(state.n_groups, np.int64)
+            self.group_side = np.zeros(t.n_groups, np.int64)
             self.sides = [0] if n else []
-            self.side_groups = {0: state.n_groups}
+            self.side_groups = {0: t.n_groups}
         else:  # both sides, in order of their first node
-            node_side = state.side[nodes[starts]]
-            self.group_side = state.group_side
+            node_side = t.side[nodes[starts]]
+            self.group_side = t.group_side
             self.sides = list(dict.fromkeys(node_side[:1].tolist() + [0, 1]))
-            self.side_groups = {sd: int((state.group_side == sd).sum()) for sd in self.sides}
+            self.side_groups = {sd: int((t.group_side == sd).sum()) for sd in self.sides}
         self.n_eff = {sd: int(np.count_nonzero(node_side == sd)) for sd in self.sides}
         self.entry_side = np.repeat(node_side, sizes)
         span = int(sizes.max(initial=0)) + 1
@@ -597,31 +621,36 @@ def joint_logp(state: LabeledGraph, hierarchy: Hierarchy | None = None,
                max_overlap: int | None = None, model_id: str = "hsbm",
                parametrization: str = "") -> ModelScore:
     """Description length of (graph, labels, partitions): the negative log of
-    the joint probability of the labeled graph and every partition level.
+    the joint probability of the labeled graph and every partition level;
+    `score_tables` of the state's `CountTables`."""
+    return score_tables(CountTables(state), hierarchy, max_overlap, model_id, parametrization,
+                        state=state)
 
-    With no hierarchy the state is scored as if compressed to occupied
-    groups, so the score is invariant under group relabelings and ignores
-    transiently empty groups.  Only a state with an empty group (e_r = 0,
-    as m >= 1) is compressed, with its tables renumbered alike; when every
-    group is occupied the relabel is the identity.
-    """
-    tables = CountTables(state)
+
+def score_tables(tables: CountTables, hierarchy: Hierarchy | None = None,
+                 max_overlap: int | None = None, model_id: str = "hsbm",
+                 parametrization: str = "", state: LabeledGraph | None = None) -> ModelScore:
+    """The scoring core: `joint_logp` from the tables alone.  The group-side
+    check, which names a bundle, runs on a `state` given (`from_topic_counts`
+    tables pass it by construction).  With no hierarchy, tables with an empty
+    group (e_r = 0, as m >= 1) are renumbered in place (`drop_empty_groups`),
+    so the score ignores transiently empty groups and group relabelings."""
     if hierarchy is None or not hierarchy.assignments:
         hierarchy = Hierarchy()
         if not tables.e_r.all():
-            state = compress_groups(state)
             tables.drop_empty_groups()
     elif np.any(tables.e_r == 0):
         raise IntegrityError("empty group in a scored state")
-    mix = MixtureTables(state, tables)
+    mix = MixtureTables(tables)
     breakdown = {}
-    breakdown["adjacency"] = -logp_graph_given_ke(state, tables)
+    breakdown["adjacency"] = -logp_graph_given_ke(tables)
     breakdown["degrees"] = -logp_degrees_array(mix)
-    _check_group_sides(state, mix)
+    if state is not None:
+        _check_group_sides(state, mix)
     breakdown["partition"] = -logp_partition_array(mix, max_overlap)
     if hierarchy.assignments:
         breakdown["edge_matrix"] = -logp_hierarchy(
-            tables.dense_e(), hierarchy.assignments, state.group_side, E=tables.E
+            tables.dense_e(), hierarchy.assignments, tables.group_side, E=tables.E
         )
     else:
         # a flat state's edge prior needs only E and B, not the (B, B) matrix

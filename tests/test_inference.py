@@ -327,23 +327,45 @@ class TestBlockSearch:
                                                            n_sweeps=10, max_levels=5))
             assert result.sigma <= 321.0351123879486 + 1e-9
 
+    @staticmethod
+    def uniform_base_graph(seed):
+        K, D, V = 2, 30, 40
+        labels = sample_corpus(K, D, V, 20, make_hyper(0.1, 0.1, np.full(K, 1 / K),
+                                                       np.full(V, 1 / V)), seed=seed).labels
+        return BipartiteMultigraph(D, V, labels.d, labels.w, labels.counts)
+
     @pytest.mark.parametrize("mode", ["greedy", "anneal"])
     def test_running_trace_does_not_drift(self, mode):
         """The trace's exact start plus the summed deltas of every later
         sweep ends within 1e-8 of `joint_logp` of the state the search
-        returns: its last entry, unless a tempered phase ended no lower than
-        the greedy one, whose state is then kept.  On this corpus the
-        tempered phase accepts moves and ends lower."""
-        K, D, V = 2, 30, 40
-        labels = sample_corpus(K, D, V, 20, make_hyper(0.1, 0.1, np.full(K, 1 / K),
-                                                       np.full(V, 1 / V)), seed=2).labels
-        graph = BipartiteMultigraph(D, V, labels.d, labels.w, labels.counts)
+        returns.  On this corpus the tempered phase accepts moves and ends
+        lower, so its state is kept."""
+        graph = self.uniform_base_graph(2)
         greedy = inference.block_search(graph, InferenceConfig(n_sweeps=10))[1]
         state, trace, _, stats = inference.block_search(
             graph, InferenceConfig(mode=mode, n_sweeps=10), np.random.default_rng(0))
         assert trace[:len(greedy)] == greedy and stats.get("accepted", 1) > 0
-        kept = trace[-1] if trace[-1] < greedy[-1] - 1e-9 else greedy[-1]
-        assert abs(kept - joint_logp(state).sigma_nats) < 1e-8
+        assert abs(trace[-1] - joint_logp(state).sigma_nats) < 1e-8
+
+    @pytest.mark.parametrize("mode", ["anneal", "mcmc"])
+    @pytest.mark.parametrize("n_sweeps, rng_seed", [(10, 0), (1, 1)])
+    def test_trace_ends_on_the_kept_greedy_state(self, mode, n_sweeps, rng_seed):
+        """When the tempered phase ends no lower, the greedy state is kept:
+        the trace then ends on its sigma again, and `converged` is the
+        greedy phase's.  Here the tempered phase ends 0.86 nats higher (at
+        10 sweeps; the trace used to end there, at 602.1606, while the state
+        returned scores 601.3010), or at one sweep equal, with its one
+        polish sweep moving nothing where the greedy one moved nodes."""
+        graph = self.uniform_base_graph(1)
+        _, greedy, greedy_converged, _ = inference.block_search(
+            graph, InferenceConfig(n_sweeps=n_sweeps))
+        state, trace, converged, _ = inference.block_search(
+            graph, InferenceConfig(mode=mode, n_sweeps=n_sweeps),
+            np.random.default_rng(rng_seed))
+        assert trace[:len(greedy)] == greedy and trace[-1] == greedy[-1]
+        assert trace[-2] > trace[-1] + 0.8 if n_sweeps == 10 else trace[-2] == trace[-1]
+        assert abs(trace[-1] - joint_logp(state).sigma_nats) < 1e-9
+        assert converged == greedy_converged == (n_sweeps == 10)
 
     def test_trace_is_merges_then_one_entry_per_sweep(self, synth_graphs):
         graph = synth_graphs[21]
@@ -377,17 +399,20 @@ class TestBlockSearch:
     @pytest.mark.parametrize("mode", ["anneal", "mcmc"])
     def test_tempered_trace_and_counts(self, synth_graphs, mode):
         """A tempered search's trace is the greedy search's, then one entry
-        per MH sweep and per final polish sweep; it counts one proposal per
+        per MH sweep and per final polish sweep, then, as the tempered phase
+        ends no lower here, the kept greedy sigma; it counts one proposal per
         node with edges and sweep, and never ends above the greedy sigma."""
         graph = synth_graphs[21]
         greedy = fit(graph, InferenceConfig(mode="greedy", n_sweeps=10))
         result = fit(graph, InferenceConfig(mode=mode, seed=3, n_restarts=1, n_sweeps=10))
         n_greedy = len(greedy.sigma_trace) - 1
         assert result.sigma_trace[:n_greedy] == greedy.sigma_trace[:-1]
-        n_final = len(result.sigma_trace) - 1 - n_greedy - 10
+        assert result.sigma_trace[-2] == greedy.sigma_trace[-2]
+        n_final = len(result.sigma_trace) - 2 - n_greedy - 10
         assert 1 <= n_final <= 10
         # a polish sweep without a move adds exactly 0.0
-        assert result.converged == (result.sigma_trace[-2] == result.sigma_trace[-3])
+        assert result.sigma_trace[-3] == result.sigma_trace[-4]
+        assert result.converged == greedy.converged
         n_nodes = len(np.unique(graph.doc_idx)) + len(np.unique(graph.word_idx))
         assert result.acceptance["proposed"] == 10 * n_nodes
         assert 0 <= result.acceptance["accepted"] <= result.acceptance["proposed"]
@@ -568,6 +593,25 @@ class TestFixedLabelScore:
         s = sample_corpus(2, 4, 8, 6, h, seed=3)
         with pytest.raises(ValueError):
             fixed_label_score(s, "nested-variant")
+
+    @pytest.mark.parametrize("variant", ["per-doc-group", "doc-clustering"])
+    @pytest.mark.parametrize("column, value, message", [
+        ("counts", 0, "bundle multiplicities must be positive"),
+        ("d", -1, "a label's document lies outside 0..1"),
+        ("d", 2, "a label's document lies outside 0..1"),
+        ("r", -1, "a label's topic -1 lies outside 0..1"),
+        ("r", 2, "a label's topic 2 lies outside 0..1"),
+    ])
+    def test_bad_labels_rejected(self, variant, column, value, message):
+        """Both fixed-label paths refuse a zero multiplicity, a document
+        outside 0..D-1 and a topic outside 0..K-1, naming the topic."""
+        cols = dict(d=[0, 1, 1], w=[0, 2, 1], r=[0, 1, 1], counts=[1, 2, 1])
+        cols[column][1] = value
+        labels = LabeledCounts(2, 3, 2, cols["d"], cols["w"], cols["r"], cols["counts"])
+        for score in (fixed_label_score, labels_to_state):
+            with pytest.raises(IntegrityError) as err:
+                score(labels, variant)
+            assert str(err.value) == message
 
 
 class TestAnchoredFitter:

@@ -303,6 +303,16 @@ class TestLabeledCountsAggregates:
         assert got.over_realized_words() is got
         assert counted == []
 
+    def test_word_topic_table_is_kept_per_instance(self):
+        """Each relabel of the words has its own word-topic table, summed
+        once and read-only."""
+        lab = LabeledCounts(2, 4, 2, [0, 0, 1], [0, 3, 3], [0, 1, 1], [2, 1, 5])
+        got = lab.over_realized_words()
+        assert got.word_topic_counts() is got.word_topic_counts()
+        assert not got.word_topic_counts().flags.writeable
+        assert got.word_topic_counts().tolist() == [[2, 0], [0, 6]]
+        assert lab.word_topic_counts().tolist() == [[2, 0], [0, 0], [0, 0], [0, 6]]
+
     def test_out_of_range_label_is_refused(self):
         lab = LabeledCounts(2, 2, 1, [0, 2], [0, 1], [0, 0], [1, 1])
         with pytest.raises(IndexError):

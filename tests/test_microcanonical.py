@@ -11,9 +11,14 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as hst
 
-from topicblocks import lda, microcanonical
-from topicblocks.graph import LabeledGraph, derive_counts, state_from_label_arrays
-from topicblocks.inference import labels_to_state
+from topicblocks import inference, lda, microcanonical
+from topicblocks.graph import (
+    BipartiteMultigraph,
+    LabeledGraph,
+    derive_counts,
+    state_from_label_arrays,
+)
+from topicblocks.inference import fixed_label_score, labels_to_state, score_doc_anchored
 from topicblocks.microcanonical import (
     _check_group_sides,
     _pair_sums,
@@ -39,7 +44,13 @@ from topicblocks.microcanonical import (
     top_level_density,
 )
 from topicblocks.partition_counts import log_partitions
-from topicblocks.util import IntegrityError, log_factorial_table, log_num_compositions
+from topicblocks.util import (
+    IntegrityError,
+    log_double_factorial_even,
+    log_factorial,
+    log_factorial_table,
+    log_num_compositions,
+)
 
 
 # --- dict scorers: the reference the array path is checked against ----------
@@ -183,12 +194,12 @@ def brute_force_graph_probability(state):
 class TestGraphGivenKE:
     def test_unique_compatible_graph(self):
         st = LabeledGraph(2, [0], [1], [0], [1], [1], 2)
-        assert abs(logp_graph_given_ke(st)) < 1e-12
+        assert abs(logp_graph_given_ke(CountTables(st))) < 1e-12
 
     def test_two_edges_one_group(self):
         # nodes {i,j,k} with edges i-j and i-k: two of three pairings
         st = LabeledGraph(3, [0, 0], [1, 2], [0, 0], [0, 0], [1, 1], 1)
-        assert abs(logp_graph_given_ke(st) - math.log(2 / 3)) < 1e-12
+        assert abs(logp_graph_given_ke(CountTables(st)) - math.log(2 / 3)) < 1e-12
 
     def test_matches_pairing_enumeration(self):
         rng = np.random.default_rng(42)
@@ -196,7 +207,7 @@ class TestGraphGivenKE:
             st = random_state(rng, n_max=4, e_max=5)
             matched, compatible = brute_force_graph_probability(st)
             assert matched > 0
-            got = logp_graph_given_ke(st)
+            got = logp_graph_given_ke(CountTables(st))
             assert abs(got - math.log(matched / compatible)) < 1e-9
 
     def test_odd_within_group_total_rejected(self):
@@ -260,7 +271,7 @@ class TestMicrocanonicalIdentity:
             t = CountTables(st)
             omega = float(rng.uniform(0.05, 4.0))
             lhs = logp_marginal_flat(st, omega)
-            rhs = (logp_graph_given_ke(st, t) + logp_degrees_flat(t)
+            rhs = (logp_graph_given_ke(t) + logp_degrees_flat(t)
                    + logp_edge_matrix_geometric(t, omega))
             worst = max(worst, abs(lhs - rhs))
         assert worst < 1e-9
@@ -388,7 +399,7 @@ class TestBipartitePartition:
     def test_two_single_groups(self):
         st = state_from_label_arrays(2, 2, [0, 1], [0, 1], [0, 0], [1, 1],
                                      [1, 1], 2, [0, 1])
-        got = logp_partition_array(MixtureTables(st))
+        got = logp_partition_array(MixtureTables(CountTables(st)))
         stats = side_statistics_reference(st)
         expected = sum(logp_overlap_partition(s) for s in stats.values())
         assert abs(got - expected) < 1e-12
@@ -404,7 +415,7 @@ class TestBipartitePartition:
             3, 3, [0, 1, 2, 0], [0, 1, 2, 2], [0, 1, 0, 0], [2, 3, 3, 2],
             [2, 1, 1, 1], 4, [0, 0, 1, 1])
         stats = side_statistics_reference(st)
-        total = logp_partition_array(MixtureTables(st))
+        total = logp_partition_array(MixtureTables(CountTables(st)))
         assert abs(total - sum(logp_overlap_partition(s) for s in stats.values())) < 1e-12
 
 
@@ -542,6 +553,10 @@ class CountTablesReference(CountTables):
         self.k_node = (kuniq // B).astype(np.int64)
         self.k_group = (kuniq % B).astype(np.int64)
         self.k_val = kvals
+        self.side, self.group_side = state.side, state.group_side
+        equal = (state.i == state.j) & (state.r == state.s)
+        self.log_m = float(log_factorial(state.m[~equal]).sum())
+        self.log_loops = float(log_double_factorial_even(2 * state.m[equal]).sum())
 
 
 def compress_groups_reference(state):
@@ -624,7 +639,7 @@ def joint_breakdown_reference(state, max_overlap=None):
     t = CountTablesReference(state)
     stats = side_statistics_reference(state, t)
     return {
-        "adjacency": -logp_graph_given_ke(state, t),
+        "adjacency": -logp_graph_given_ke(t),
         "degrees": -logp_degrees_given_mixtures(stats),
         "partition": -logp_partition_reference(state, max_overlap, stats),
         "edge_matrix": -logp_hierarchy(t.dense_e(), [], state.group_side, E=t.E),
@@ -683,10 +698,13 @@ def assert_same_graph(a, b):
 
 
 def assert_same_tables(got, want):
-    assert (got.n_nodes, got.n_groups, got.E) == (want.n_nodes, want.n_groups, want.E)
-    for name in ("pair_r", "pair_s", "pair_e", "e_r", "k_node", "k_group", "k_val"):
+    assert (got.n_nodes, got.n_groups, got.E, got.log_m, got.log_loops) == (
+        want.n_nodes, want.n_groups, want.E, want.log_m, want.log_loops)
+    for name in ("pair_r", "pair_s", "pair_e", "e_r", "k_node", "k_group", "k_val", "side",
+                 "group_side"):
         x, y = getattr(got, name), getattr(want, name)
-        assert x.dtype == y.dtype and np.array_equal(x, y), name
+        assert (x is None) == (y is None), name
+        assert x is None or (x.dtype == y.dtype and np.array_equal(x, y)), name
 
 
 class TestArrayAggregates:
@@ -870,7 +888,7 @@ class TestPackedSums:
 def test_group_side_check_matches_bundle_scan(state):
     """Checked on the labeled degrees, a state with half-edges labeled by
     groups of the other side raises what the scan of every bundle raises."""
-    got = outcome(_check_group_sides, state, MixtureTables(state))
+    got = outcome(_check_group_sides, state, MixtureTables(CountTables(state)))
     assert got == outcome(check_group_sides_reference, state)
 
 
@@ -911,6 +929,78 @@ def test_label_states_pass_validation(labels, variant):
     assert_same_graph(rebuilt, out)
 
 
+VARIANTS = ["per-doc-group", "doc-clustering"]
+
+
+def anchored_rows(labels):
+    """The labels as the anchored fitter holds them: the coalesced (d, w)
+    bundles over every word, observed or not, and one topic row per bundle."""
+    dense = labels.to_dense()
+    counts = dense.sum(axis=2)
+    d_idx, w_idx = np.nonzero(counts)
+    bundles = BipartiteMultigraph(labels.n_docs, labels.n_words, d_idx, w_idx,
+                                  counts[d_idx, w_idx])
+    return dense[d_idx, w_idx], bundles
+
+
+class TestTopicCountTables:
+    """The tables of a fixed-label state read off its topic-count tables
+    are those summed from its bundles, so its scores are bit for bit those
+    of `joint_logp` of the state: labels with empty topics, empty documents
+    and unobserved words."""
+
+    @given(label_sets().filter(lambda labels: labels.counts.all()), hst.sampled_from(VARIANTS),
+           hst.sampled_from([1, microcanonical.SMALL_PAIR_SET]))
+    def test_tables_match_the_bundle_sums(self, labels, variant, small_set):
+        lab = labels.over_realized_words()
+        got = CountTables.from_topic_counts(lab.doc_topic_counts(), lab.word_topic_counts(),
+                                            lab.log_count_factorials(),
+                                            doc_groups=variant == "per-doc-group")
+        with mock.patch.object(microcanonical, "SMALL_PAIR_SET", small_set):
+            assert_same_tables(got, CountTables(labels_to_state(labels, variant)))
+
+    @given(label_sets().filter(lambda labels: labels.counts.all()), hst.sampled_from(VARIANTS))
+    def test_fixed_label_scores_match_the_state(self, labels, variant):
+        got = fixed_label_score(labels, variant)
+        want = joint_logp(labels_to_state(labels, variant), model_id="hsbm",
+                          parametrization=variant)
+        assert got == want
+
+    @given(label_sets().filter(lambda labels: labels.counts.all()),
+           hst.sampled_from([None, 1, 2]))
+    def test_anchored_scores_match_the_state(self, labels, max_overlap):
+        rows, bundles = anchored_rows(labels)
+        state = inference._anchored_state(rows, bundles)
+        assert outcome(score_doc_anchored, rows, bundles, max_overlap) == outcome(
+            joint_logp, state, max_overlap=max_overlap, parametrization="per-doc-group")
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_corpus_scores_match_the_state(self, variant):
+        """A 200-document corpus: order-sensitive sums and bincount paths."""
+        labels = corpus_labels(3)
+        state = labels_to_state(labels, variant)
+        assert fixed_label_score(labels, variant) == joint_logp(state, parametrization=variant)
+        if variant == "per-doc-group":
+            rows, bundles = anchored_rows(labels)
+            for cap in (None, 2, 3):  # a cap of 2 is refused on both paths
+                assert outcome(score_doc_anchored, rows, bundles, cap) == outcome(
+                    joint_logp, inference._anchored_state(rows, bundles), max_overlap=cap,
+                    parametrization=variant)
+
+    def test_no_bundle_state_is_built(self, monkeypatch):
+        labels = corpus_labels(3)
+        rows, bundles = anchored_rows(labels)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a bundle state was built")
+
+        monkeypatch.setattr(LabeledGraph, "__init__", refuse)
+        monkeypatch.setattr(CountTables, "__init__", refuse)
+        for variant in VARIANTS:
+            fixed_label_score(labels, variant)
+        score_doc_anchored(rows, bundles)
+
+
 @pytest.mark.parametrize("d", [-1, 2])
 def test_label_state_refuses_a_document_out_of_range(d):
     labels = lda.LabeledCounts(2, 2, 1, [0, d], [0, 1], [0, 0], [1, 1])
@@ -931,14 +1021,19 @@ def assert_joint_matches_reference(state, max_overlap=None):
 
 
 @functools.lru_cache(maxsize=None)
-def corpus_state(n_topics, variant, sided=True):
-    """True-label state of a seeded 200-document Zipf-base corpus; unsided,
-    all its nodes form one side, so one side's partition is the whole term."""
+def corpus_labels(n_topics):
+    """True labels of a seeded 200-document Zipf-base corpus."""
     V = 300
     hyper = lda.make_hyper(1.0, 1.0, np.full(n_topics, 1.0 / n_topics),
                            lda.double_power_law_base(V))
-    sample = lda.sample_corpus(n_topics, 200, V, 40, hyper, seed=3)
-    st = labels_to_state(sample.labels, variant)
+    return lda.sample_corpus(n_topics, 200, V, 40, hyper, seed=3).labels
+
+
+@functools.lru_cache(maxsize=None)
+def corpus_state(n_topics, variant, sided=True):
+    """True-label state of `corpus_labels`; unsided, all its nodes form one
+    side, so one side's partition is the whole term."""
+    st = labels_to_state(corpus_labels(n_topics), variant)
     return st if sided else LabeledGraph(st.n_nodes, st.i, st.j, st.r, st.s, st.m, st.n_groups)
 
 
@@ -958,7 +1053,7 @@ class TestOrderSensitiveSums:
     @pytest.mark.parametrize("variant", ["per-doc-group", "doc-clustering"])
     def test_corpus_side_statistics(self, variant):
         state = compress_groups(corpus_state(4, variant))
-        mix = MixtureTables(state)
+        mix = MixtureTables(CountTables(state))
         assert np.diff(mix.freq_start).max() >= 9
         assert np.bincount(mix.pair_side).min() >= 9  # on both sides
         assert mix.mix_size.max() >= 2  # overlapping mixtures
@@ -969,7 +1064,7 @@ class TestOrderSensitiveSums:
         """Each pair's frequency log-factorials, summed as the dict path sums
         them (a ninth term already changes a pairwise sum)."""
         state = compress_groups(corpus_state(n_topics, variant))
-        mix, stats = MixtureTables(state), side_statistics_reference(state)
+        mix, stats = MixtureTables(CountTables(state)), side_statistics_reference(state)
         lf = log_factorial_table(state.n_nodes)
         got = _run_sums(lf[mix.freq_count], mix.freq_start)
         for sd, st in stats.items():
@@ -1040,7 +1135,7 @@ class TestArrayErrorPaths:
         tables.e_r[faults["e_r"]] = 1
         if faults["k_val"]:  # document 2 alone in its mixture, degree 0 in group 1
             tables.k_val[(tables.k_node == 2) & (tables.k_group == 1)] = 0
-        got = outcome(logp_degrees_array, MixtureTables(st, tables))
+        got = outcome(logp_degrees_array, MixtureTables(tables))
         assert got == outcome(logp_degrees_given_mixtures, side_statistics_reference(st, tables))
         assert got[0] is IntegrityError and match in got[1]
 
@@ -1049,13 +1144,13 @@ class TestArrayErrorPaths:
         tables = CountTables(st)
         tables.e_r[0] = 1  # group 0 has three member nodes
         with pytest.raises(IntegrityError, match="inconsistent"):
-            logp_degrees_array(MixtureTables(st, tables))
+            logp_degrees_array(MixtureTables(tables))
         with pytest.raises(IntegrityError, match="inconsistent"):
             logp_degrees_given_mixtures(side_statistics_reference(st, tables))
 
     def test_degree_sum_that_cannot_split(self):
         st = self.small_state()
-        mix = MixtureTables(st)
+        mix = MixtureTables(CountTables(st))
         mix.pair_esum[-1] = mix.mix_count[mix.pair_mix[-1]] - 1
         with pytest.raises(IntegrityError, match="cannot split"):
             logp_degrees_array(mix)
