@@ -39,16 +39,21 @@ from .microcanonical import (
     CountTables,
     Hierarchy,
     compress_groups,
-    hierarchy_group_sides,
     joint_logp,
     logp_geometric,
-    logp_hierarchy,
+    logp_level_partition,
     score_tables,
     top_level_density,
 )
 from .partition_counts import log_partitions
 from .scores import ModelScore
-from .util import IntegrityError, log_factorial_table, log_num_compositions_large
+from .util import (
+    IntegrityError,
+    log_binom,
+    log_factorial_table,
+    log_num_compositions,
+    log_num_compositions_large,
+)
 
 # search settings, one value each; the docstrings of their readers say what each sets
 TEMPERATURE_START, TEMPERATURE_END = 1.0, 1e-3
@@ -248,62 +253,73 @@ def mh_sweep(state: LabeledGraph, rng, temperature=1.0, doc_labels=None, word_la
 
 def grow_hierarchy(state: LabeledGraph, max_levels: int,
                    max_overlap=None) -> tuple[Hierarchy, ModelScore]:
-    """Greedy level growing: add an identity level on top, agglomerate its
-    groups while the joint improves, keep the level only if it pays for
-    itself.  Repeats until no level helps or the depth cap is reached.  When
-    the state's group sides are known, only groups of one side are paired.
-
-    Only the edge-matrix stack changes during the search, so candidates are
-    rescored through that term alone; the full joint is assembled once at the
-    end.  With `max_levels` below one the flat joint is returned before any
-    (B, B) edge matrix is built.
-    """
-    if max_levels < 1:
+    """Greedy level growing: add an identity level on top, apply its best
+    same-side merge (`_best_level_merge`, from that level's matrix and sizes
+    alone) while that lowers the description length by more than 1e-9, and
+    keep the level if its total change, the identity level's cost included,
+    is below -1e-9; repeat until no level helps or the depth cap is reached.
+    The joint is scored once, at the end.  With `max_levels` of one or less
+    it is the flat joint, and no (B, B) edge matrix is built."""
+    if max_levels <= 1:
         return Hierarchy(), joint_logp(state, max_overlap=max_overlap)
     tables = CountTables(state)
     tables.drop_empty_groups()
-    e_base, E, group_side = tables.dense_e(), tables.E, tables.group_side
-
-    def edge_term(assignments):
-        return -logp_hierarchy(e_base, assignments, group_side, E=E)
-
+    e, side = tables.dense_e(), tables.group_side
+    side = np.zeros(len(e), dtype=np.int64) if side is None else side
     hierarchy = Hierarchy()
-    best_term = edge_term([])
-    base_side = np.zeros(tables.n_groups) if group_side is None else group_side
     while hierarchy.depth < max_levels:
-        # the sides of the groups that the new level assigns
-        below = hierarchy_group_sides(base_side, hierarchy.assignments)[-1]
-        trial = hierarchy.assignments + [np.arange(len(below), dtype=np.int64)]
-        trial_term = edge_term(trial)
-        improved = True
-        while improved:
-            improved = False
-            assignment = trial[-1]
-            coarse, first = np.unique(assignment, return_index=True)
-            side = below[first]
-            cand_best = None
-            for ai in range(len(coarse)):
-                for bi in range(ai + 1, len(coarse)):
-                    if side[ai] != side[bi]:
-                        continue  # a merge across sides is no hierarchy
-                    merged = assignment.copy()
-                    merged[merged == coarse[bi]] = coarse[ai]
-                    _, merged = np.unique(merged, return_inverse=True)
-                    term = edge_term(trial[:-1] + [merged])
-                    if term < trial_term - 1e-9 and (
-                        cand_best is None or term < cand_best[0]
-                    ):
-                        cand_best = (term, merged)
-            if cand_best is not None:
-                trial_term = cand_best[0]
-                trial = trial[:-1] + [cand_best[1]]
-                improved = True
-        if trial_term < best_term - 1e-9:
-            hierarchy = Hierarchy(trial)
-            best_term = trial_term
-        else:
+        # an identity level costs its partition prior; its matrix prior is log 1
+        cost = -logp_level_partition(np.arange(len(e)), side)
+        coarse, sizes, parent = e.copy(), np.ones(len(e), dtype=np.int64), np.arange(len(e))
+        delta, a, b = _best_level_merge(coarse, sizes, side, tables.E)
+        while delta < -1e-9:
+            cost += delta
+            coarse[a] += coarse[b]
+            coarse[:, a] += coarse[:, b]
+            coarse[b], coarse[:, b], sizes[a], sizes[b] = 0, 0, sizes[a] + sizes[b], 0
+            parent[parent == b] = a
+            delta, a, b = _best_level_merge(coarse, sizes, side, tables.E)
+        if not cost < -1e-9:
             break
+        hierarchy.assignments.append(np.unique(parent, return_inverse=True)[1])
+        e, side = coarse[np.ix_(sizes > 0, sizes > 0)], side[sizes > 0]
     return hierarchy, score_tables(tables, hierarchy, max_overlap, state=state)
+
+
+def _best_level_merge(e, sizes, side, E) -> tuple[float, int, int]:
+    """(delta, a, b): the lowest description-length change of merging group
+    b into a < b of one side (the first pair on ties; inf when none), given a
+    growing level's coarse matrix `e` (diagonal doubled), sizes (0: merged
+    away) and the sides of the groups below.  A merge changes the terms of
+    the coarse pairs at a or b, log n_a! + log n_b! against log (n_a + n_b)!,
+    the side's binomial and the top geometric prior."""
+    comp = log_num_compositions
+    B, diag = np.count_nonzero(sizes), np.diagonal(e)
+    best = (math.inf, -1, -1)
+    for s in (0, 1):
+        g, n_prev = np.flatnonzero((side == s) & (sizes > 0)), np.count_nonzero(side == s)
+        if len(g) < 2:
+            continue
+        geometric = (logp_geometric(E, B, top_level_density(E, B))
+                     - logp_geometric(E, B - 1, top_level_density(E, B - 1)))
+        # a pair without edges scores log 1: in a sided state, only the other side counts
+        cols = np.flatnonzero(e[g].any(axis=0))
+        rows, n, nx = e[np.ix_(g, cols)], sizes[g], sizes[cols]
+        # a column that is a scored group (unsided states only) moves to the diagonal
+        alone = (comp(rows, n[:, None] * nx).sum(axis=1) - comp(diag[g], n * n)
+                 + comp(diag[g] // 2, n * (n + 1) // 2))
+        ia, ib = np.triu_indices(len(g), 1)
+        a, b, na, nb = g[ia], g[ib], n[ia], n[ib]
+        m, eab = na + nb, e[a, b]
+        merged = (comp(rows[ia] + rows[ib], m[:, None] * nx).sum(axis=1)
+                  - comp(diag[a] + eab, m * na) - comp(eab + diag[b], m * nb)
+                  + comp(diag[a] // 2 + diag[b] // 2 + eab, m * (m + 1) // 2))
+        binom = log_binom(n_prev - 1, len(g) - 2) - log_binom(n_prev - 1, len(g) - 1)
+        delta = (merged - alone[ia] - alone[ib] + comp(eab, na * nb) - log_binom(m, na)
+                 + binom + geometric)
+        k = int(np.argmin(delta))
+        best = min(best, (float(delta[k]), int(a[k]), int(b[k])))
+    return best
 
 
 # --- full fits ---------------------------------------------------------------
@@ -338,8 +354,8 @@ def fit(graph, config: InferenceConfig) -> FitResult:
     ends after one restart, whatever `n_restarts` says.  A per-doc-group
     restart is a greedy `_anchored_restart` with `n_word_groups` (default
     2) and at most `n_sweeps` descent rounds, scored under the overlap cap;
-    `InferenceConfig` refuses it in anneal and mcmc mode.  Group counts and
-    hierarchy depth are fitted.
+    `InferenceConfig` refuses it in anneal and mcmc mode.  Group counts are
+    fitted; `grow_hierarchy` then adds at most `max_levels` - 1 levels.
 
     `sigma_trace` holds the restart's search trace (see `block_search` and
     `_anchored_restart`); its last entry is the score with the grown
@@ -1063,9 +1079,12 @@ def _anchored_proposal(rows, bundles, mode):
     """Candidate label moves ranked by a count-ratio heuristic: the per-unit
     gain of placing mass under topic r given current tables.
 
-    "bundle" sends a bundle's whole mass to the best topic, "prop" splits it
+    "bundle" sends a bundle's whole mass to the best topic, "word" sends
+    every bundle of a word to the word's best topic, "prop" splits it
     proportionally to the exponentiated gains (shared words stay shared), and
     "unit" shifts a single unit from the weakest occupied topic to the best.
+    Returns (new_rows, margin, movable): every bundle's proposed row, its
+    ranking margin and whether the row moves; None when none does.
     """
     d_idx, w_idx, n_dw = bundles.doc_idx, bundles.word_idx, bundles.counts
     V = bundles.n_words
@@ -1079,50 +1098,34 @@ def _anchored_proposal(rows, bundles, mode):
     )
     target = gain.argmax(axis=1)
     idx = np.arange(len(d_idx))
-    donor, split = target, None  # a donor serves only "unit", a split only "prop"
     if mode == "word":
         # coordinated move of a word's entire column to one topic
         n_w = kwr.sum(axis=1)
         col_gain = _topic_totals(w_idx, n_dw[:, None] * np.log(ndr + 0.5)[d_idx], V)
         col_gain -= n_w[:, None] * np.log(nr + 0.5)[None, :]
-        word_target = col_gain.argmax(axis=1)
-        target = word_target[w_idx]
-        movable = (n_dw - rows[idx, target]) > 0
+        target = col_gain.argmax(axis=1)[w_idx]
         word_margin = col_gain.max(axis=1) - (
             (col_gain * kwr).sum(axis=1) / np.maximum(n_w, 1)
         )
         margin = word_margin[w_idx] / np.maximum(n_w, 1)[w_idx]
     elif mode == "bundle":
-        movable = (n_dw - rows[idx, target]) > 0
         margin = gain[idx, target] - (gain * rows).sum(axis=1) / np.maximum(n_dw, 1)
+    if mode in ("word", "bundle"):
+        new_rows = np.zeros_like(rows)
+        new_rows[idx, target] = n_dw
     elif mode == "prop":
         p = np.exp(gain - gain.max(axis=1, keepdims=True))
         p /= p.sum(axis=1, keepdims=True)
-        split = _largest_remainder_round(n_dw, p)
-        movable = np.any(split != rows, axis=1)
-        margin = np.abs(split - rows).sum(axis=1).astype(float)
+        new_rows = _largest_remainder_round(n_dw, p)
+        margin = np.abs(new_rows - rows).sum(axis=1).astype(float)
     else:
         donor = np.where(rows > 0, gain, np.inf).argmin(axis=1)
-        movable = (rows[idx, donor] > 0) & (donor != target)
         margin = gain[idx, target] - gain[idx, donor]
-    if not np.any(movable):
-        return None
-    return {"target": target, "donor": donor, "margin": margin,
-            "mask": movable, "mode": mode, "split": split}
-
-
-def _apply_anchored(rows, cand, bundles, sel):
-    """Apply the candidate on the bundles `sel`; returns their rows before."""
-    before = rows[sel].copy()
-    if cand["mode"] in ("bundle", "word"):
-        rows[sel] = 0
-        rows[sel, cand["target"][sel]] = bundles.counts[sel]
-    elif cand["mode"] == "prop":
-        rows[sel] = cand["split"][sel]
-    else:
-        rows[sel, cand["donor"][sel]] -= 1
-        rows[sel, cand["target"][sel]] += 1
-    return before
+        new_rows = rows.copy()
+        new_rows[idx, donor] -= 1
+        new_rows[idx, target] += 1
+    movable = np.any(new_rows != rows, axis=1)
+    return (new_rows, margin, movable) if movable.any() else None
 
 
 def _try_batch(rows, cand, sigma, bundles, max_overlap=None):
@@ -1132,19 +1135,18 @@ def _try_batch(rows, cand, sigma, bundles, max_overlap=None):
     Returns (accepted, sigma) with the rows at the accepted state, or
     unchanged.  The fractions are nested, so one that moves as many bundles
     as the one just rejected moves the same ones: it is rejected unscored."""
-    order = np.argsort(-cand["margin"])
-    fraction, rejected = 1.0, -1
-    while fraction >= 1 / 64:
+    new_rows, margin, movable = cand
+    order = np.argsort(-margin)
+    rejected = -1
+    for fraction in (1, 1 / 4, 1 / 16, 1 / 64):
         take = order[: max(1, int(len(order) * fraction))]
-        subset = np.zeros(len(rows), dtype=bool)
-        subset[take] = True
-        sel = np.flatnonzero(cand["mask"] & subset)
+        sel = np.sort(take[movable[take]])
         if len(sel) != rejected:
-            before = _apply_anchored(rows, cand, bundles, sel)
+            before = rows[sel].copy()
+            rows[sel] = new_rows[sel]
             new_sigma = score_doc_anchored(rows, bundles, max_overlap).sigma_nats
             if new_sigma < sigma - 1e-9:
                 return True, new_sigma
             rows[sel] = before
             rejected = len(sel)
-        fraction /= 4
     return False, sigma

@@ -529,15 +529,12 @@ def aggregate_matrix(e: np.ndarray, assignment: np.ndarray, n_coarse: int) -> np
     return out
 
 
-def logp_level_matrix(e_fine: np.ndarray, assignment: np.ndarray, n_coarse: int,
-                      e_coarse: np.ndarray | None = None) -> float:
+def logp_level_matrix(e_fine: np.ndarray, assignment: np.ndarray, n_coarse: int) -> float:
     """Uniform prior of a fine edge matrix under its coarse aggregate: each
     coarse pair's count is spread over the compatible fine pairs."""
     assignment = np.asarray(assignment, dtype=np.int64)
     sizes = np.bincount(assignment, minlength=n_coarse).astype(np.int64)
     agg = aggregate_matrix(e_fine, assignment, n_coarse)
-    if e_coarse is not None and not np.array_equal(agg, e_coarse):
-        raise IntegrityError("stored coarse matrix does not aggregate from the fine one")
     if np.any(np.diagonal(agg) % 2 != 0):
         raise IntegrityError("odd within-group total at a coarse diagonal")
     r, s = np.triu_indices(n_coarse)  # each coarse pair once, row by row
@@ -597,12 +594,13 @@ def top_level_density(E: int, n_groups: int) -> float:
     return 2.0 * E / (n_groups * (n_groups + 1))
 
 
-def logp_hierarchy(e_base: np.ndarray, assignments, group_side=None, E=None) -> float:
+def logp_hierarchy(e_base: np.ndarray, assignments, group_side=None) -> float:
     """Log-probability of the whole stack of edge-count matrices plus the
     upper-level partitions; the topmost matrix closes with the geometric
-    prior at its maximizing density."""
+    prior at its maximizing density.  The diagonal holds within-group edges
+    twice (`CountTables.dense_e`), so the matrix sums to 2E."""
     e = np.asarray(e_base, dtype=np.int64)
-    total_e = int(e.sum()) // 2 if E is None else E
+    total_e = int(e.sum()) // 2
     sides = hierarchy_group_sides(group_side, assignments)
     out = 0.0
     for li, assignment in enumerate(assignments):
@@ -649,9 +647,8 @@ def score_tables(tables: CountTables, hierarchy: Hierarchy | None = None,
         _check_group_sides(state, mix)
     breakdown["partition"] = -logp_partition_array(mix, max_overlap)
     if hierarchy.assignments:
-        breakdown["edge_matrix"] = -logp_hierarchy(
-            tables.dense_e(), hierarchy.assignments, tables.group_side, E=tables.E
-        )
+        breakdown["edge_matrix"] = -logp_hierarchy(tables.dense_e(), hierarchy.assignments,
+                                                   tables.group_side)
     else:
         # a flat state's edge prior needs only E and B, not the (B, B) matrix
         breakdown["edge_matrix"] = -logp_edge_matrix_geometric(

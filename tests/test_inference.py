@@ -15,7 +15,12 @@ from topicblocks import inference, presets
 from topicblocks.cli import _load_corpus_dir
 from topicblocks.cli import main as cli_main
 from topicblocks.evaluation import adjusted_rand_index
-from topicblocks.graph import BipartiteMultigraph, from_counts, state_from_label_arrays
+from topicblocks.graph import (
+    BipartiteMultigraph,
+    LabeledGraph,
+    from_counts,
+    state_from_label_arrays,
+)
 from topicblocks.inference import (
     InferenceConfig,
     NonoverlappingAgglomerator,
@@ -38,7 +43,15 @@ from topicblocks.lda import (
     sample_corpus,
     sample_mixture_corpus,
 )
-from topicblocks.microcanonical import CountTables, joint_logp
+from topicblocks import microcanonical
+from topicblocks.microcanonical import (
+    CountTables,
+    Hierarchy,
+    hierarchy_group_sides,
+    joint_logp,
+    logp_hierarchy,
+    score_tables,
+)
 from topicblocks.partition_counts import log_partitions
 from topicblocks.util import IntegrityError, log_factorial
 
@@ -708,13 +721,15 @@ class TestAnchoredFitter:
 def try_batch_reference(rows, cand, sigma, bundles, max_overlap=None):
     """`inference._try_batch` scoring every fraction, also one that moves the
     bundles the fraction before it moved."""
-    order = np.argsort(-cand["margin"])
+    new_rows, margin, movable = cand
+    order = np.argsort(-margin)
     fraction = 1.0
     while fraction >= 1 / 64:
         subset = np.zeros(len(rows), dtype=bool)
         subset[order[: max(1, int(len(order) * fraction))]] = True
-        sel = np.flatnonzero(cand["mask"] & subset)
-        before = inference._apply_anchored(rows, cand, bundles, sel)
+        sel = np.flatnonzero(movable & subset)
+        before = rows[sel].copy()
+        rows[sel] = new_rows[sel]
         new_sigma = inference.score_doc_anchored(rows, bundles, max_overlap).sigma_nats
         if new_sigma < sigma - 1e-9:
             return True, new_sigma
@@ -1195,6 +1210,82 @@ class TestAgglomerator:
         assert materialized_sigma(counts, ag) <= before + 1e-9
 
 
+def grow_hierarchy_reference(state, max_levels, max_overlap=None):
+    """`grow_hierarchy` as a dense pair scan: every same-side pair of the
+    growing level is rescored by `logp_hierarchy` of the whole stack, from
+    the base edge matrix, on a copy of the level's assignment."""
+    if max_levels < 1:
+        return Hierarchy(), joint_logp(state, max_overlap=max_overlap)
+    tables = CountTables(state)
+    tables.drop_empty_groups()
+    e_base, group_side = tables.dense_e(), tables.group_side
+
+    def edge_term(assignments):
+        return -logp_hierarchy(e_base, assignments, group_side)
+
+    hierarchy = Hierarchy()
+    best_term = edge_term([])
+    base_side = np.zeros(tables.n_groups) if group_side is None else group_side
+    while hierarchy.depth < max_levels:
+        # the sides of the groups that the new level assigns
+        below = hierarchy_group_sides(base_side, hierarchy.assignments)[-1]
+        trial = hierarchy.assignments + [np.arange(len(below), dtype=np.int64)]
+        trial_term = edge_term(trial)
+        improved = True
+        while improved:
+            improved = False
+            assignment = trial[-1]
+            coarse, first = np.unique(assignment, return_index=True)
+            side = below[first]
+            cand_best = None
+            for ai in range(len(coarse)):
+                for bi in range(ai + 1, len(coarse)):
+                    if side[ai] != side[bi]:
+                        continue  # a merge across sides is no hierarchy
+                    merged = assignment.copy()
+                    merged[merged == coarse[bi]] = coarse[ai]
+                    _, merged = np.unique(merged, return_inverse=True)
+                    term = edge_term(trial[:-1] + [merged])
+                    if term < trial_term - 1e-9 and (
+                        cand_best is None or term < cand_best[0]
+                    ):
+                        cand_best = (term, merged)
+            if cand_best is not None:
+                trial_term = cand_best[0]
+                trial = trial[:-1] + [cand_best[1]]
+                improved = True
+        if trial_term < best_term - 1e-9:
+            hierarchy = Hierarchy(trial)
+            best_term = trial_term
+        else:
+            break
+    return hierarchy, score_tables(tables, hierarchy, max_overlap, state=state)
+
+
+@hst.composite
+def sided_block_states(draw, max_groups=40):
+    """A per-doc-group state of a sparse Dirichlet corpus on its true labels,
+    or a clustered state of its counts with random document and word groups;
+    at most `max_groups` groups."""
+    K = draw(hst.integers(2, 5))
+    D, V = draw(hst.integers(2, max_groups - K)), draw(hst.integers(3, 40))
+    h = make_hyper(0.1, 0.1, np.full(K, 1 / K), np.full(V, 1 / V))
+    labels = sample_corpus(K, D, V, draw(hst.integers(3, 40)), h,
+                           seed=draw(hst.integers(0, 2**16))).labels
+    if draw(hst.booleans()):
+        return labels_to_state(labels, "per-doc-group")
+    counts = np.zeros((D, V), dtype=np.int64)
+    np.add.at(counts, (labels.d, labels.w), labels.counts)
+    seen = np.flatnonzero(counts.sum(axis=0))  # words without tokens have no node
+    counts = counts[:, seen]
+    Gd = draw(hst.integers(1, D))
+    Gw = draw(hst.integers(1, max(1, min(len(seen), max_groups - Gd))))
+    rng = np.random.default_rng(draw(hst.integers(0, 2**16)))
+    doc_group, word_group = rng.integers(Gd, size=D), rng.integers(Gw, size=len(seen))
+    return inference._block_state(counts, np.unique(doc_group, return_inverse=True)[1],
+                                  np.unique(word_group, return_inverse=True)[1])
+
+
 class TestHierarchyGrowth:
     def test_identity_level_never_kept_without_gain(self):
         st = state_from_label_arrays(2, 2, [0, 1], [0, 1], [0, 1], [2, 3],
@@ -1211,7 +1302,7 @@ class TestHierarchyGrowth:
         def refuse(self):
             raise AssertionError("grow_hierarchy built the (B, B) edge matrix")
         monkeypatch.setattr(CountTables, "dense_e", refuse)
-        for max_levels in (0, -1):
+        for max_levels in (1, 0, -1):
             hierarchy, score = grow_hierarchy(st, max_levels, max_overlap=2)
             assert hierarchy.assignments == []
             assert score.sigma_nats == flat
@@ -1255,6 +1346,53 @@ class TestHierarchyGrowth:
         hierarchy, score = grow_hierarchy(self.pinned_state(kind, K, seed), 5)
         assert [a.tolist() for a in hierarchy.assignments] == levels
         assert score.sigma_nats == sigma
+
+    @settings(max_examples=25)
+    @given(sided_block_states(), hst.integers(2, 5))
+    def test_matches_the_dense_pair_scan(self, state, max_levels):
+        """Scoring each level's pairs from its own terms chooses the levels
+        that rescoring the whole stack for every pair chooses, and the same
+        sigma, bit for bit."""
+        hierarchy, score = grow_hierarchy(state, max_levels)
+        ref_hierarchy, ref_score = grow_hierarchy_reference(state, max_levels)
+        assert ([a.tolist() for a in hierarchy.assignments]
+                == [a.tolist() for a in ref_hierarchy.assignments])
+        assert score.sigma_nats == ref_score.sigma_nats
+
+    @settings(max_examples=15)
+    @given(hst.integers(3, 25), hst.integers(4, 16), hst.integers(1, 3), hst.integers(20, 300),
+           hst.integers(0, 2**16))
+    def test_unsided_matches_the_dense_pair_scan(self, n_nodes, n_groups, n_blocks, n_bundles,
+                                                 seed):
+        """An unsided state, whose groups share edges among themselves, also
+        grows the levels of the dense scan: its groups are drawn in `n_blocks`
+        planted blocks, nine edges in ten within one."""
+        rng = np.random.default_rng(seed)
+        i, j = np.sort(rng.integers(n_nodes, size=(2, n_bundles)), axis=0)
+        p = rng.integers(n_blocks, size=n_bundles)
+        q = np.where(rng.random(n_bundles) < 0.9, p, rng.integers(n_blocks, size=n_bundles))
+        block = np.arange(n_groups) % n_blocks
+        r, s = (np.array([rng.choice(np.flatnonzero(block == x)) for x in blk]) for blk in (p, q))
+        r, s = np.where(i == j, np.minimum(r, s), r), np.where(i == j, np.maximum(r, s), s)
+        state = LabeledGraph(n_nodes, i, j, r, s, rng.integers(1, 4, size=n_bundles), n_groups)
+        hierarchy, score = grow_hierarchy(state, 3)
+        ref_hierarchy, ref_score = grow_hierarchy_reference(state, 3)
+        assert ([a.tolist() for a in hierarchy.assignments]
+                == [a.tolist() for a in ref_hierarchy.assignments])
+        assert score.sigma_nats == ref_score.sigma_nats
+
+    def test_scores_the_stack_once(self, monkeypatch):
+        """Growing levels calls `logp_hierarchy` once, for the returned
+        score, however many pairs and levels it tries."""
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return logp_hierarchy(*args, **kwargs)
+        monkeypatch.setattr(microcanonical, "logp_hierarchy", counted)
+        monkeypatch.setattr(inference, "logp_hierarchy", counted, raising=False)
+        hierarchy, _ = grow_hierarchy(self.pinned_state("per-doc-group", 6, 3), 5)
+        assert len(hierarchy.assignments) == 3 and len(calls) == 1
 
     def test_respects_depth_cap(self):
         graph = planted_biclique_graph()
