@@ -400,11 +400,12 @@ def _checked_labels(labels: LabeledCounts, variant: str) -> LabeledCounts:
         raise ValueError(f"unknown variant {variant!r}")
     D, K = labels.n_docs, labels.n_topics
     labels = labels.over_realized_words()  # words in 0..n_words-1
-    if np.any(labels.counts < 1):
+    d_lo, d_hi, r_lo, r_hi, least = labels.label_ranges()  # kept for the sample's other scores
+    if least < 1:
         raise IntegrityError("bundle multiplicities must be positive")
-    if len(labels.d) and not 0 <= labels.d.min() <= labels.d.max() < D:
+    if d_lo < 0 or d_hi >= D:
         raise IntegrityError(f"a label's document lies outside 0..{D - 1}")
-    if len(labels.r) and not 0 <= labels.r.min() <= labels.r.max() < K:
+    if r_lo < 0 or r_hi >= K:
         topic = labels.r[(labels.r < 0) | (labels.r >= K)][0]
         raise IntegrityError(f"a label's topic {topic} lies outside 0..{K - 1}")
     return labels
@@ -432,8 +433,9 @@ def fixed_label_score(sample: LdaSample | LabeledCounts, variant: str) -> ModelS
     single-level edge-count prior (no nested hierarchy): scored from the
     count tables the labels keep for the LDA scores too, without the state."""
     labels = _checked_labels(sample.labels if isinstance(sample, LdaSample) else sample, variant)
-    tables = CountTables.from_topic_counts(labels.doc_topic_counts(), labels.word_topic_counts(),
-                                           labels.log_count_factorials(), variant == "per-doc-group")
+    tables = CountTables.from_topic_counts(
+        labels.doc_topic_counts(), labels.doc_topic_cells(), labels.word_topic_counts(),
+        labels.word_topic_cells(), labels.log_count_factorials(), variant == "per-doc-group")
     return score_tables(tables, model_id="hsbm", parametrization=variant)
 
 
@@ -466,9 +468,10 @@ def score_doc_anchored(rows: np.ndarray, bundles: BipartiteMultigraph,
     `LabeledCounts.from_dense`, so this equals scoring the dense labels with
     `labels_to_state` bit for bit (by `fixed_label_score` when uncapped)."""
     m = rows[rows > 0]  # the state's multiplicities, in its bundle order
+    ndr = _topic_totals(bundles.doc_idx, rows, bundles.n_docs).astype(np.int64)
+    nwr = _topic_totals(bundles.word_idx, rows, bundles.n_words).astype(np.int64)
     tables = CountTables.from_topic_counts(
-        _topic_totals(bundles.doc_idx, rows, bundles.n_docs).astype(np.int64),
-        _topic_totals(bundles.word_idx, rows, bundles.n_words).astype(np.int64),
+        ndr, np.nonzero(ndr), nwr, np.nonzero(nwr),
         float(log_factorial_table(int(m.max(initial=0)))[m].sum()), doc_groups=True)
     return score_tables(tables, max_overlap=max_overlap, model_id="hsbm",
                         parametrization="per-doc-group")
@@ -1060,7 +1063,7 @@ def refine_doc_clusters(labels_dense: np.ndarray, seed: int = 0):
     state, *_ = block_search(graph, InferenceConfig(), doc_start=start)
     hierarchy, score = grow_hierarchy(state, GROW_LEVELS)
     Gd = int(np.count_nonzero(state.group_side == 0))
-    tag = f"clustered[{Gd}x{state.n_groups - Gd}]" + ("+levels" if hierarchy.depth else "")
+    tag = f"clustered[{Gd}x{state.n_groups - Gd}]" + ("+levels" if hierarchy.assignments else "")
     return ModelScore(score.sigma_nats, score.breakdown, "hsbm", tag), state
 
 

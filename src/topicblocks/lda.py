@@ -114,9 +114,30 @@ def _sum_by_key(key: np.ndarray, counts: np.ndarray, shape) -> np.ndarray:
     return out.astype(np.int64).reshape(shape)
 
 
+def _label_ranges(d: np.ndarray, r: np.ndarray, counts: np.ndarray):
+    """min(d, 0), max(d, -1), min(r, 0), max(r, -1) and min(counts, 1): the
+    bounds the range checks read, which labels without entries pass."""
+    return (int(d.min(initial=0)), int(d.max(initial=-1)), int(r.min(initial=0)),
+            int(r.max(initial=-1)), int(counts.min(initial=1)))
+
+
+def _kept(store: dict, name: str, build):
+    """store[name], built on first use; an array built is made read-only."""
+    if name not in store:
+        store[name] = build()
+        if isinstance(store[name], np.ndarray):
+            store[name].flags.writeable = False
+    return store[name]
+
+
 class LabeledCounts:
     """Sparse labeled counts n_dw^r as parallel (d, w, r, count) arrays,
-    never changed in place: aggregates are computed once and kept."""
+    never changed in place, so each aggregate is built on first use and
+    kept: the range bounds (`label_ranges`), Σ log n!, the read-only
+    doc-topic and word-topic tables and the `np.nonzero` cells of each.
+    Callers check the ranges before asking for a table.  The view over the
+    realized words shares every aggregate that does not read w with the
+    labels it was taken from; its word-topic table is their table's rows."""
 
     def __init__(self, n_docs, n_words, n_topics, d, w, r, counts):
         self.n_docs = int(n_docs)
@@ -129,41 +150,46 @@ class LabeledCounts:
         if np.any(self.counts < 0):
             raise IntegrityError("labeled counts must be nonnegative")
         self._words_realized = False
-        self._word_topic = None
-        # aggregates of (d, r, counts), shared with a relabel of the words
-        self._shared = {}
+        self._rows_of = None  # a realized view's (labels, realized words)
+        self._shared = {}  # aggregates of (d, r, counts), shared with a relabel of the words
+        self._own = {}  # aggregates that read w
 
     @property
     def total_tokens(self) -> int:
         return int(self.counts.sum())
+
+    def label_ranges(self):
+        """`_label_ranges` of (d, r, counts)."""
+        return _kept(self._shared, "ranges", lambda: _label_ranges(self.d, self.r, self.counts))
 
     def doc_lengths(self) -> np.ndarray:
         return _sum_by_key(self.d, self.counts, self.n_docs)
 
     def doc_topic_counts(self) -> np.ndarray:
         """(n_docs, n_topics) token totals, read-only."""
-        table = self._shared.get("doc_topic")
-        if table is None:
-            table = _sum_by_key(self.d * self.n_topics + self.r, self.counts,
-                                (self.n_docs, self.n_topics))
-            table.flags.writeable = False
-            self._shared["doc_topic"] = table
-        return table
+        return _kept(self._shared, "doc_topic", lambda: _sum_by_key(
+            self.d * self.n_topics + self.r, self.counts, (self.n_docs, self.n_topics)))
+
+    def doc_topic_cells(self):
+        return _kept(self._shared, "doc_cells", lambda: np.nonzero(self.doc_topic_counts()))
 
     def log_count_factorials(self) -> float:
         """Sum of log n! over the entries' counts."""
-        if "log_counts" not in self._shared:
-            table = log_factorial_table(int(self.counts.max(initial=0)))
-            self._shared["log_counts"] = float(table[self.counts].sum())
-        return self._shared["log_counts"]
+        return _kept(self._shared, "log_counts", lambda: float(
+            log_factorial_table(int(self.counts.max(initial=0)))[self.counts].sum()))
 
     def word_topic_counts(self) -> np.ndarray:
         """(n_words, n_topics) token totals, read-only."""
-        if self._word_topic is None:
-            self._word_topic = _sum_by_key(self.w * self.n_topics + self.r, self.counts,
-                                           (self.n_words, self.n_topics))
-            self._word_topic.flags.writeable = False
-        return self._word_topic
+        def build():
+            if self._rows_of is None:
+                return _sum_by_key(self.w * self.n_topics + self.r, self.counts,
+                                   (self.n_words, self.n_topics))
+            labels, realized = self._rows_of
+            return labels.word_topic_counts()[realized]
+        return _kept(self._own, "word_topic", build)
+
+    def word_topic_cells(self):
+        return _kept(self._own, "word_cells", lambda: np.nonzero(self.word_topic_counts()))
 
     def over_realized_words(self) -> "LabeledCounts":
         """The same entries over the realized vocabulary: words with no entry
@@ -181,6 +207,7 @@ class LabeledCounts:
         labels = LabeledCounts(self.n_docs, len(realized), self.n_topics,
                                self.d, remap[self.w], self.r, self.counts)
         labels._words_realized = True
+        labels._rows_of = (self, realized)
         labels._shared = self._shared
         return labels
 
@@ -328,7 +355,8 @@ def lda_marginal_loglik(labels: LabeledCounts, hyper: DirichletHyper, eta_d=None
     """
     if hyper.n_topics != labels.n_topics or hyper.n_words != labels.n_words:
         raise IntegrityError("hyperparameter dimensions do not match the labels")
-    if len(labels.r) and not 0 <= labels.r.min() <= labels.r.max() < labels.n_topics:
+    _, _, r_lo, r_hi, _ = labels.label_ranges()
+    if r_lo < 0 or r_hi >= labels.n_topics:
         raise IndexError("label index out of range")  # the table sums below would hide it
     ndr = labels.doc_topic_counts()
     k_d = ndr.sum(axis=1)
@@ -343,7 +371,7 @@ def lda_marginal_loglik(labels: LabeledCounts, hyper: DirichletHyper, eta_d=None
     alpha = hyper.alpha_row
     a_sum = float(alpha.sum())
     ll += float((gammaln(a_sum) - gammaln(k_d + a_sum)).sum())
-    d_nz, r_nz = np.nonzero(ndr)
+    d_nz, r_nz = labels.doc_topic_cells()
     ll += float((gammaln(ndr[d_nz, r_nz] + alpha[r_nz]) - gammaln(alpha)[r_nz]).sum())
 
     beta = hyper.beta_row
@@ -351,7 +379,7 @@ def lda_marginal_loglik(labels: LabeledCounts, hyper: DirichletHyper, eta_d=None
     n_r = ndr.sum(axis=0)  # exact: integer sums
     ll += float((gammaln(b_sum) - gammaln(n_r + b_sum)).sum())
     nwr = labels.word_topic_counts()
-    w_nz, r_nz = np.nonzero(nwr)
+    w_nz, r_nz = labels.word_topic_cells()
     runs = run_bounds(w_nz)  # w_nz ascends: one run per realized word
     log_gamma_beta = np.repeat(gammaln(beta[w_nz[runs[:-1]]]), np.diff(runs))
     ll += float((gammaln(nwr[w_nz, r_nz] + beta[w_nz]) - log_gamma_beta).sum())

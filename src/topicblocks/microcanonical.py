@@ -22,10 +22,12 @@ The aggregates are built by numpy grouping, not per-element loops.
 `bincount` where no float sum can reach 2**53 and the pairs' bounding box
 has no more cells than there are pairs, or where one key is the other plus
 a constant (a per-doc-group state's (document, group) pairs), else by a
-sort of (key, weight) packed in an int64; a fixed-label state's tables are
-read off its LDA count tables instead (`from_topic_counts`).  `MixtureTables`
-groups the (node, group)-sorted labeled degrees into node runs, mixtures and
-(mixture, group) pairs, each numbered in order of first occurrence by node.
+sort of (key, weight) packed in an int64 (`_sort_packed`); a fixed-label
+state's tables are read off its LDA count tables instead
+(`from_topic_counts`).  `MixtureTables` groups the (node, group)-sorted
+labeled degrees into node runs, mixtures and (mixture, group) pairs, each
+numbered in order of first occurrence by node; first occurrences come from
+stable orders, each a sort of the keys packed above their indices.
 The one scoring core, `score_tables`, reads only the tables: it scores the
 degree and partition priors straight from these integer arrays
 (`logp_degrees_array`, `logp_partition_array`, with restricted-partition
@@ -66,19 +68,30 @@ from .util import (
 # --- sparse count aggregates ----------------------------------------------
 
 
+def _sort_packed(key: np.ndarray, low: np.ndarray):
+    """key sorted, low carried along, for nonnegative int64 key and low: one
+    `np.sort` of key packed above low in one int64, so equal keys come in
+    order of low.  If the pack would not fit in 63 bits, a stable argsort of
+    key keeps equal keys in input order: the same order when low is an index."""
+    shift = int(low.max(initial=0)).bit_length()
+    if int(key.max(initial=0)) >> (63 - shift):
+        order = np.argsort(key, kind="stable")
+        return key[order], low[order]
+    packed = (key << shift) | low
+    packed.sort()
+    return packed >> shift, packed & ((1 << shift) - 1)
+
+
+def _stable_order(key: np.ndarray):
+    """The sorted keys and `np.argsort(key, kind="stable")`, for nonnegative
+    int64 keys: `_sort_packed` with each key's index as its low field."""
+    return _sort_packed(key, np.arange(len(key)))
+
+
 def _sorted_sums(key: np.ndarray, weight: np.ndarray):
     """Distinct keys in ascending order and the exact integer sum of the
-    weights of each, for nonnegative keys and weights: one `np.sort` of each
-    key packed above its weight in one int64, or an argsort and two gathers
-    when the pack would not fit in 63 bits."""
-    shift = int(weight.max(initial=0)).bit_length()
-    if int(key.max(initial=0)) >> (63 - shift):
-        order = np.argsort(key)
-        key, weight = key[order], weight[order]
-    else:
-        packed = (key << shift) | weight
-        packed.sort()
-        key, weight = packed >> shift, packed & ((1 << shift) - 1)
+    weights of each, for nonnegative keys and weights (`_sort_packed`)."""
+    key, weight = _sort_packed(key, weight)
     starts = run_bounds(key)[:-1]
     return key[starts], np.add.reduceat(weight, starts)
 
@@ -122,10 +135,11 @@ def _pair_sums(a: np.ndarray, b: np.ndarray, weight: np.ndarray, span: int,
 
 
 def _first_occurrence_counts(key: np.ndarray):
-    """Distinct keys with their counts, in order of first occurrence."""
-    uniq, first, counts = np.unique(key, return_index=True, return_counts=True)
-    order = np.argsort(first)
-    return uniq[order], counts[order]
+    """Distinct nonnegative keys with their counts, in order of first occurrence."""
+    key, order = _stable_order(key)
+    runs = run_bounds(key)
+    by_first = np.argsort(order[runs[:-1]])  # the head of each run is its first occurrence
+    return key[runs[:-1]][by_first], np.diff(runs)[by_first]
 
 
 class CountTables:
@@ -177,16 +191,17 @@ class CountTables:
         self.log_loops = float(log_double_factorial_even(2 * state.m[equal]).sum())
 
     @classmethod
-    def from_topic_counts(cls, ndr: np.ndarray, nwr: np.ndarray, log_m: float,
-                          doc_groups: bool) -> "CountTables":
+    def from_topic_counts(cls, ndr: np.ndarray, ndr_cells, nwr: np.ndarray, nwr_cells,
+                          log_m: float, doc_groups: bool) -> "CountTables":
         """The tables of a fixed-label word-document state from its (D, K)
-        doc-topic and (V, K) word-topic token totals and its sum of log m!.
-        Document d is node d, word w node D + w; a word half-edge of topic r
-        is in group G + r, a document half-edge in group d (`doc_groups`, G
-        = D: per-doc-group) or r (G = K: doc-clustering).  `np.nonzero`
-        lists a table's cells in (node, group) order, as `CountTables` does."""
+        doc-topic and (V, K) word-topic token totals, the `np.nonzero` cells
+        of each, and its sum of log m!.  Document d is node d, word w node D
+        + w; a word half-edge of topic r is in group G + r, a document
+        half-edge in group d (`doc_groups`, G = D: per-doc-group) or r (G =
+        K: doc-clustering).  `np.nonzero` lists a table's cells in (node,
+        group) order, as `CountTables` does."""
         (D, K), V, n_d, n_r = ndr.shape, len(nwr), ndr.sum(axis=1), ndr.sum(axis=0)
-        (d, r), (w, rw) = np.nonzero(ndr), np.nonzero(nwr)
+        (d, r), (w, rw) = ndr_cells, nwr_cells
         t = cls.__new__(cls)
         if doc_groups:  # one group per document; its edges are its topic counts
             G, docs = D, np.flatnonzero(n_d)
@@ -313,8 +328,8 @@ class MixtureTables:
     Built from the tables' (node, group)-sorted labeled degrees: node runs
     from one `flatnonzero`, mixture ids from one `lexsort` of the nodes of
     each mixture size (so memory stays proportional to the labeled degrees
-    however many groups a node sits in), degree frequencies from one stable
-    sort.
+    however many groups a node sits in), nodes by size and degree
+    frequencies each from one `_stable_order`.
     """
 
     def __init__(self, tables: CountTables):
@@ -341,8 +356,8 @@ class MixtureTables:
 
         # mixture ids: the (side, groups...) rows of each size q, lexsorted
         # (stable, so the head of each run of equal rows is its first node)
-        by_size = np.argsort(sizes, kind="stable")
-        size_runs = run_bounds(sizes[by_size]).tolist()
+        sorted_sizes, by_size = _stable_order(sizes)
+        size_runs = run_bounds(sorted_sizes).tolist()
         blocks = []
         for lo, hi in zip(size_runs, size_runs[1:]):
             idx = by_size[lo:hi]
@@ -378,11 +393,10 @@ class MixtureTables:
 
         # per pair: its distinct degrees by first occurrence, with frequencies
         k_span = int(vals.max(initial=0)) + 1
-        key = entry_pair * k_span + vals
-        order = np.argsort(key, kind="stable")
-        runs = run_bounds(key[order])
+        key, order = _stable_order(entry_pair * k_span + vals)
+        runs = run_bounds(key)
         heads = order[runs[:-1]]  # first occurrence of each (pair, degree)
-        run_pair = key[heads] // k_span
+        run_pair = key[runs[:-1]] // k_span
         by_pair = np.argsort(run_pair * max(n, 1) + heads)
         self.freq_k = vals[heads][by_pair]
         self.freq_count = np.diff(runs)[by_pair]
@@ -397,7 +411,7 @@ def _run_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     eight terms up): one vectorized add per column, over the runs that reach
     it, longest runs first."""
     lens = np.diff(bounds)
-    by_len = np.argsort(-lens, kind="stable")
+    _, by_len = _stable_order(lens.max(initial=0) - lens)
     heads = bounds[:-1][by_len]
     acc = values[heads]
     reaching = len(lens) - np.cumsum(np.bincount(lens))  # runs longer than c

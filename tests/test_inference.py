@@ -1467,7 +1467,16 @@ class TestRefineDocClusters:
         assert abs(rescored.sigma_nats - score.sigma_nats) < 1e-9
         Gd, Gw = map(int, re.match(r"clustered\[(\d+)x(\d+)\]", score.parametrization).groups())
         assert (Gd, Gw) == tuple(np.bincount(state.group_side, minlength=2))
-        assert score.parametrization.endswith("+levels") == (hierarchy.depth > 0)
+        assert score.parametrization.endswith("+levels") == bool(hierarchy.assignments)
+
+    def test_no_kept_level_is_not_tagged(self):
+        """A refine that keeps no level is tagged without `+levels`."""
+        s = sample_mixture_corpus(np.asarray(presets.BIMODAL_ALPHA_VECTORS), 6, 8, 5,
+                                  np.full(8, 0.01), seed=1)
+        score, state = refine_doc_clusters(s.labels.to_dense(), seed=0)
+        hierarchy, _ = grow_hierarchy(state, inference.GROW_LEVELS)
+        assert hierarchy.assignments == []
+        assert score.parametrization == "clustered[1x1]"
 
     @settings(max_examples=30)
     @given(hst.integers(1, 40), hst.integers(1, 30), hst.integers(1, 60),

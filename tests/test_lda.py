@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as hst
 from scipy.special import gammaln
 
+from topicblocks import lda, presets
 from topicblocks.lda import (
     DirichletHyper,
     LabeledCounts,
@@ -304,14 +305,51 @@ class TestLabeledCountsAggregates:
         assert counted == []
 
     def test_word_topic_table_is_kept_per_instance(self):
-        """Each relabel of the words has its own word-topic table, summed
-        once and read-only."""
+        """Each relabel of the words has its own word-topic table, kept and
+        read-only."""
         lab = LabeledCounts(2, 4, 2, [0, 0, 1], [0, 3, 3], [0, 1, 1], [2, 1, 5])
         got = lab.over_realized_words()
         assert got.word_topic_counts() is got.word_topic_counts()
         assert not got.word_topic_counts().flags.writeable
         assert got.word_topic_counts().tolist() == [[2, 0], [0, 6]]
         assert lab.word_topic_counts().tolist() == [[2, 0], [0, 0], [0, 0], [0, 6]]
+
+    @given(labeled_counts(), hst.integers(0, 3), hst.integers(0, 3), hst.booleans())
+    def test_realized_word_table_matches_a_fresh_sum(self, lab, zeros, unused, labels_first):
+        """The realized view's word-topic table, the realized rows of its
+        labels' table, equals a bincount over the view's own (w, r).  A word
+        whose entries all count zero is still realized; `unused` words have
+        no entry and are dropped."""
+        V, K = lab.n_words, lab.n_topics
+        z = np.full(zeros, V)  # entries of word V, each counting zero
+        lab = LabeledCounts(lab.n_docs, V + 1 + unused, K, np.r_[lab.d, z * 0], np.r_[lab.w, z],
+                            np.r_[lab.r, z * 0], np.r_[lab.counts, z * 0])
+        if labels_first:
+            lab.word_topic_counts()
+        view = lab.over_realized_words()
+        want = np.bincount(view.w * K + view.r, weights=view.counts,
+                           minlength=view.n_words * K).reshape(view.n_words, K)
+        assert view.n_words == len(np.unique(lab.w))
+        assert view.word_topic_counts().dtype == np.int64
+        assert np.array_equal(view.word_topic_counts(), want)
+        assert all(np.array_equal(a, b) for a, b in zip(view.word_topic_cells(), np.nonzero(want)))
+
+    def test_one_sample_sums_each_table_and_checks_the_labels_once(self, monkeypatch):
+        """The four scores of a sample sum the doc-topic and the word-topic
+        table over the entries once each; the realized view takes its
+        word-topic rows from the full table.  The labels' ranges are scanned
+        once for all four scores."""
+        s = sample_corpus(3, 20, 200, 10, noninformative_hyper(3, 200), seed=2)
+        sums, scans = [], []
+        sum_by_key, label_ranges = lda._sum_by_key, lda._label_ranges
+        monkeypatch.setattr(lda, "_sum_by_key",
+                            lambda key, counts, shape: sums.append(shape) or sum_by_key(key, counts, shape))
+        monkeypatch.setattr(lda, "_label_ranges",
+                            lambda *arrays: scans.append(1) or label_ranges(*arrays))
+        presets.score_four_models(s)
+        assert s.labels.over_realized_words().n_words < 200  # words are dropped
+        assert sorted(sums) == [(20, 3), (200, 3)]
+        assert len(scans) == 1
 
     def test_out_of_range_label_is_refused(self):
         lab = LabeledCounts(2, 2, 1, [0, 2], [0, 1], [0, 0], [1, 1])

@@ -23,8 +23,11 @@ from topicblocks.microcanonical import (
     _check_group_sides,
     _pair_sums,
     _partition_head,
+    _first_occurrence_counts,
     _run_sums,
+    _sort_packed,
     _sorted_sums,
+    _stable_order,
     CountTables,
     Hierarchy,
     MixtureTables,
@@ -880,6 +883,64 @@ class TestPackedSums:
         assert len(calls) == (0 if packed else 1)
 
 
+def first_occurrence_counts_reference(key):
+    """Distinct keys with their counts, in order of first occurrence, by
+    `np.unique`, the build `_first_occurrence_counts` replaced."""
+    uniq, first, counts = np.unique(key, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    return uniq[order], counts[order]
+
+
+def sort_keys():
+    """Nonnegative int64 keys: none or one, few distinct values, spread up
+    to 2**40, or near 2**62, where no index packs below a key in 63 bits."""
+    return hst.one_of(
+        hst.lists(hst.integers(0, 2**40), max_size=1),
+        hst.lists(hst.integers(0, 3), max_size=80),
+        hst.lists(hst.integers(0, 2**40), max_size=40),
+        hst.lists(hst.integers(2**62 - 4, 2**62 + 3), max_size=40),
+    ).map(lambda keys: np.array(keys, dtype=np.int64))
+
+
+class TestPackedOrders:
+    """`_sort_packed` and the stable order built on it, against numpy's
+    stable argsort and the `np.unique` first-occurrence build."""
+
+    @given(sort_keys())
+    def test_stable_order_is_the_stable_argsort(self, key):
+        got_key, got_order = _stable_order(key)
+        want = np.argsort(key, kind="stable")
+        assert got_order.dtype == np.int64
+        assert got_order.tolist() == want.tolist()
+        assert got_key.tolist() == key[want].tolist()
+
+    @pytest.mark.parametrize("key_max, packed", [(2**61, True), (2**62, False)])
+    def test_stable_order_overflow_guard(self, monkeypatch, key_max, packed):
+        """Two indices need one bit: a key of 2**61 packs above it in 63
+        bits, and 2**62 takes the argsort."""
+        calls = count_calls(monkeypatch, np, "argsort")
+        key = np.array([key_max, key_max], dtype=np.int64)
+        assert _stable_order(key)[1].tolist() == [0, 1]
+        assert len(calls) == (0 if packed else 1)
+
+    @given(sort_keys(), hst.lists(hst.integers(0, 2**20), min_size=1, max_size=80))
+    def test_sort_packed_orders_by_key_then_low(self, key, low):
+        """Sorted by (key, low) when packed; in the fallback, equal keys keep
+        their input order."""
+        low = np.array((low * (len(key) // len(low) + 1))[:len(key)], dtype=np.int64)
+        got_key, got_low = _sort_packed(key, low)
+        if int(key.max(initial=0)) >> (63 - int(low.max(initial=0)).bit_length()):
+            want = sorted(zip(key.tolist(), low.tolist()), key=lambda pair: pair[0])
+        else:
+            want = sorted(zip(key.tolist(), low.tolist()))
+        assert list(zip(got_key.tolist(), got_low.tolist())) == want
+
+    @given(sort_keys())
+    def test_first_occurrence_counts_match_unique(self, key):
+        got, want = _first_occurrence_counts(key), first_occurrence_counts_reference(key)
+        assert [x.tolist() for x in got] == [x.tolist() for x in want]
+
+
 @given(bipartite_states(mixed_sides=True))
 def test_group_side_check_matches_bundle_scan(state):
     """Checked on the labeled degrees, a state with half-edges labeled by
@@ -949,7 +1010,8 @@ class TestTopicCountTables:
            hst.sampled_from([1, microcanonical.SMALL_PAIR_SET]))
     def test_tables_match_the_bundle_sums(self, labels, variant, small_set):
         lab = labels.over_realized_words()
-        got = CountTables.from_topic_counts(lab.doc_topic_counts(), lab.word_topic_counts(),
+        got = CountTables.from_topic_counts(lab.doc_topic_counts(), lab.doc_topic_cells(),
+                                            lab.word_topic_counts(), lab.word_topic_cells(),
                                             lab.log_count_factorials(),
                                             doc_groups=variant == "per-doc-group")
         with mock.patch.object(microcanonical, "SMALL_PAIR_SET", small_set):
